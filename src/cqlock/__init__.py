@@ -43,7 +43,6 @@ from .accessible import (
     OptimizerConfig,
     accessible_information,
     holevo_chi,
-    optimize_povm,
 )
 from .discord import (
     DiscordReport,

@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; execution is serial")
         p.add_argument("--out", metavar="FILE", default=None, help="write the JSON run report here")
         p.add_argument("--json", action="store_true", help="print the JSON run report to stdout")
 

@@ -11,9 +11,8 @@ from .qmath import (
     DensityMatrix,
     DimensionError,
     JointDistribution,
+    classical_conditional_entropy,
     classical_mutual_information,
-    shannon_entropy,
-    von_neumann_entropy,
 )
 from .states import CQEnsemble, _matrix_from_json, _matrix_to_json
 
@@ -129,13 +128,13 @@ def measured_mutual_information(ens: CQEnsemble, povm: Povm) -> float:
 
 
 def measured_conditional_entropy(ens: CQEnsemble, povm: Povm) -> float:
-    """sum_b p_b S(rho_{A|b}) for the given measurement, in bits."""
-    from .states import cq_to_density
+    """sum_b p_b S(rho_{A|b}) for the given measurement, in bits.
 
-    analysis = measure_b(cq_to_density(ens), ens.n_letters, ens.dim_b, povm)
-    return float(
-        sum(p * von_neumann_entropy(s) for p, s in zip(analysis.outcome_probs, analysis.conditional_states))
-    )
+    Every rho_{A|b} of a CQ state is diagonal with entries p(a|b), so the sum
+    is H(A|B) of the induced joint table; measure_b gives the same value from
+    the full bipartite state.
+    """
+    return classical_conditional_entropy(_induced_table(ens, povm))
 
 
 def povm_to_json_dict(povm: Povm) -> dict:

@@ -55,6 +55,8 @@ def validate_probs(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be a nonempty 1-d array")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities are not finite")
     if np.any(p < -tol.prob):
         raise ValueError("negative probability entry")
     if abs(p.sum() - 1.0) > 1e-12:
@@ -67,6 +69,8 @@ def validate_density(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("density matrix must be square")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("density matrix entries are not finite")
     if np.max(np.abs(mat - mat.conj().T)) > tol.hermitian:
         raise ValueError("matrix is not Hermitian")
     if abs(np.trace(mat).real - 1.0) > tol.trace or abs(np.trace(mat).imag) > tol.trace:
@@ -102,6 +106,8 @@ class JointDistribution:
         t = np.asarray(self.table, dtype=float)
         if t.ndim not in (2, 3):
             raise ValueError("joint distribution must have 2 or 3 variables")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("joint distribution entries are not finite")
         if np.any(t < -1e-15):
             raise ValueError("negative probability entry")
         if abs(t.sum() - 1.0) > 1e-12:

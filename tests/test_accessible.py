@@ -10,12 +10,13 @@ from cqlock import (
     cq_to_density,
     holevo_chi,
     measured_mutual_information,
-    optimize_povm,
     projective_povm,
     quantum_mutual_information,
     random_cq_ensemble,
     shannon_entropy,
 )
+
+from conftest import random_unitary
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -116,17 +117,42 @@ class TestAccessibleInformation:
         assert abs(res.value) < 1e-9
 
 
+def rotated(ens, u):
+    """The ensemble with every letter conjugated by the unitary u on B."""
+    return CQEnsemble(ens.labels, ens.probs, tuple(u @ s @ u.conj().T for s in ens.states))
+
+
+class TestSearchWithoutHints:
+    """The default search alone must find the optimum; no candidate basis applies after a random rotation."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rotated_locking_reaches_half_m(self, m):
+        _, ens = build_locking_state(m)
+        u = random_unitary(2**m, np.random.default_rng(100 + m))
+        res = accessible_information(rotated(ens, u))
+        assert abs(res.value - m / 2) < 1e-3
+
+    def test_local_unitary_invariance_d4(self):
+        ens = random_cq_ensemble(6, 4, "mixed", seed=5)
+        u = random_unitary(4, np.random.default_rng(7))
+        a = accessible_information(ens).value
+        b = accessible_information(rotated(ens, u)).value
+        assert abs(a - b) < 1e-3
+
+
 class TestOptimizePovm:
+    """The maximizing POVM, as returned in best_povm."""
+
     def test_returns_valid_povm(self, fast_cfg):
         ens = random_cq_ensemble(3, 2, "pure", seed=3)
-        povm = optimize_povm(ens, fast_cfg)
+        povm = accessible_information(ens, fast_cfg).best_povm
         assert povm.dim == 2
         assert povm.n_outcomes <= 4
 
     def test_projective_budget(self):
         cfg = OptimizerConfig(restarts=2, max_iters=40, outcome_budget=2, seed=0)
         ens = random_cq_ensemble(3, 2, "pure", seed=3)
-        povm = optimize_povm(ens, cfg)
+        povm = accessible_information(ens, cfg).best_povm
         assert povm.n_outcomes == 2
 
     def test_budget_bounds_enforced(self):

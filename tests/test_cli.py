@@ -40,6 +40,23 @@ class TestDiscordCommand:
         path.write_text("{not json")
         assert run(["discord", "--ensemble", str(path), *FAST]) == 2
 
+    @pytest.mark.parametrize("field", ["probs", "states"])
+    def test_nan_ensemble_file_exit_2(self, tmp_path, capsys, field):
+        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        if field == "probs":
+            doc["probs"] = [float("nan"), float("nan")]
+        else:
+            doc["states"][1][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert run(["discord", "--ensemble", str(path), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert "Traceback" not in err
+
+    def test_threads_flag_removed(self, capsys):
+        assert run(["discord", "--builtin", "bb84pair", *FAST, "--threads", "2"]) == 2
+
     def test_missing_input_exit_2(self, capsys):
         assert run(["discord", *FAST]) == 2
 

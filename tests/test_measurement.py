@@ -14,6 +14,7 @@ from cqlock import (
     projective_povm,
     random_cq_ensemble,
     shannon_entropy,
+    von_neumann_entropy,
 )
 from cqlock.measurement import povm_from_json_dict, povm_to_json_dict
 from cqlock.states import hadamard_tensor
@@ -160,6 +161,23 @@ class TestMeasuredQuantities:
             mi = measured_mutual_information(ens, povm)
             ce = measured_conditional_entropy(ens, povm)
             assert abs(mi + ce - h_a) < 1e-9
+
+    @pytest.mark.parametrize("n_outcomes", ["d", "d^2"])
+    def test_conditional_entropy_matches_measure_b(self, n_outcomes):
+        """The CQ-native H(A|B) equals sum_b p_b S(rho_{A|b}) from the bipartite state."""
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            d = int(rng.integers(2, 5))
+            ens = random_cq_ensemble(int(rng.integers(2, 6)), d, "mixed", seed=rng.integers(1 << 30))
+            if n_outcomes == "d":
+                povm = projective_povm(random_unitary(d, rng))
+            else:
+                # the first d rows of a d^2 x d^2 unitary: d^2 rank-1 outcomes
+                w = random_unitary(d * d, rng)[:d]
+                povm = Povm(tuple(np.outer(w[:, b], w[:, b].conj()) for b in range(d * d)))
+            out = measure_b(cq_to_density(ens), ens.n_letters, d, povm)
+            oracle = sum(p * von_neumann_entropy(s) for p, s in zip(out.outcome_probs, out.conditional_states))
+            assert abs(measured_conditional_entropy(ens, povm) - oracle) < 1e-9
 
     def test_refinement_never_decreases_information(self):
         rng = np.random.default_rng(47)

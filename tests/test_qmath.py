@@ -4,6 +4,7 @@ import pytest
 from cqlock import (
     DensityMatrix,
     DimensionError,
+    JointDistribution,
     classical_conditional_entropy,
     classical_mutual_information,
     conditional_mutual_information,
@@ -16,7 +17,8 @@ from cqlock import (
     tensor,
     von_neumann_entropy,
 )
-from cqlock.states import cq_to_density, random_cq_ensemble
+from cqlock.qmath import validate_density, validate_probs
+from cqlock.states import CQEnsemble, cq_to_density, random_cq_ensemble
 
 from conftest import bell_state, random_unitary
 
@@ -274,3 +276,31 @@ class TestDensityMatrixValidation:
         dm = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):
             dm.mat[0, 0] = 3.0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [np.inf, 0.0], [0.5, -np.inf, 0.5]])
+    def test_probs(self, p):
+        with pytest.raises(ValueError, match="not finite"):
+            validate_probs(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_density(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            validate_density(np.full((2, 2), bad, dtype=complex))
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            DensityMatrix(mat)
+
+    def test_joint_distribution(self):
+        with pytest.raises(ValueError, match="not finite"):
+            JointDistribution(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="not finite"):
+            JointDistribution(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+    def test_ensemble(self):
+        with pytest.raises(ValueError, match="not finite"):
+            CQEnsemble((0, 1), np.array([np.nan, np.nan]), (KET0, KET1))
+        with pytest.raises(ValueError, match="not finite"):
+            CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, np.full((2, 2), np.nan)))
