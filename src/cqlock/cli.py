@@ -11,21 +11,20 @@ import time
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, JointDistribution, Tolerances, validate_density
+from .qmath import Tolerances, validate_density
 from .states import (
     CQEnsemble,
     build_locking_state,
     cq_to_density,
     ensemble_from_json_dict,
-    hadamard_tensor,
     random_cq_ensemble,
 )
 from .measurement import Povm, povm_to_json_dict, projective_povm
 from .accessible import GuardError, OptimizerConfig
-from .discord import locking_delta, quantum_discord_cq, single_copy_identity_chain
-from .protocol import StrategySpec, classical_key_bound_check, one_time_pad_joint, simulate_locking_run
+from .discord import locking_delta, quantum_discord_cq
+from .protocol import StrategySpec, simulate_locking_run
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -139,7 +138,6 @@ def cmd_discord(args) -> int:
     print(f"quantum mutual information  {report.mutual_info_q:.4f} bits")
     print(f"accessible information      {report.i_acc:.4f} bits")
     print(f"quantum discord             {report.discord:.4f} bits")
-    print(f"identity residual           {report.identity_residual:.2e}")
     timings = {"build": (t1 - t0) * 1e3, "optimize": (t2 - t1) * 1e3}
     run = make_run_report("discord", _echo(args), report, args.seed, timings)
     write_report(run, args.out, args.json)

@@ -6,15 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import (
-    DensityMatrix,
-    classical_mutual_information,
-    quantum_conditional_entropy,
-    quantum_mutual_information,
-)
-from .states import CQEnsemble, LockingInstance, build_locking_state, cq_to_density
-from .measurement import measured_conditional_entropy, projective_povm
-from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information
+from .qmath import classical_mutual_information, shannon_entropy
+from .states import KEY_BITS, CQEnsemble, LockingInstance, build_locking_state
+from .measurement import measured_conditional_entropy
+from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information, holevo_chi
 
 __all__ = [
     "DiscordReport",
@@ -35,7 +30,6 @@ class DiscordReport:
     discord: float
     cond_entropy_q: float
     min_measured_cond_entropy: float
-    identity_residual: float
     optimizer: AccessibleInfoResult | None = None
 
 
@@ -68,23 +62,18 @@ def quantum_discord_cq(
 ) -> DiscordReport:
     """Discord = quantum mutual information minus best-found accessible information.
 
-    The measured-conditional-entropy identity is cross-checked with the same
-    best POVM on both sides and the residual reported.
+    A is classical, so I(A:B) is the Holevo quantity chi that the search
+    reports as its upper bound and S(A|B) = H(A) - chi; the measured
+    conditional entropy is H(A|B) of the table the best POVM induces.
     """
-    rho = cq_to_density(ens)
-    na, db = ens.n_letters, ens.dim_b
-    iq = quantum_mutual_information(rho, na, db)
     acc = accessible_information(ens, cfg, extra_candidates)
-    discord = iq - acc.value
-    cond_q = quantum_conditional_entropy(rho, na, db)
-    min_mce = measured_conditional_entropy(ens, acc.best_povm)
+    chi = acc.upper_bound
     return DiscordReport(
-        mutual_info_q=float(iq),
-        i_acc=float(acc.value),
-        discord=float(discord),
-        cond_entropy_q=float(cond_q),
-        min_measured_cond_entropy=float(min_mce),
-        identity_residual=float(abs(discord - (min_mce - cond_q))),
+        mutual_info_q=chi,
+        i_acc=acc.value,
+        discord=chi - acc.value,
+        cond_entropy_q=shannon_entropy(ens.probs) - chi,
+        min_measured_cond_entropy=measured_conditional_entropy(ens, acc.best_povm),
         optimizer=acc,
     )
 
@@ -128,25 +117,21 @@ def locking_delta(
 
     The with-key term is exact (the key-conditioned measurement is optimal);
     only the without-key term is numerical. The discord of the shared state
-    is computed from the same search so the residual isolates the identity.
+    is chi minus the same search's value, so the residual isolates the identity.
     """
     if ens is None:
         _, ens = build_locking_state(inst.m, inst.basis_family)
-    else:
-        _check_instance_matches(inst, ens)
     i_with = key_then_measure_info(inst, ens)
     mub_partners = inst.basis_unitaries[1:]
     acc = accessible_information(ens, cfg, extra_candidates=mub_partners)
-    rho = cq_to_density(ens)
-    iq = quantum_mutual_information(rho, ens.n_letters, ens.dim_b)
-    delta = i_with - (acc.value + inst.key_size)
-    discord = iq - acc.value
+    delta = i_with - (acc.value + KEY_BITS)
+    discord = acc.upper_bound - acc.value
     return LockingReport(
         m=inst.m,
-        key_bits=inst.key_size,
+        key_bits=KEY_BITS,
         i_acc_with_key=float(i_with),
         i_acc_without_key=float(acc.value),
-        i_q_without_key=float(iq),
+        i_q_without_key=acc.upper_bound,
         delta=float(delta),
         discord=float(discord),
         delta_equals_discord_residual=float(abs(delta - discord)),
@@ -164,20 +149,22 @@ def extend_with_key(probs, states, keys, n_keys: int):
     return CQEnsemble(labels=tuple(range(len(ext))), probs=np.asarray(probs, dtype=float), states=tuple(ext))
 
 
-def single_copy_identity_chain(inst: LockingInstance, cfg: OptimizerConfig = OptimizerConfig()) -> ChainReport:
-    """Check I_acc(key strategy) = I_q(with key on Bob) = I_q(without key) + |K|."""
+def single_copy_identity_chain(inst: LockingInstance) -> ChainReport:
+    """Check I_acc(key strategy) = I_q(with key on Bob) = I_q(without key) + |K|.
+
+    A stays classical on both sides, so each I_q is a Holevo quantity.
+    """
     _, ens = build_locking_state(inst.m, inst.basis_family)
     v1 = key_then_measure_info(inst, ens)
 
     keys = [lab % 2 for lab in ens.labels]
     ext = extend_with_key(ens.probs, ens.states, keys, 2)
-    v2 = quantum_mutual_information(cq_to_density(ext), ext.n_letters, ext.dim_b)
-
-    v3 = quantum_mutual_information(cq_to_density(ens), ens.n_letters, ens.dim_b) + inst.key_size
+    v2 = holevo_chi(ext)
+    v3 = holevo_chi(ens) + KEY_BITS
 
     vals = (v1, v2, v3)
     resid = max(vals) - min(vals)
-    cap = inst.m + inst.key_size
+    cap = inst.m + KEY_BITS
     ineq = v2 <= v3 + 1e-9 and v3 <= cap + 1e-9
     return ChainReport(
         i_acc_with_key=float(v1),

@@ -10,7 +10,6 @@ from .qmath import (
     JointDistribution,
     classical_mutual_information,
     conditional_mutual_information,
-    shannon_entropy,
 )
 from .states import LockingInstance
 from .measurement import Povm
@@ -64,7 +63,7 @@ def _plugin_mi_and_stderr(counts: np.ndarray, n: int):
     p = counts / n
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)
-    mi = shannon_entropy(pa) + shannon_entropy(pb) - shannon_entropy(p)
+    mi = classical_mutual_information(p)
     # normal-approximation standard error of the plug-in estimate
     mask = p > 0
     dens = np.zeros_like(p)

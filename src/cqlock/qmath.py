@@ -59,7 +59,7 @@ def validate_probs(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("probabilities are not finite")
     if np.any(p < -tol.prob):
         raise ValueError("negative probability entry")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if abs(p.sum() - 1.0) > tol.prob:
         raise ValueError("probabilities do not sum to 1")
     return p
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, DensityMatrix, DimensionError, validate_density, validate_probs
+from .qmath import DensityMatrix, DimensionError, validate_density, validate_probs
 
 __all__ = [
     "CQEnsemble",
@@ -20,6 +20,9 @@ __all__ = [
     "ensemble_to_json_dict",
     "ensemble_from_json_dict",
 ]
+
+# key length of the locking protocol: one bit selects the basis U_k
+KEY_BITS = 1
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -62,19 +65,16 @@ class CQEnsemble:
 
 @dataclass(frozen=True)
 class LockingInstance:
-    """Message size, key alphabet and the basis unitaries of a locking state.
+    """Message size and the basis unitaries of a locking state; the key has KEY_BITS bits.
 
     Classical letters (a, k) are encoded as the integer a * 2 + k.
     """
 
     m: int
-    key_size: int
     basis_unitaries: tuple
     basis_family: str = "hadamard"
 
     def __post_init__(self):
-        if self.key_size != 1:
-            raise ValueError("only a single key bit is supported")
         us = tuple(np.asarray(u, dtype=complex) for u in self.basis_unitaries)
         d = 2**self.m
         if np.max(np.abs(us[0] - np.eye(d))) > 1e-9:
@@ -146,7 +146,7 @@ def build_locking_state(m: int, family: str = "hadamard"):
         u1 = fourier_matrix(d)
     else:
         raise ValueError(f"unknown basis family: {family!r}")
-    inst = LockingInstance(m=m, key_size=1, basis_unitaries=(np.eye(d, dtype=complex), u1), basis_family=family)
+    inst = LockingInstance(m=m, basis_unitaries=(np.eye(d, dtype=complex), u1), basis_family=family)
 
     # letter (a, k) sits at index a * 2 + k
     states = []

@@ -34,7 +34,7 @@ from cqlock import (
 )
 from cqlock.cli import main
 
-from conftest import bell_state, random_unitary
+from conftest import assert_matches_bipartite_oracle, bell_state, random_unitary
 
 FULL_CFG = OptimizerConfig(restarts=50, max_iters=200, seed=0)
 REDUCED_CFG = OptimizerConfig(restarts=5, max_iters=100, seed=0)
@@ -84,7 +84,7 @@ def test_criterion_3_single_copy_chain(m):
     from cqlock import single_copy_identity_chain
 
     inst, _ = build_locking_state(m)
-    rep = single_copy_identity_chain(inst, REDUCED_CFG)
+    rep = single_copy_identity_chain(inst)
     vals = (rep.i_acc_with_key, rep.i_q_with_key, rep.i_q_plus_key)
     assert max(vals) - min(vals) <= 1e-6
     report(3, f"single-copy chain m={m}")
@@ -93,11 +93,10 @@ def test_criterion_3_single_copy_chain(m):
 def test_criterion_4_discord_identity():
     for m in (1, 2):
         _, ens = build_locking_state(m)
-        rep = quantum_discord_cq(ens, REDUCED_CFG)
-        assert rep.identity_residual <= 1e-6
+        assert_matches_bipartite_oracle(ens, quantum_discord_cq(ens, REDUCED_CFG))
     for seed in range(20):
-        rep = quantum_discord_cq(sweep_ensemble(seed), SWEEP_CFG)
-        assert rep.identity_residual <= 1e-6
+        ens = sweep_ensemble(seed)
+        assert_matches_bipartite_oracle(ens, quantum_discord_cq(ens, SWEEP_CFG))
     report(4, "measured-conditional-entropy identity")
 
 

@@ -19,15 +19,19 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.0"
+        assert doc["schema_version"] == "1.1"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
-    def test_orthogonal_builtin(self, capsys):
-        code = run(["discord", "--builtin", "orthogonal:4", *FAST, "--json"])
+    def test_orthogonal_builtin(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(["discord", "--builtin", "orthogonal:4", *FAST, "--out", str(out), "--json"])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out.split("identity residual")[-1].split("\n", 1)[1])
+        # --json prints the same report that --out writes
+        assert capsys.readouterr().out.endswith(out.read_text())
+        doc = json.loads(out.read_text())
         assert abs(doc["results"]["discord"]) < 1e-6
+        assert "identity_residual" not in doc["results"]
 
     def test_ensemble_file(self, tmp_path):
         ens = random_cq_ensemble(2, 2, "pure", seed=3)

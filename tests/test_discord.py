@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqlock import (
     CQEnsemble,
@@ -15,6 +16,8 @@ from cqlock import (
 from cqlock.discord import extend_with_key
 from cqlock.qmath import quantum_mutual_information
 from cqlock.states import cq_to_density
+
+from conftest import assert_matches_bipartite_oracle
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -43,7 +46,20 @@ class TestQuantumDiscord:
         ens = random_cq_ensemble(3, 2, "mixed", seed=5)
         rep = quantum_discord_cq(ens, fast_cfg)
         assert abs(rep.discord - (rep.mutual_info_q - rep.i_acc)) < 1e-12
-        assert rep.identity_residual <= 1e-6
+        assert_matches_bipartite_oracle(ens, rep)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        d=st.integers(2, 4),
+        purity=st.sampled_from(["pure", "mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_ensembles_match_bipartite_oracle(self, n, d, purity, seed):
+        ens = random_cq_ensemble(n, d, purity, seed=seed)
+        rep = quantum_discord_cq(ens, OptimizerConfig(restarts=2, max_iters=60, seed=0))
+        assert_matches_bipartite_oracle(ens, rep)
+        assert -1e-9 <= rep.discord <= rep.mutual_info_q + 1e-9
 
     def test_nonnegativity_and_holevo_ceiling(self):
         cfg = OptimizerConfig(restarts=2, max_iters=60, seed=0)
@@ -116,9 +132,9 @@ class TestLockingDelta:
 class TestIdentityChain:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("family", ["hadamard", "fourier"])
-    def test_three_way_equality(self, m, family, fast_cfg):
+    def test_three_way_equality(self, m, family):
         inst, _ = build_locking_state(m, family)
-        rep = single_copy_identity_chain(inst, fast_cfg)
+        rep = single_copy_identity_chain(inst)
         assert rep.max_residual < 1e-6
         assert abs(rep.i_acc_with_key - (m + 1)) < 1e-6
         assert rep.inequalities_hold

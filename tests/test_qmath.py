@@ -5,6 +5,7 @@ from cqlock import (
     DensityMatrix,
     DimensionError,
     JointDistribution,
+    Tolerances,
     classical_conditional_entropy,
     classical_mutual_information,
     conditional_mutual_information,
@@ -276,6 +277,14 @@ class TestDensityMatrixValidation:
         dm = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):
             dm.mat[0, 0] = 3.0
+
+
+class TestProbabilityValidation:
+    def test_sum_check_uses_prob_tolerance(self):
+        p = [0.5, 0.5 + 1e-9]
+        with pytest.raises(ValueError, match="sum to 1"):
+            validate_probs(p)
+        assert np.array_equal(validate_probs(p, Tolerances(prob=1e-6)), p)
 
 
 class TestNonFiniteInput:

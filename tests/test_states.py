@@ -3,7 +3,6 @@ import pytest
 
 from cqlock import (
     CQEnsemble,
-    LockingInstance,
     build_locking_state,
     cq_to_density,
     fourier_matrix,
@@ -91,10 +90,6 @@ class TestBuildLockingState:
             build_locking_state(0)
         with pytest.raises(ValueError):
             build_locking_state(7)
-
-    def test_key_size_must_be_one(self):
-        with pytest.raises(ValueError):
-            LockingInstance(m=1, key_size=2, basis_unitaries=(np.eye(2), hadamard_tensor(1)))
 
 
 class TestMubCheck:
