@@ -24,7 +24,7 @@ from .accessible import GuardError, OptimizerConfig
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import StrategySpec, simulate_locking_run
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "1.2"
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -176,6 +176,7 @@ def cmd_simulate(args) -> int:
     report = simulate_locking_run(inst, strategy, args.n, args.seed)
     t1 = time.perf_counter()
     print(f"empirical mutual information  {report.empirical_mi:.4f} bits")
+    print(f"Miller-Madow corrected        {report.miller_madow_mi:.4f} bits")
     print(f"analytic mutual information   {report.analytic_mi:.4f} bits")
     print(f"standard error estimate       {report.std_error_estimate:.4f} bits")
     if report.decoding_errors is not None:

@@ -23,6 +23,9 @@ __all__ = [
     "classical_key_bound_check",
 ]
 
+# the largest sample count numpy's multinomial accepts (int64)
+MAX_SAMPLES = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -42,6 +45,7 @@ class StrategySpec:
 class EmpiricalReport:
     n_samples: int
     empirical_mi: float
+    miller_madow_mi: float
     analytic_mi: float
     std_error_estimate: float
     seed: int
@@ -72,11 +76,15 @@ def _plugin_mi_and_stderr(counts: np.ndarray, n: int):
     return float(mi), float(np.sqrt(max(var, 0.0) / n))
 
 
-def _sample_outcomes(born: np.ndarray, idx: np.ndarray, rng) -> np.ndarray:
-    cum = np.cumsum(born, axis=1)
-    cum[:, -1] = 1.0
-    u = rng.random(idx.size)
-    return np.minimum((u[:, None] > cum[idx]).sum(axis=1), born.shape[1] - 1)
+def _miller_madow_mi(counts: np.ndarray, n: int, plugin_mi: float) -> float:
+    """Plug-in MI plus the Miller-Madow terms (m - 1)/(2n) of H(A), H(B) and H(A, B), in bits.
+
+    m counts the nonzero cells of each marginal and of the joint table.
+    """
+    m_a = np.count_nonzero(counts.sum(axis=1))
+    m_b = np.count_nonzero(counts.sum(axis=0))
+    m_ab = np.count_nonzero(counts)
+    return float(plugin_mi + ((m_a - 1) + (m_b - 1) - (m_ab - 1)) / (2 * n * np.log(2)))
 
 
 def simulate_locking_run(
@@ -84,12 +92,16 @@ def simulate_locking_run(
 ) -> EmpiricalReport:
     """Sample the protocol and compare plug-in and exact mutual information.
 
-    Letters (a, k) are drawn uniformly; Born probabilities are precomputed
-    once per letter and sampled by inverse CDF. For the after-key strategy
-    Bob's record is the pair (outcome, k) and decoding errors are counted.
+    Each of the n rounds draws a letter (a, k) uniformly and an outcome from
+    that letter's Born probabilities. The reports depend on the rounds only
+    through the letter-by-outcome table of counts, so that table is drawn
+    directly as one multinomial over its cells; the cost does not grow with
+    n. The report gives the plug-in MI of the table, its standard error and
+    its Miller-Madow bias-corrected value. For the after-key strategy Bob's
+    record is the pair (outcome, k) and decoding errors are counted.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"number of samples must lie in [1, {MAX_SAMPLES}]")
     d = inst.dim_b
     n_letters = 2 * d
     psis = np.stack([inst.basis_unitaries[lab % 2][:, lab // 2] for lab in range(n_letters)])
@@ -110,19 +122,19 @@ def simulate_locking_run(
     born = np.clip(born, 0.0, None)
     born /= born.sum(axis=1, keepdims=True)
 
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n_letters, size=n_samples)
-    outcomes = _sample_outcomes(born, idx, rng)
+    joint = born / n_letters
+    counts = np.random.default_rng(seed).multinomial(n_samples, joint.ravel()).reshape(joint.shape)
     if strategy.kind == "after_key":
-        decoding_errors = int(((outcomes // 2) != (idx // 2)).sum())
+        # letters and after-key outcomes share the code a * 2 + k
+        message = np.arange(n_letters) // 2
+        decoding_errors = int(counts[message[:, None] != message].sum())
 
-    n_out = born.shape[1]
-    counts = np.bincount(idx * n_out + outcomes, minlength=n_letters * n_out).reshape(n_letters, n_out)
-    empirical_mi, stderr = _plugin_mi_and_stderr(counts.astype(float), n_samples)
-    analytic_mi = classical_mutual_information(born / n_letters)
+    empirical_mi, stderr = _plugin_mi_and_stderr(counts, n_samples)
+    analytic_mi = classical_mutual_information(joint)
     return EmpiricalReport(
         n_samples=n_samples,
         empirical_mi=empirical_mi,
+        miller_madow_mi=_miller_madow_mi(counts, n_samples, empirical_mi),
         analytic_mi=float(analytic_mi),
         std_error_estimate=stderr,
         seed=seed,

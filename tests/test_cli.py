@@ -19,7 +19,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.1"
+        assert doc["schema_version"] == "1.2"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -96,10 +96,28 @@ class TestSimulateCommand:
         assert abs(res["empirical_mi"] - 2.0) <= 0.02
         assert res["decoding_errors"] == 0
 
-    def test_before_key(self, tmp_path):
+    def test_before_key(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
-        assert abs(json.loads(out.read_text())["results"]["empirical_mi"] - 0.5) <= 0.02
+        doc = json.loads(out.read_text())
+        assert doc["schema_version"] == "1.2"
+        assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
+        assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
+        assert "Miller-Madow" in capsys.readouterr().out
+
+    def test_n_beyond_int64_exit_2(self, capsys):
+        argv = ["simulate", "--m", "1", "--strategy", "after-key", "--n", "100000000000000000000"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "number of samples" in err
+        assert "Traceback" not in err
+
+    def test_huge_n(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["simulate", "--m", "3", "--strategy", "before-key", "--n", "100000000000000", "--out", str(out)]
+        assert run(argv) == 0
+        res = json.loads(out.read_text())["results"]
+        assert abs(res["empirical_mi"] - 1.5) < 1e-4
 
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

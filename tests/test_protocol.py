@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from cqlock import (
     projective_povm,
     simulate_locking_run,
 )
+from cqlock.protocol import _miller_madow_mi
 
 
 class TestSimulateLockingRun:
@@ -54,6 +57,22 @@ class TestSimulateLockingRun:
         with pytest.raises(ValueError):
             simulate_locking_run(inst, StrategySpec("before_key", povm), 100, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 2**63])
+    def test_sample_count_out_of_range(self, n):
+        inst, _ = build_locking_state(1)
+        with pytest.raises(ValueError, match="number of samples"):
+            simulate_locking_run(inst, StrategySpec("after_key"), n, seed=0)
+
+    def test_cost_independent_of_sample_count(self):
+        # the count table is drawn whole, so 10**12 rounds cost what 10 do;
+        # per-sample arrays would need terabytes here
+        inst, _ = build_locking_state(3)
+        t0 = time.perf_counter()
+        rep = simulate_locking_run(inst, StrategySpec("after_key"), 10**12, seed=2)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.decoding_errors == 0
+        assert abs(rep.empirical_mi - rep.analytic_mi) < 1e-4
+
     def test_before_key_requires_povm(self):
         with pytest.raises(ValueError):
             StrategySpec("before_key")
@@ -61,6 +80,28 @@ class TestSimulateLockingRun:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             StrategySpec("sideways")
+
+
+class TestMillerMadow:
+    def test_formula_on_hand_built_tables(self):
+        # perfectly correlated: 2 + 2 - 2 occupied cells, correction +1/(2n ln 2)
+        diag = np.array([[4, 0], [0, 4]])
+        assert _miller_madow_mi(diag, 8, 1.0) == pytest.approx(1.0 + 1 / (16 * np.log(2)), abs=1e-15)
+        # independent and fully occupied: 2 + 2 - 4 cells, correction -1/(2n ln 2)
+        flat = np.full((2, 2), 2)
+        assert _miller_madow_mi(flat, 8, 0.0) == pytest.approx(-1 / (16 * np.log(2)), abs=1e-15)
+        # an empty row and column count for nothing: 2 + 2 - 3 cells
+        sparse = np.array([[3, 1, 0], [0, 0, 0], [0, 2, 0]])
+        assert _miller_madow_mi(sparse, 6, 0.25) == pytest.approx(0.25, abs=1e-15)
+
+    def test_less_biased_than_plug_in(self):
+        inst, _ = build_locking_state(2)
+        povm = projective_povm(np.eye(inst.dim_b, dtype=complex))
+        reps = [simulate_locking_run(inst, StrategySpec("before_key", povm), 500, seed=s) for s in range(300)]
+        exact = reps[0].analytic_mi
+        plug_in_bias = np.mean([r.empirical_mi for r in reps]) - exact
+        mm_bias = np.mean([r.miller_madow_mi for r in reps]) - exact
+        assert abs(mm_bias) < abs(plug_in_bias)
 
 
 class TestOneTimePad:
