@@ -5,7 +5,8 @@ The optimizer first evaluates a set of candidate projective bases
 It then runs seeded random-restart gradient ascent over rank-1 POVMs with
 up to d^2 outcomes. A POVM with n outcomes is a d x n isometry W with
 W W^dagger = I_d, whose column b is the measurement vector of outcome b.
-The search keeps the n x d transpose of W, whose columns are orthonormal.
+The search keeps the n x d transpose of W, whose columns are orthonormal;
+it is the `vectors` array of the returned Povm.
 
 All restarts are stacked into one (restarts, n, d) array and advance
 together. Each of the max_iters iterations evaluates the measured mutual
@@ -54,7 +55,6 @@ class OptimizerConfig:
     restarts: int = 50
     max_iters: int = 200
     outcome_budget: int | None = None  # defaults to d^2
-    candidate_bases: tuple = ("computational", "mub_partner", "marginal_eigenbasis")
     seed: int = 0
 
     def __post_init__(self):
@@ -76,7 +76,6 @@ class AccessibleInfoResult:
     best_povm: Povm
     upper_bound: float
     per_restart_values: tuple
-    converged: bool
 
 
 def holevo_chi(ens: CQEnsemble) -> float:
@@ -165,24 +164,6 @@ def _stiefel_ascent(factors, letter_of_row, cfg: OptimizerConfig, n: int) -> tup
     return val, v
 
 
-def _povm_from_vectors(v: np.ndarray) -> Povm:
-    """Rank-1 POVM whose outcome b measures along row b of v."""
-    return Povm(tuple(np.outer(row, row.conj()) for row in v))
-
-
-def _candidate_unitaries(ens: CQEnsemble, cfg: OptimizerConfig, extra):
-    d = ens.dim_b
-    cands = []
-    if "computational" in cfg.candidate_bases:
-        cands.append(np.eye(d, dtype=complex))
-    if "marginal_eigenbasis" in cfg.candidate_bases:
-        _, vecs = np.linalg.eigh(ens.average_state())
-        cands.append(vecs)
-    if "mub_partner" in cfg.candidate_bases:
-        cands.extend(np.asarray(u, dtype=complex) for u in extra)
-    return cands
-
-
 def accessible_information(
     ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig(), extra_candidates=()
 ) -> AccessibleInfoResult:
@@ -199,7 +180,8 @@ def accessible_information(
 
     best_val = -1.0
     best_povm = None
-    for u in _candidate_unitaries(ens, cfg, extra_candidates):
+    _, marginal_eigenbasis = np.linalg.eigh(ens.average_state())
+    for u in (np.eye(d, dtype=complex), marginal_eigenbasis, *extra_candidates):
         povm = projective_povm(u)
         val = measured_mutual_information(ens, povm)
         if val > best_val:
@@ -209,12 +191,11 @@ def accessible_information(
     best_restart = int(np.argmax(restart_vals))
     if restart_vals[best_restart] > best_val:
         best_val = restart_vals[best_restart]
-        best_povm = _povm_from_vectors(vs[best_restart])
+        best_povm = Povm(vs[best_restart])
 
     return AccessibleInfoResult(
         value=float(best_val),
         best_povm=best_povm,
         upper_bound=float(chi),
         per_restart_values=tuple(float(v) for v in restart_vals),
-        converged=True,
     )

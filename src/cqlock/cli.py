@@ -14,6 +14,7 @@ from . import qmath
 from .qmath import Tolerances, validate_density
 from .states import (
     CQEnsemble,
+    _complex_to_json,
     build_locking_state,
     cq_to_density,
     ensemble_from_json_dict,
@@ -24,7 +25,7 @@ from .accessible import GuardError, OptimizerConfig
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import StrategySpec, simulate_locking_run
 
-SCHEMA_VERSION = "1.2"
+SCHEMA_VERSION = "1.3"
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -39,9 +40,7 @@ def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return _jsonable(np.stack([obj.real, obj.imag], axis=-1))
-        return obj.tolist()
+        return _complex_to_json(obj) if np.iscomplexobj(obj) else obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):

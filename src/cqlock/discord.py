@@ -97,16 +97,7 @@ def key_then_measure_info(inst: LockingInstance, ens: CQEnsemble) -> float:
     letter (a, k) and the pair (outcome, k).
     """
     _check_instance_matches(inst, ens)
-    d = inst.dim_b
-    n = 2 * d
-    joint = np.zeros((n, n))
-    for a in range(d):
-        for k in range(2):
-            u = inst.basis_unitaries[k]
-            amps = u.conj().T @ u[:, a]
-            born = np.abs(amps) ** 2
-            for b in range(d):
-                joint[a * 2 + k, b * 2 + k] += born[b] / n
+    joint = inst.after_key_born()
     return classical_mutual_information(joint / joint.sum())
 
 

@@ -14,7 +14,7 @@ from .qmath import (
     classical_conditional_entropy,
     classical_mutual_information,
 )
-from .states import CQEnsemble, _matrix_from_json, _matrix_to_json
+from .states import CQEnsemble, _complex_to_json, _matrix_from_json
 
 __all__ = [
     "Povm",
@@ -33,35 +33,39 @@ PROB_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite set of PSD operators summing to the identity."""
+    """Rank-1 POVM given by its n x d isometry: outcome b has the element |v_b><v_b| for row v_b.
 
-    elements: tuple
+    The columns of vectors are orthonormal (V^dagger V = I_d), which is the
+    statement that the n elements are PSD and sum to the identity. Rank-1
+    POVMs with at most d^2 outcomes attain the accessible information
+    (Davies, IEEE Trans. Inf. Theory 24, 1978).
+    """
+
+    vectors: np.ndarray
 
     def __post_init__(self):
-        els = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        if not els:
-            raise ValueError("POVM needs at least one element")
-        d = els[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in els:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share one dimension")
-            if np.max(np.abs(e - e.conj().T)) > DEFAULT_TOL.hermitian:
-                raise ValueError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(e)[0] < -DEFAULT_TOL.psd:
-                raise ValueError("POVM element is not PSD")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > DEFAULT_TOL.hermitian:
-            raise ValueError("POVM elements do not sum to identity")
-        object.__setattr__(self, "elements", els)
+        v = np.array(self.vectors, dtype=complex)
+        if v.ndim != 2 or not 1 <= v.shape[1] <= v.shape[0]:
+            raise ValueError("POVM vectors must be an n x d array with n >= d >= 1")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("POVM vectors are not finite")
+        if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > DEFAULT_TOL.hermitian:
+            raise ValueError("POVM vectors are not an isometry: V^dagger V != I")
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.vectors.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return self.vectors.shape[0]
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The n elements |v_b><v_b|, stacked as an (n, d, d) array."""
+        return self.vectors[:, :, None] * self.vectors[:, None, :].conj()
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,7 @@ def projective_povm(u) -> Povm:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > DEFAULT_TOL.hermitian:
-        raise ValueError("matrix is not unitary")
-    return Povm(tuple(np.outer(u[:, j], u[:, j].conj()) for j in range(u.shape[0])))
+    return Povm(u.T)
 
 
 def measure_b(rho_ab, dim_a: int, dim_b: int, povm: Povm) -> OutcomeAnalysis:
@@ -115,9 +117,9 @@ def induced_joint(ens: CQEnsemble, povm: Povm) -> JointDistribution:
 def _induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:
     if povm.dim != ens.dim_b:
         raise DimensionError("POVM dimension does not match ensemble")
-    sig = np.stack(ens.states)
-    mb = np.stack(povm.elements)
-    table = np.einsum("aij,bji->ab", sig, mb).real
+    # p_a^-1 T[a, b] = v_b^dagger sigma_a v_b
+    v = povm.vectors
+    table = np.einsum("aib,bi->ab", np.stack(ens.states) @ v.T, v.conj()).real
     table = np.clip(table, 0.0, None) * ens.probs[:, None]
     return table / table.sum()
 
@@ -138,8 +140,11 @@ def measured_conditional_entropy(ens: CQEnsemble, povm: Povm) -> float:
 
 
 def povm_to_json_dict(povm: Povm) -> dict:
-    return {"dim": povm.dim, "elements": [_matrix_to_json(e) for e in povm.elements]}
+    return {"dim": povm.dim, "vectors": _complex_to_json(povm.vectors)}
 
 
 def povm_from_json_dict(doc: dict) -> Povm:
-    return Povm(tuple(_matrix_from_json(e) for e in doc["elements"]))
+    povm = Povm(_matrix_from_json(doc["vectors"]))
+    if povm.dim != int(doc["dim"]):
+        raise ValueError("POVM vectors disagree with dim")
+    return povm

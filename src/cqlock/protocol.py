@@ -104,26 +104,21 @@ def simulate_locking_run(
         raise ValueError(f"number of samples must lie in [1, {MAX_SAMPLES}]")
     d = inst.dim_b
     n_letters = 2 * d
-    psis = np.stack([inst.basis_unitaries[lab % 2][:, lab // 2] for lab in range(n_letters)])
-
-    decoding_errors = None
     if strategy.kind == "before_key":
         if strategy.povm.dim != d:
             raise ValueError("POVM dimension does not match the locking instance")
-        mb = np.stack(strategy.povm.elements)
-        born = np.einsum("li,bij,lj->lb", psis.conj(), mb, psis).real
+        psis = np.stack([inst.basis_unitaries[lab % 2][:, lab // 2] for lab in range(n_letters)])
+        # born[l, b] = |<v_b|psi_l>|^2
+        amps = psis @ strategy.povm.vectors.conj().T
+        born = amps.real**2 + amps.imag**2
     else:
         # outcome in the key basis, recorded together with the key
-        born = np.zeros((n_letters, n_letters))
-        for lab in range(n_letters):
-            k = lab % 2
-            amps = inst.basis_unitaries[k].conj().T @ psis[lab]
-            born[lab, np.arange(d) * 2 + k] = np.abs(amps) ** 2
-    born = np.clip(born, 0.0, None)
+        born = inst.after_key_born()
     born /= born.sum(axis=1, keepdims=True)
 
     joint = born / n_letters
     counts = np.random.default_rng(seed).multinomial(n_samples, joint.ravel()).reshape(joint.shape)
+    decoding_errors = None
     if strategy.kind == "after_key":
         # letters and after-key outcomes share the code a * 2 + k
         message = np.arange(n_letters) // 2

@@ -94,6 +94,21 @@ class LockingInstance:
     def dim_b(self) -> int:
         return 2**self.m
 
+    def after_key_born(self) -> np.ndarray:
+        """Born table of measuring each letter (a, k) in the basis U_k of its key.
+
+        Entry [a * 2 + k, b * 2 + k] is |<b|U_k^dagger U_k|a>|^2, the
+        probability of outcome b; Bob records the pair (b, k) in the letters'
+        code b * 2 + k, and every other entry is 0.
+        """
+        n = 2 * self.dim_b
+        born = np.zeros((n, n))
+        for lab in range(n):
+            a, k = divmod(lab, 2)
+            u = self.basis_unitaries[k]
+            born[lab, k::2] = np.abs(u.conj().T @ u[:, a]) ** 2
+        return born
+
 
 def cq_to_density(ens: CQEnsemble) -> DensityMatrix:
     """Block-diagonal embedding sum_a p_a |a><a| (x) sigma^(a)."""
@@ -184,12 +199,17 @@ def random_cq_ensemble(n_letters: int, dim_b: int, purity: str = "pure", seed: i
     return CQEnsemble(labels=tuple(range(n_letters)), probs=probs, states=tuple(states))
 
 
-def _matrix_to_json(mat: np.ndarray):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
+def _complex_to_json(arr: np.ndarray) -> list:
+    """Nested lists of the array's entries, each a two-element [re, im] list."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        entries = [[complex(re, im) for re, im in row] for row in rows]
+    except (TypeError, ValueError):
+        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
+    return np.array(entries)
 
 
 def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
@@ -197,7 +217,7 @@ def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
         "labels": list(ens.labels),
         "probs": [float(p) for p in ens.probs],
         "dim_b": ens.dim_b,
-        "states": [_matrix_to_json(s) for s in ens.states],
+        "states": [_complex_to_json(s) for s in ens.states],
     }
 
 

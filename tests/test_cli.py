@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cqlock.cli import main
-from cqlock.states import build_locking_state, ensemble_to_json_dict, random_cq_ensemble
+from cqlock.states import CQEnsemble, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
 FAST = ["--restarts", "2", "--iters", "40"]
 
@@ -19,7 +19,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.2"
+        assert doc["schema_version"] == "1.3"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -57,6 +57,32 @@ class TestDiscordCommand:
         err = capsys.readouterr().err
         assert "not finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, ["1", "0"]])
+    def test_entry_not_a_pair_exit_2(self, tmp_path, capsys, entry):
+        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc["states"][0][0][1] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["discord", "--ensemble", str(path), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert "[re, im] pairs" in err
+        assert "Traceback" not in err
+
+    def test_d16_report_carries_povm_vectors(self, tmp_path):
+        # a Haar-rotated m=4 locking ensemble, where the d^2-outcome restart beats every candidate basis
+        _, ens = build_locking_state(4)
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        rotated = CQEnsemble(ens.labels, ens.probs, tuple(u @ s @ u.conj().T for s in ens.states))
+        path, out = tmp_path / "m4.json", tmp_path / "r.json"
+        path.write_text(json.dumps(ensemble_to_json_dict(rotated)))
+        assert run(["discord", "--ensemble", str(path), "--restarts", "1", "--out", str(out)]) == 0
+        povm = json.loads(out.read_text())["results"]["optimizer"]["best_povm"]
+        assert set(povm) == {"dim", "vectors"}
+        assert povm["dim"] == 16
+        assert len(povm["vectors"]) == 256
+        assert all(len(row) == 16 and all(len(entry) == 2 for entry in row) for row in povm["vectors"])
 
     def test_threads_flag_removed(self, capsys):
         assert run(["discord", "--builtin", "bb84pair", *FAST, "--threads", "2"]) == 2
@@ -100,7 +126,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.2"
+        assert doc["schema_version"] == "1.3"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out

@@ -5,6 +5,7 @@ from cqlock import (
     CQEnsemble,
     Povm,
     build_locking_state,
+    classical_mutual_information,
     cq_to_density,
     induced_joint,
     measure_b,
@@ -51,19 +52,40 @@ class TestPovm:
             projective_povm(np.ones((2, 2), dtype=complex))
 
     def test_rejects_incomplete(self):
-        with pytest.raises(ValueError):
-            Povm((KET0,))
+        # fewer outcomes than the dimension, or elements that miss part of the identity
+        with pytest.raises(ValueError, match="n >= d"):
+            Povm(np.array([[1, 0]]))
+        with pytest.raises(ValueError, match="isometry"):
+            Povm(np.array([[1, 0], [0, 0], [0, 0]]))
 
-    def test_rejects_non_psd(self):
-        bad = np.array([[1.5, 0], [0, -0.5]], dtype=complex)
-        with pytest.raises(ValueError):
-            Povm((bad, np.eye(2) - bad))
+    def test_rejects_non_isometry(self):
+        # unit columns that overlap, and an isometry scaled by 2
+        with pytest.raises(ValueError, match="isometry"):
+            Povm(np.array([[1, 2**-0.5], [0, 2**-0.5]]))
+        with pytest.raises(ValueError, match="isometry"):
+            Povm(2 * np.eye(2))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: Povm(np.array([[bad, 0], [0, 1]])),
+            lambda bad: projective_povm(np.full((2, 2), bad)),
+            lambda bad: povm_from_json_dict({"dim": 2, "vectors": [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}),
+        ],
+        ids=["Povm", "projective_povm", "povm_from_json_dict"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, make, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            make(bad)
 
     def test_json_round_trip(self):
         povm = projective_povm(hadamard_tensor(1))
-        back = povm_from_json_dict(povm_to_json_dict(povm))
-        for a, b in zip(back.elements, povm.elements):
-            assert np.max(np.abs(a - b)) < 1e-15
+        doc = povm_to_json_dict(povm)
+        assert set(doc) == {"dim", "vectors"}
+        assert np.array_equal(povm_from_json_dict(doc).vectors, povm.vectors)
+        with pytest.raises(ValueError, match="dim"):
+            povm_from_json_dict({**doc, "dim": 3})
 
 
 class TestMeasureB:
@@ -113,11 +135,15 @@ class TestInducedJoint:
         j = induced_joint(orthogonal_ensemble(), projective_povm(np.eye(2, dtype=complex)))
         assert np.allclose(j.table, np.diag([0.5, 0.5]))
 
-    def test_trivial_povm(self):
-        ens = orthogonal_ensemble()
-        j = induced_joint(ens, Povm((np.eye(2, dtype=complex),)))
-        assert j.table.shape == (2, 1)
-        assert abs(measured_mutual_information(ens, Povm((np.eye(2, dtype=complex),)))) < 1e-12
+    def test_shared_state_reveals_nothing(self):
+        # letters that share one state: every measurement gives p(a) q(b)
+        rng = np.random.default_rng(29)
+        shared = random_cq_ensemble(1, 3, "mixed", seed=4).states[0]
+        ens = CQEnsemble((0, 1, 2), np.array([0.2, 0.3, 0.5]), (shared,) * 3)
+        for povm in (projective_povm(random_unitary(3, rng)), Povm(random_unitary(9, rng)[:3].T)):
+            j = induced_joint(ens, povm)
+            assert np.max(np.abs(j.table - np.outer(ens.probs, j.table.sum(axis=0)))) < 1e-12
+            assert abs(measured_mutual_information(ens, povm)) < 1e-12
 
     def test_a_marginal_invariance(self):
         rng = np.random.default_rng(41)
@@ -129,8 +155,6 @@ class TestInducedJoint:
     def test_locking_computational_half_bit(self):
         _, ens = build_locking_state(1)
         j = induced_joint(ens, projective_povm(np.eye(2, dtype=complex)))
-        from cqlock import classical_mutual_information
-
         assert abs(classical_mutual_information(j.table) - 0.5) < 1e-9
 
 
@@ -174,15 +198,19 @@ class TestMeasuredQuantities:
             else:
                 # the first d rows of a d^2 x d^2 unitary: d^2 rank-1 outcomes
                 w = random_unitary(d * d, rng)[:d]
-                povm = Povm(tuple(np.outer(w[:, b], w[:, b].conj()) for b in range(d * d)))
+                povm = Povm(w.T)
             out = measure_b(cq_to_density(ens), ens.n_letters, d, povm)
             oracle = sum(p * von_neumann_entropy(s) for p, s in zip(out.outcome_probs, out.conditional_states))
             assert abs(measured_conditional_entropy(ens, povm) - oracle) < 1e-9
 
     def test_refinement_never_decreases_information(self):
+        # coarse-graining merges outcomes, i.e. sums columns of the induced table
         rng = np.random.default_rng(47)
-        trivial = Povm((np.eye(2, dtype=complex),))
         for _ in range(20):
             ens = random_cq_ensemble(3, 2, "pure", seed=rng.integers(1 << 30))
-            povm = projective_povm(random_unitary(2, rng))
-            assert measured_mutual_information(ens, povm) >= measured_mutual_information(ens, trivial) - 1e-12
+            povm = Povm(random_unitary(4, rng)[:2].T)
+            fine = induced_joint(ens, povm).table
+            pairs = fine.reshape(3, 2, 2).sum(axis=2)
+            mi = measured_mutual_information(ens, povm)
+            assert mi >= classical_mutual_information(pairs) - 1e-12
+            assert classical_mutual_information(pairs) >= classical_mutual_information(fine.sum(axis=1, keepdims=True)) - 1e-12

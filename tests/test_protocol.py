@@ -9,6 +9,7 @@ from cqlock import (
     classical_key_bound_check,
     classical_mutual_information,
     conditional_mutual_information,
+    key_then_measure_info,
     one_time_pad_joint,
     projective_povm,
     simulate_locking_run,
@@ -23,6 +24,12 @@ class TestSimulateLockingRun:
         assert abs(rep.empirical_mi - 2.0) <= 0.02
         assert abs(rep.analytic_mi - 2.0) < 1e-9
         assert rep.decoding_errors == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_after_key_table_matches_key_then_measure(self, m):
+        inst, ens = build_locking_state(m)
+        rep = simulate_locking_run(inst, StrategySpec("after_key"), 1000, seed=0)
+        assert abs(rep.analytic_mi - key_then_measure_info(inst, ens)) < 1e-12
 
     def test_before_key_converges_to_half_m(self):
         inst, _ = build_locking_state(1)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,18 @@ class TestSerialization:
         assert doc["dim_b"] == 2
         # complex entries serialize as [re, im]
         assert doc["states"][1][0][1] == pytest.approx([0.5, 0.0])
+
+    def test_json_text_is_exact(self):
+        ens = CQEnsemble((0, 1), np.array([0.25, 0.75]), (np.diag([1.0, 0.0]), np.array([[0.5, -0.5j], [0.5j, 0.5]])))
+        assert json.dumps(ensemble_to_json_dict(ens)) == (
+            '{"labels": [0, 1], "probs": [0.25, 0.75], "dim_b": 2, "states": '
+            '[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], '
+            '[[[0.5, 0.0], [-0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]]]}'
+        )
+        # the per-entry encoder as the reference
+        ens = random_cq_ensemble(5, 4, "mixed", seed=2)
+        reference = [[[[float(x.real), float(x.imag)] for x in row] for row in s] for s in ens.states]
+        assert json.dumps(ensemble_to_json_dict(ens)["states"]) == json.dumps(reference)
 
     def test_dim_mismatch_rejected(self):
         ens = random_cq_ensemble(2, 2, "pure", seed=0)
