@@ -9,15 +9,20 @@ The search keeps the n x d transpose of W, whose columns are orthonormal;
 it is the `vectors` array of the returned Povm.
 
 All restarts are stacked into one (restarts, n, d) array and advance
-together. Each of the max_iters iterations evaluates the measured mutual
-information of every restart and its gradient, projects the gradient onto
-the tangent space of the isometries, and maps the trial point back onto
-them with a thin QR. The products sigma_a w_b come from one matrix product
-with the stacked eigen-factors of p_a sigma_a, so a pure letter costs one
-row. Each restart keeps a trial point only if it raises its value, growing
-its step on success and shrinking it on failure, so the reported value is
-a maximum over evaluated POVMs. The returned value is a certified lower
-bound on the accessible information, capped above by the Holevo quantity.
+together by Riemannian conjugate gradient (Polak-Ribiere+, Absil, Mahony &
+Sepulchre 2008, ch. 8). Each iteration steps every start along its search
+direction, maps the trial point back onto the isometries with a thin QR,
+and evaluates the measured mutual information there with its gradient. The
+gradient is projected onto the tangent space at the trial point, and the
+previous direction is carried there by the same projection; a direction
+nearly orthogonal to the gradient is replaced by the gradient. The products
+sigma_a w_b come from one matrix product with the stacked eigen-factors of
+p_a sigma_a, so a pure letter costs one row. Each start keeps a trial point
+only if it raises its value, growing its step on success and shrinking it
+on failure, so the reported value is a maximum over evaluated POVMs. A
+start stops once its tangent-gradient norm falls below GRAD_TOL, or after
+max_iters iterations. The returned value is a certified lower bound on the
+accessible information, capped above by the Holevo quantity.
 """
 
 from __future__ import annotations
@@ -39,11 +44,18 @@ __all__ = [
 ]
 
 MAX_DIM_B = 16
-# every restart starts with this step along its tangent gradient; the step
+# every restart starts with this step along its search direction; the step
 # grows on each accepted trial point and shrinks on each rejected one
 STEP_INIT = 1.0
 STEP_GROW = 1.5
 STEP_SHRINK = 0.5
+# a start stops once the norm of its tangent gradient falls below this
+GRAD_TOL = 1e-6
+# a conjugate-gradient direction whose cosine with the gradient is at most
+# this is replaced by the gradient; a nearly orthogonal direction gains next
+# to nothing, and a start keeps its direction when a step fails, so without
+# this it can stall with its step shrinking to 0
+ASCENT_COS_MIN = 0.1
 
 
 class GuardError(ValueError):
@@ -52,7 +64,7 @@ class GuardError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    restarts: int = 50
+    restarts: int = 10
     max_iters: int = 200
     outcome_budget: int | None = None  # defaults to d^2
     seed: int = 0
@@ -72,10 +84,16 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class AccessibleInfoResult:
+    """The search's best value and POVM, and for each restart its final value,
+    the iterations it ran and its final tangent-gradient norm (below GRAD_TOL
+    where it stopped before max_iters)."""
+
     value: float
     best_povm: Povm
     upper_bound: float
     per_restart_values: tuple
+    per_restart_iterations: tuple
+    per_restart_grad_norms: tuple
 
 
 def holevo_chi(ens: CQEnsemble) -> float:
@@ -84,12 +102,8 @@ def holevo_chi(ens: CQEnsemble) -> float:
     return avg - float(sum(p * von_neumann_entropy(s) for p, s in zip(ens.probs, ens.states)))
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    return np.log2(np.maximum(x, DEFAULT_TOL.eig_cutoff))
-
-
-def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Rows K_k with sum_{k of letter a} K_k^dagger K_k = p_a sigma_a, and the 0/1 letter-by-row map.
+def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows K_k with sum_{k of letter a} K_k^dagger K_k = p_a sigma_a, the letter of each row, and the 0/1 row-by-letter map.
 
     Only eigenvectors of nonzero weight are kept, so a pure letter gives one row.
     """
@@ -100,68 +114,111 @@ def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray]:
         keep = vals > DEFAULT_TOL.eig_cutoff
         rows.append(np.sqrt(p * vals[keep])[:, None] * vecs[:, keep].conj().T)
         owner.extend([a] * int(keep.sum()))
-    letter_of_row = (np.arange(ens.n_letters)[:, None] == np.asarray(owner)[None, :]).astype(float)
-    return np.concatenate(rows), letter_of_row
+    owner = np.asarray(owner)
+    row_to_letter = (owner[:, None] == np.arange(ens.n_letters)[None, :]).astype(float)
+    return np.concatenate(rows), owner, row_to_letter
 
 
-def _mi_and_gradient(factors: np.ndarray, letter_of_row: np.ndarray, v: np.ndarray):
+def _mi_and_gradient(factors: np.ndarray, owner: np.ndarray, row_to_letter: np.ndarray, v: np.ndarray):
     """Measured MI of each stacked POVM and its gradient with respect to conj(v).
 
-    factors and letter_of_row come from _letter_factors; v is (R, n, d) and
-    row b of v[r] is the measurement vector w_b. Returns values (R,) and
+    factors, owner and row_to_letter come from _letter_factors; v is (R, n, d)
+    and row b of v[r] is the measurement vector w_b. Returns values (R,) and
     gradients (R, n, d).
     """
     kv = v @ factors.T
-    # T[r, b, a] = p_a w_b^dagger sigma_a w_b, summed over the rows of letter a
-    table = (kv.real**2 + kv.imag**2) @ letter_of_row.T
-    table /= table.sum(axis=(1, 2), keepdims=True)
-    # entries at or below the entropy cutoff count as 0, as in shannon_entropy;
-    # there sigma_a w_b vanishes as well, so they drop out of the gradient
-    log_ratio = np.where(
-        table > DEFAULT_TOL.eig_cutoff,
-        _log2(table) - _log2(table.sum(axis=2))[:, :, None] - _log2(table.sum(axis=1))[:, None, :],
-        0.0,
+    # T[r, b, a] = p_a w_b^dagger sigma_a w_b, summed over the rows of letter a;
+    # the columns of v are orthonormal, so sum_b T[r, b, a] = p_a and T sums to 1
+    table = (kv.real**2 + kv.imag**2) @ row_to_letter
+    # entries at or below the entropy cutoff count as 0, as in shannon_entropy:
+    # their ratio stays 1 and their log 0; there sigma_a w_b vanishes as well,
+    # so they drop out of the gradient
+    ratio = np.divide(
+        table,
+        table.sum(axis=2, keepdims=True) * table.sum(axis=1, keepdims=True),
+        out=np.ones_like(table),
+        where=table > DEFAULT_TOL.eig_cutoff,
     )
-    values = (table * log_ratio).sum(axis=(1, 2))
+    log_ratio = np.log2(ratio)
+    values = np.einsum("rba,rba->r", table, log_ratio)
     # dI/dT_ab = log2(T_ab / (p_a q_b)) up to a constant, and a constant has
     # no component tangent to the isometries; G_b = sum_a p_a dI/dT_ab sigma_a w_b
-    grad = ((log_ratio @ letter_of_row) * kv) @ factors.conj()
+    grad = (log_ratio[:, :, owner] * kv) @ factors.conj()
     return values, grad
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a_r^dagger b_r) of each stacked pair of (R, n, d) arrays, over the float64 views."""
+    return np.einsum("rj,rj->r", a.view(np.float64).reshape(len(a), -1), b.view(np.float64).reshape(len(b), -1))
 
 
 def _retract(y: np.ndarray) -> np.ndarray:
     """Map each n x d matrix of the stack to orthonormal columns by a thin QR."""
     q, r = np.linalg.qr(y)
     diag = np.diagonal(r, axis1=1, axis2=2)
-    # fix the phase convention so the map is deterministic
-    return q * np.sign(np.where(np.abs(diag) > 0, diag, 1.0))[:, None, :]
+    # fix the phase convention so the map is deterministic; r is invertible, as
+    # a Gaussian start has full rank with probability 1 and a step y = v + s * eta
+    # with eta tangent at v has y^dagger y = I + s^2 eta^dagger eta
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
-def _tangent(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Projection of g onto the tangent space of the n x d matrices with orthonormal columns at v."""
-    vg = np.swapaxes(v.conj(), 1, 2) @ g
-    return g - 0.5 * v @ (vg + np.swapaxes(vg.conj(), 1, 2))
+def _tangent(g: np.ndarray, v: np.ndarray, v_h: np.ndarray) -> np.ndarray:
+    """Projection of g onto the tangent space at v of the n x d matrices with orthonormal columns.
+
+    v_h is v^dagger, passed in so that two projections at one point share it.
+    """
+    vg = v_h @ g
+    return g - v @ (0.5 * (vg + np.swapaxes(vg.conj(), 1, 2)))
 
 
-def _stiefel_ascent(factors, letter_of_row, cfg: OptimizerConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Final values (R,) and transposed isometries (R, n, d) of all restarts, advanced together."""
+def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int):
+    """Polak-Ribiere+ conjugate-gradient ascent of all restarts, advanced together.
+
+    Returns the final values (R,), transposed isometries (R, n, d), iteration
+    counts (R,) and final tangent-gradient norms (R,). A start stops once its
+    tangent-gradient norm falls below GRAD_TOL, and the batch then shrinks to
+    the starts still running.
+    """
     d = factors.shape[1]
     starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
         starts.append(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
     v = _retract(np.stack(starts))
-    val, grad = _mi_and_gradient(factors, letter_of_row, v)
+    val, egrad = _mi_and_gradient(factors, owner, row_to_letter, v)
+    g = _tangent(egrad, v, np.swapaxes(v.conj(), 1, 2))
+    eta, gg = g, _inner(g, g)
     step = np.full(cfg.restarts, STEP_INIT)
-    for _ in range(cfg.max_iters):
-        trial = _retract(v + step[:, None, None] * _tangent(grad, v))
-        trial_val, trial_grad = _mi_and_gradient(factors, letter_of_row, trial)
+    live = np.arange(cfg.restarts)
+    out_val, out_v = np.empty_like(val), np.empty_like(v)
+    out_iters, out_gg = np.empty_like(live), np.empty_like(gg)
+    for it in range(cfg.max_iters + 1):
+        # a start leaves the batch once its gradient vanishes or its iterations run out
+        done = (gg < GRAD_TOL**2) | (it == cfg.max_iters)
+        if done.any():
+            idx = live[done]
+            out_val[idx], out_v[idx], out_gg[idx], out_iters[idx] = val[done], v[done], gg[done], it
+            keep = ~done
+            if not keep.any():
+                break
+            live, v, val, g, eta, gg, step = (x[keep] for x in (live, v, val, g, eta, gg, step))
+        trial = _retract(v + step[:, None, None] * eta)
+        trial_val, trial_egrad = _mi_and_gradient(factors, owner, row_to_letter, trial)
+        trial_h = np.swapaxes(trial.conj(), 1, 2)
+        trial_g = _tangent(trial_egrad, trial, trial_h)
+        trial_gg = _inner(trial_g, trial_g)
+        # trial_g is tangent, so its inner product with P(g) equals that with g
+        beta = np.maximum(0.0, (trial_gg - _inner(trial_g, g)) / gg)
+        trial_eta = trial_g + beta[:, None, None] * _tangent(eta, trial, trial_h)
+        # fall back to the gradient where the direction is too close to orthogonal to it
+        steep = _inner(trial_eta, trial_g) <= ASCENT_COS_MIN * np.sqrt(trial_gg * _inner(trial_eta, trial_eta))
+        trial_eta = np.where(steep[:, None, None], trial_g, trial_eta)
         up = trial_val > val
-        v = np.where(up[:, None, None], trial, v)
-        grad = np.where(up[:, None, None], trial_grad, grad)
-        val = np.where(up, trial_val, val)
-        step = np.where(up, step * STEP_GROW, step * STEP_SHRINK)
-    return val, v
+        up3 = up[:, None, None]
+        v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
+        val, gg = np.where(up, trial_val, val), np.where(up, trial_gg, gg)
+        step = step * np.where(up, STEP_GROW, STEP_SHRINK)
+    return out_val, out_v, out_iters, np.sqrt(out_gg)
 
 
 def accessible_information(
@@ -187,7 +244,7 @@ def accessible_information(
         if val > best_val:
             best_val, best_povm = val, povm
 
-    restart_vals, vs = _stiefel_ascent(*_letter_factors(ens), cfg, n)
+    restart_vals, vs, iters, grad_norms = _stiefel_ascent(*_letter_factors(ens), cfg, n)
     best_restart = int(np.argmax(restart_vals))
     if restart_vals[best_restart] > best_val:
         best_val = restart_vals[best_restart]
@@ -198,4 +255,6 @@ def accessible_information(
         best_povm=best_povm,
         upper_bound=float(chi),
         per_restart_values=tuple(float(v) for v in restart_vals),
+        per_restart_iterations=tuple(int(i) for i in iters),
+        per_restart_grad_norms=tuple(float(g) for g in grad_norms),
     )

@@ -25,7 +25,7 @@ from .accessible import GuardError, OptimizerConfig
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import StrategySpec, simulate_locking_run
 
-SCHEMA_VERSION = "1.3"
+SCHEMA_VERSION = "1.4"
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -298,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="print the JSON run report to stdout")
 
     def add_optimizer(p):
-        p.add_argument("--restarts", type=int, default=50)
-        p.add_argument("--iters", type=int, default=200)
-        p.add_argument("--outcome-budget", type=int, default=None)
+        defaults = OptimizerConfig()
+        p.add_argument("--restarts", type=int, default=defaults.restarts)
+        p.add_argument("--iters", type=int, default=defaults.max_iters)
+        p.add_argument("--outcome-budget", type=int, default=defaults.outcome_budget)
 
     p = sub.add_parser("discord", help="quantum discord of a CQ ensemble")
     p.add_argument("--builtin", default=None, help="locking:m=1..3 | bb84pair | orthogonal:n")

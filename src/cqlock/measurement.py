@@ -31,7 +31,7 @@ __all__ = [
 PROB_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Rank-1 POVM given by its n x d isometry: outcome b has the element |v_b><v_b| for row v_b.
 
@@ -53,6 +53,11 @@ class Povm:
             raise ValueError("POVM vectors are not an isometry: V^dagger V != I")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
+
+    def __eq__(self, other):
+        if not isinstance(other, Povm):
+            return NotImplemented
+        return np.array_equal(self.vectors, other.vectors)
 
     @property
     def dim(self) -> int:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cqlock.cli import main
+from cqlock.accessible import GRAD_TOL, OptimizerConfig
+from cqlock.cli import build_parser, main, optimizer_config
 from cqlock.states import CQEnsemble, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
 FAST = ["--restarts", "2", "--iters", "40"]
@@ -19,7 +20,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.3"
+        assert doc["schema_version"] == "1.4"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -84,6 +85,14 @@ class TestDiscordCommand:
         assert len(povm["vectors"]) == 256
         assert all(len(row) == 16 and all(len(entry) == 2 for entry in row) for row in povm["vectors"])
 
+    def test_report_carries_convergence_evidence(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["discord", "--builtin", "bb84pair", "--restarts", "2", "--iters", "60", "--out", str(out)]) == 0
+        opt = json.loads(out.read_text())["results"]["optimizer"]
+        assert len(opt["per_restart_iterations"]) == len(opt["per_restart_grad_norms"]) == 2
+        assert all(isinstance(it, int) and it < 60 for it in opt["per_restart_iterations"])
+        assert all(g < GRAD_TOL for g in opt["per_restart_grad_norms"])
+
     def test_threads_flag_removed(self, capsys):
         assert run(["discord", "--builtin", "bb84pair", *FAST, "--threads", "2"]) == 2
 
@@ -92,6 +101,11 @@ class TestDiscordCommand:
 
     def test_guard_exit_3(self, capsys):
         assert run(["discord", "--builtin", "orthogonal:99", *FAST]) == 3
+
+
+@pytest.mark.parametrize("argv", [["discord", "--builtin", "bb84pair"], ["lock-analyze", "--m", "1"]])
+def test_parser_defaults_match_optimizer_config(argv):
+    assert optimizer_config(build_parser().parse_args(argv)) == OptimizerConfig()
 
 
 class TestLockAnalyzeCommand:
@@ -126,7 +140,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.3"
+        assert doc["schema_version"] == "1.4"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out

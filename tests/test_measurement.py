@@ -47,6 +47,15 @@ class TestPovm:
             povm = projective_povm(random_unitary(d, rng))
             assert np.max(np.abs(sum(povm.elements) - np.eye(d))) < 1e-12
 
+    def test_equality(self):
+        assert projective_povm(np.eye(2)) == projective_povm(np.eye(2))
+        assert not projective_povm(np.eye(2)) != projective_povm(np.eye(2))
+        assert (projective_povm(np.eye(2)) == projective_povm(hadamard_tensor(1))) is False
+        # same outcomes in another order, and another outcome count
+        assert projective_povm(np.eye(2)) != projective_povm(np.eye(2)[:, ::-1])
+        assert projective_povm(np.eye(2)) != Povm(np.vstack([np.eye(2), np.zeros((1, 2))]))
+        assert projective_povm(np.eye(2)) != "not a povm"
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             projective_povm(np.ones((2, 2), dtype=complex))
