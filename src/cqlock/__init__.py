@@ -31,6 +31,7 @@ from .states import (
 from .measurement import (
     OutcomeAnalysis,
     Povm,
+    after_key_table,
     induced_joint,
     measure_b,
     measured_conditional_entropy,

@@ -20,9 +20,10 @@ sigma_a w_b come from one matrix product with the stacked eigen-factors of
 p_a sigma_a, so a pure letter costs one row. Each start keeps a trial point
 only if it raises its value, growing its step on success and shrinking it
 on failure, so the reported value is a maximum over evaluated POVMs. A
-start stops once its tangent-gradient norm falls below GRAD_TOL, or after
-max_iters iterations. The returned value is a certified lower bound on the
-accessible information, capped above by the Holevo quantity.
+start stops once its tangent-gradient norm falls below GRAD_TOL, once its
+step has shrunk below roundoff, or after max_iters iterations. The returned
+value is a certified lower bound on the accessible information, capped
+above by the Holevo quantity.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ STEP_GROW = 1.5
 STEP_SHRINK = 0.5
 # a start stops once the norm of its tangent gradient falls below this
 GRAD_TOL = 1e-6
+# or once its step times the norm of its direction falls below this: such a
+# trial point differs from the current one only by roundoff
+STEP_TOL = np.finfo(float).eps
 # a conjugate-gradient direction whose cosine with the gradient is at most
 # this is replaced by the gradient; a nearly orthogonal direction gains next
 # to nothing, and a start keeps its direction when a step fails, so without
@@ -86,7 +90,8 @@ class OptimizerConfig:
 class AccessibleInfoResult:
     """The search's best value and POVM, and for each restart its final value,
     the iterations it ran and its final tangent-gradient norm (below GRAD_TOL
-    where it stopped before max_iters)."""
+    where it stopped on the gradient; a start that stopped before max_iters
+    with a larger norm stopped on its step)."""
 
     value: float
     best_povm: Povm
@@ -176,8 +181,9 @@ def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int)
 
     Returns the final values (R,), transposed isometries (R, n, d), iteration
     counts (R,) and final tangent-gradient norms (R,). A start stops once its
-    tangent-gradient norm falls below GRAD_TOL, and the batch then shrinks to
-    the starts still running.
+    tangent-gradient norm falls below GRAD_TOL or its step times the norm of
+    its direction falls below STEP_TOL, and the batch then shrinks to the
+    starts still running.
     """
     d = factors.shape[1]
     starts = []
@@ -188,20 +194,21 @@ def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int)
     val, egrad = _mi_and_gradient(factors, owner, row_to_letter, v)
     g = _tangent(egrad, v, np.swapaxes(v.conj(), 1, 2))
     eta, gg = g, _inner(g, g)
+    ee = gg
     step = np.full(cfg.restarts, STEP_INIT)
     live = np.arange(cfg.restarts)
     out_val, out_v = np.empty_like(val), np.empty_like(v)
     out_iters, out_gg = np.empty_like(live), np.empty_like(gg)
     for it in range(cfg.max_iters + 1):
-        # a start leaves the batch once its gradient vanishes or its iterations run out
-        done = (gg < GRAD_TOL**2) | (it == cfg.max_iters)
+        # a start leaves the batch once its gradient or its step vanishes or its iterations run out
+        done = (gg < GRAD_TOL**2) | (step**2 * ee < STEP_TOL**2) | (it == cfg.max_iters)
         if done.any():
             idx = live[done]
             out_val[idx], out_v[idx], out_gg[idx], out_iters[idx] = val[done], v[done], gg[done], it
             keep = ~done
             if not keep.any():
                 break
-            live, v, val, g, eta, gg, step = (x[keep] for x in (live, v, val, g, eta, gg, step))
+            live, v, val, g, eta, gg, ee, step = (x[keep] for x in (live, v, val, g, eta, gg, ee, step))
         trial = _retract(v + step[:, None, None] * eta)
         trial_val, trial_egrad = _mi_and_gradient(factors, owner, row_to_letter, trial)
         trial_h = np.swapaxes(trial.conj(), 1, 2)
@@ -211,12 +218,14 @@ def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int)
         beta = np.maximum(0.0, (trial_gg - _inner(trial_g, g)) / gg)
         trial_eta = trial_g + beta[:, None, None] * _tangent(eta, trial, trial_h)
         # fall back to the gradient where the direction is too close to orthogonal to it
-        steep = _inner(trial_eta, trial_g) <= ASCENT_COS_MIN * np.sqrt(trial_gg * _inner(trial_eta, trial_eta))
+        trial_ee = _inner(trial_eta, trial_eta)
+        steep = _inner(trial_eta, trial_g) <= ASCENT_COS_MIN * np.sqrt(trial_gg * trial_ee)
         trial_eta = np.where(steep[:, None, None], trial_g, trial_eta)
+        trial_ee = np.where(steep, trial_gg, trial_ee)
         up = trial_val > val
         up3 = up[:, None, None]
         v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
-        val, gg = np.where(up, trial_val, val), np.where(up, trial_gg, gg)
+        val, gg, ee = np.where(up, trial_val, val), np.where(up, trial_gg, gg), np.where(up, trial_ee, ee)
         step = step * np.where(up, STEP_GROW, STEP_SHRINK)
     return out_val, out_v, out_iters, np.sqrt(out_gg)
 

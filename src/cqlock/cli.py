@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .accessible import GuardError, OptimizerConfig
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import StrategySpec, simulate_locking_run
 
-SCHEMA_VERSION = "1.4"
+SCHEMA_VERSION = "1.5"
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -54,23 +53,18 @@ def _jsonable(obj):
     return obj
 
 
-def make_run_report(command: str, config_echo: dict, results, seed: int, timings_ms: dict) -> dict:
+def make_run_report(command: str, config_echo: dict, results, seed: int) -> dict:
     return {
         "command": command,
         "config_echo": _jsonable(config_echo),
         "results": _jsonable(results),
-        "timings_ms": timings_ms,
         "seed": seed,
         "schema_version": SCHEMA_VERSION,
     }
 
 
 def write_report(report: dict, out_path: str | None, as_json: bool):
-    # timings are wall-clock and would break byte-identical reports; the
-    # serialized form carries null in their place
-    doc = dict(report)
-    doc["timings_ms"] = None
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -129,16 +123,12 @@ def optimizer_config(args) -> OptimizerConfig:
 
 
 def cmd_discord(args) -> int:
-    t0 = time.perf_counter()
     ens, extra = resolve_ensemble(args)
-    t1 = time.perf_counter()
     report = quantum_discord_cq(ens, optimizer_config(args), extra)
-    t2 = time.perf_counter()
     print(f"quantum mutual information  {report.mutual_info_q:.4f} bits")
     print(f"accessible information      {report.i_acc:.4f} bits")
     print(f"quantum discord             {report.discord:.4f} bits")
-    timings = {"build": (t1 - t0) * 1e3, "optimize": (t2 - t1) * 1e3}
-    run = make_run_report("discord", _echo(args), report, args.seed, timings)
+    run = make_run_report("discord", _echo(args), report, args.seed)
     write_report(run, args.out, args.json)
     return EXIT_OK
 
@@ -146,17 +136,15 @@ def cmd_discord(args) -> int:
 def cmd_lock_analyze(args) -> int:
     if not 1 <= args.m <= 3:
         raise GuardError("lock-analyze supports m=1..3")
-    t0 = time.perf_counter()
-    inst, ens = build_locking_state(args.m, args.family)
-    report = locking_delta(inst, optimizer_config(args), ens)
-    t1 = time.perf_counter()
+    inst, _ = build_locking_state(args.m, args.family)
+    report = locking_delta(inst, optimizer_config(args))
     print("m  I_q     I_acc(no key)  I_acc(key)  delta   discord")
     print(
         f"{report.m}  {report.i_q_without_key:.4f}  {report.i_acc_without_key:.4f}"
         f"         {report.i_acc_with_key:.4f}      {report.delta:.4f}  {report.discord:.4f}"
     )
     print(f"|delta - discord| = {report.delta_equals_discord_residual:.2e}")
-    run = make_run_report("lock-analyze", _echo(args), report, args.seed, {"analyze": (t1 - t0) * 1e3})
+    run = make_run_report("lock-analyze", _echo(args), report, args.seed)
     write_report(run, args.out, args.json)
     return EXIT_OK
 
@@ -171,16 +159,14 @@ def cmd_simulate(args) -> int:
         strategy = StrategySpec("after_key")
     else:
         raise InputError(f"unknown strategy: {args.strategy!r}")
-    t0 = time.perf_counter()
     report = simulate_locking_run(inst, strategy, args.n, args.seed)
-    t1 = time.perf_counter()
     print(f"empirical mutual information  {report.empirical_mi:.4f} bits")
     print(f"Miller-Madow corrected        {report.miller_madow_mi:.4f} bits")
     print(f"analytic mutual information   {report.analytic_mi:.4f} bits")
     print(f"standard error estimate       {report.std_error_estimate:.4f} bits")
     if report.decoding_errors is not None:
         print(f"decoding errors               {report.decoding_errors}")
-    run = make_run_report("simulate", _echo(args), report, args.seed, {"simulate": (t1 - t0) * 1e3})
+    run = make_run_report("simulate", _echo(args), report, args.seed)
     write_report(run, args.out, args.json)
     return EXIT_OK
 
@@ -247,8 +233,8 @@ def _selftest_groups(tol: Tolerances):
     def delta_equals_discord():
         cfg = OptimizerConfig(restarts=2, max_iters=60, seed=3)
         for m in (1, 2):
-            inst, ens = build_locking_state(m)
-            rep = locking_delta(inst, cfg, ens)
+            inst, _ = build_locking_state(m)
+            rep = locking_delta(inst, cfg)
             assert abs(rep.delta - rep.discord) <= 1e-3
             assert abs(rep.delta - m / 2) <= 1e-3
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import classical_mutual_information, shannon_entropy
-from .states import KEY_BITS, CQEnsemble, LockingInstance, build_locking_state
-from .measurement import measured_conditional_entropy
+from .states import KEY_BITS, CQEnsemble, LockingInstance
+from .measurement import after_key_table, measured_conditional_entropy
 from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information, holevo_chi
 
 __all__ = [
@@ -78,43 +78,26 @@ def quantum_discord_cq(
     )
 
 
-def _check_instance_matches(inst: LockingInstance, ens: CQEnsemble):
-    d = inst.dim_b
-    if ens.n_letters != 2 * d or ens.dim_b != d:
-        raise ValueError("ensemble does not match the locking instance")
-    for a in range(d):
-        for k in range(2):
-            col = inst.basis_unitaries[k][:, a]
-            if np.max(np.abs(ens.states[a * 2 + k] - np.outer(col, col.conj()))) > 1e-9:
-                raise ValueError("ensemble does not match the locking instance")
-
-
-def key_then_measure_info(inst: LockingInstance, ens: CQEnsemble) -> float:
+def key_then_measure_info(inst: LockingInstance) -> float:
     """Exact accessible information of the key-conditioned strategy.
 
     For each key k Bob measures in the basis U_k, which reveals a with
     certainty; the result is the classical mutual information between the
     letter (a, k) and the pair (outcome, k).
     """
-    _check_instance_matches(inst, ens)
-    joint = inst.after_key_born()
-    return classical_mutual_information(joint / joint.sum())
+    return classical_mutual_information(after_key_table(inst))
 
 
-def locking_delta(
-    inst: LockingInstance, cfg: OptimizerConfig = OptimizerConfig(), ens: CQEnsemble | None = None
-) -> LockingReport:
+def locking_delta(inst: LockingInstance, cfg: OptimizerConfig = OptimizerConfig()) -> LockingReport:
     """Locking advantage: with-key information minus (without-key + key bits).
 
     The with-key term is exact (the key-conditioned measurement is optimal);
     only the without-key term is numerical. The discord of the shared state
     is chi minus the same search's value, so the residual isolates the identity.
     """
-    if ens is None:
-        _, ens = build_locking_state(inst.m, inst.basis_family)
-    i_with = key_then_measure_info(inst, ens)
+    i_with = key_then_measure_info(inst)
     mub_partners = inst.basis_unitaries[1:]
-    acc = accessible_information(ens, cfg, extra_candidates=mub_partners)
+    acc = accessible_information(inst.ensemble, cfg, extra_candidates=mub_partners)
     delta = i_with - (acc.value + KEY_BITS)
     discord = acc.upper_bound - acc.value
     return LockingReport(
@@ -145,11 +128,10 @@ def single_copy_identity_chain(inst: LockingInstance) -> ChainReport:
 
     A stays classical on both sides, so each I_q is a Holevo quantity.
     """
-    _, ens = build_locking_state(inst.m, inst.basis_family)
-    v1 = key_then_measure_info(inst, ens)
+    ens = inst.ensemble
+    v1 = key_then_measure_info(inst)
 
-    keys = [lab % 2 for lab in ens.labels]
-    ext = extend_with_key(ens.probs, ens.states, keys, 2)
+    ext = extend_with_key(ens.probs, ens.states, inst.keys, 2)
     v2 = holevo_chi(ext)
     v3 = holevo_chi(ens) + KEY_BITS
 

@@ -14,7 +14,7 @@ from .qmath import (
     classical_conditional_entropy,
     classical_mutual_information,
 )
-from .states import CQEnsemble, _complex_to_json, _matrix_from_json
+from .states import CQEnsemble, LockingInstance, _complex_to_json, _matrix_from_json
 
 __all__ = [
     "Povm",
@@ -22,6 +22,7 @@ __all__ = [
     "projective_povm",
     "measure_b",
     "induced_joint",
+    "after_key_table",
     "measured_mutual_information",
     "measured_conditional_entropy",
     "povm_to_json_dict",
@@ -127,6 +128,21 @@ def _induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:
     table = np.einsum("aib,bi->ab", np.stack(ens.states) @ v.T, v.conj()).real
     table = np.clip(table, 0.0, None) * ens.probs[:, None]
     return table / table.sum()
+
+
+def after_key_table(inst: LockingInstance) -> np.ndarray:
+    """Joint table of the letter (a, k) and Bob's record (b, k) when he measures in the key's basis U_k.
+
+    A letter of key k takes its row of the table that measuring U_k induces on
+    the instance's ensemble, placed in the outcome columns b * 2 + k; every
+    other entry is 0.
+    """
+    ens = inst.ensemble
+    table = np.zeros((ens.n_letters, ens.n_letters))
+    for k, u in enumerate(inst.basis_unitaries):
+        mine = inst.keys == k
+        table[mine, k::2] = _induced_table(ens, projective_povm(u))[mine]
+    return table
 
 
 def measured_mutual_information(ens: CQEnsemble, povm: Povm) -> float:

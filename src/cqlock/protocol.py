@@ -12,7 +12,7 @@ from .qmath import (
     conditional_mutual_information,
 )
 from .states import LockingInstance
-from .measurement import Povm
+from .measurement import Povm, _induced_table, after_key_table
 
 __all__ = [
     "StrategySpec",
@@ -92,37 +92,28 @@ def simulate_locking_run(
 ) -> EmpiricalReport:
     """Sample the protocol and compare plug-in and exact mutual information.
 
-    Each of the n rounds draws a letter (a, k) uniformly and an outcome from
-    that letter's Born probabilities. The reports depend on the rounds only
-    through the letter-by-outcome table of counts, so that table is drawn
-    directly as one multinomial over its cells; the cost does not grow with
-    n. The report gives the plug-in MI of the table, its standard error and
-    its Miller-Madow bias-corrected value. For the after-key strategy Bob's
-    record is the pair (outcome, k) and decoding errors are counted.
+    Each of the n rounds draws a letter (a, k) with its probability in the
+    instance's ensemble and an outcome from that letter's Born probabilities:
+    the joint table is the one the POVM induces on the ensemble, or for the
+    after-key strategy after_key_table, where Bob's record is the pair
+    (outcome, k). The reports depend on the rounds only through the
+    letter-by-outcome table of counts, so that table is drawn directly as one
+    multinomial over its cells; the cost does not grow with n. The report
+    gives the plug-in MI of the table, its standard error and its
+    Miller-Madow bias-corrected value, and for the after-key strategy the
+    number of decoding errors.
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"number of samples must lie in [1, {MAX_SAMPLES}]")
-    d = inst.dim_b
-    n_letters = 2 * d
     if strategy.kind == "before_key":
-        if strategy.povm.dim != d:
-            raise ValueError("POVM dimension does not match the locking instance")
-        psis = np.stack([inst.basis_unitaries[lab % 2][:, lab // 2] for lab in range(n_letters)])
-        # born[l, b] = |<v_b|psi_l>|^2
-        amps = psis @ strategy.povm.vectors.conj().T
-        born = amps.real**2 + amps.imag**2
+        joint = _induced_table(inst.ensemble, strategy.povm)
     else:
-        # outcome in the key basis, recorded together with the key
-        born = inst.after_key_born()
-    born /= born.sum(axis=1, keepdims=True)
-
-    joint = born / n_letters
+        joint = after_key_table(inst)
     counts = np.random.default_rng(seed).multinomial(n_samples, joint.ravel()).reshape(joint.shape)
     decoding_errors = None
     if strategy.kind == "after_key":
-        # letters and after-key outcomes share the code a * 2 + k
-        message = np.arange(n_letters) // 2
-        decoding_errors = int(counts[message[:, None] != message].sum())
+        # after-key records share the letters' code, so both decode through messages
+        decoding_errors = int(counts[inst.messages[:, None] != inst.messages].sum())
 
     empirical_mi, stderr = _plugin_mi_and_stderr(counts, n_samples)
     analytic_mi = classical_mutual_information(joint)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,17 +65,21 @@ class CQEnsemble:
 
 @dataclass(frozen=True)
 class LockingInstance:
-    """Message size and the basis unitaries of a locking state; the key has KEY_BITS bits.
+    """Message size, basis unitaries and ensemble of a locking state; the key has KEY_BITS bits.
 
-    Classical letters (a, k) are encoded as the integer a * 2 + k.
+    The ensemble is built here: letter (a, k) is encoded as the integer
+    a * 2 + k, has probability 1 / (2 d) and the state U_k|a><a|U_k^dagger.
+    keys and messages give k and a of each letter.
     """
 
     m: int
     basis_unitaries: tuple
-    basis_family: str = "hadamard"
+    ensemble: CQEnsemble = field(init=False, repr=False)
 
     def __post_init__(self):
         us = tuple(np.asarray(u, dtype=complex) for u in self.basis_unitaries)
+        if len(us) != 2**KEY_BITS:
+            raise ValueError(f"a locking instance has one basis per key value, {2**KEY_BITS} in all")
         d = 2**self.m
         if np.max(np.abs(us[0] - np.eye(d))) > 1e-9:
             raise ValueError("first basis unitary must be the identity")
@@ -89,25 +93,24 @@ class LockingInstance:
                 if not mub_check(us[i], us[j], 1e-9):
                     raise ValueError("basis pair is not mutually unbiased")
         object.__setattr__(self, "basis_unitaries", us)
+        cols = [us[k][:, a] for a, k in zip(self.messages, self.keys)]
+        states = tuple(np.outer(col, col.conj()) for col in cols)
+        probs = np.full(2 * d, 1.0 / (2 * d))
+        object.__setattr__(self, "ensemble", CQEnsemble(labels=tuple(range(2 * d)), probs=probs, states=states))
 
     @property
     def dim_b(self) -> int:
         return 2**self.m
 
-    def after_key_born(self) -> np.ndarray:
-        """Born table of measuring each letter (a, k) in the basis U_k of its key.
+    @property
+    def keys(self) -> np.ndarray:
+        """Key k of each letter a * 2 + k."""
+        return np.arange(2 * self.dim_b) % 2
 
-        Entry [a * 2 + k, b * 2 + k] is |<b|U_k^dagger U_k|a>|^2, the
-        probability of outcome b; Bob records the pair (b, k) in the letters'
-        code b * 2 + k, and every other entry is 0.
-        """
-        n = 2 * self.dim_b
-        born = np.zeros((n, n))
-        for lab in range(n):
-            a, k = divmod(lab, 2)
-            u = self.basis_unitaries[k]
-            born[lab, k::2] = np.abs(u.conj().T @ u[:, a]) ** 2
-        return born
+    @property
+    def messages(self) -> np.ndarray:
+        """Message a of each letter a * 2 + k."""
+        return np.arange(2 * self.dim_b) // 2
 
 
 def cq_to_density(ens: CQEnsemble) -> DensityMatrix:
@@ -150,7 +153,7 @@ def build_locking_state(m: int, family: str = "hadamard"):
     """Locking instance and its ensemble: uniform letters (a, k), states U_k|a><a|U_k+.
 
     family selects the second basis: "hadamard" for H^(x)m, "fourier" for the
-    d-dimensional Fourier matrix.
+    d-dimensional Fourier matrix. The ensemble returned is inst.ensemble.
     """
     if not 1 <= m <= 6:
         raise ValueError("message size out of range (1..6)")
@@ -161,17 +164,8 @@ def build_locking_state(m: int, family: str = "hadamard"):
         u1 = fourier_matrix(d)
     else:
         raise ValueError(f"unknown basis family: {family!r}")
-    inst = LockingInstance(m=m, basis_unitaries=(np.eye(d, dtype=complex), u1), basis_family=family)
-
-    # letter (a, k) sits at index a * 2 + k
-    states = []
-    for a in range(d):
-        for k in range(2):
-            col = inst.basis_unitaries[k][:, a]
-            states.append(np.outer(col, col.conj()))
-    probs = np.full(2 * d, 1.0 / (2 * d))
-    ens = CQEnsemble(labels=tuple(range(2 * d)), probs=probs, states=tuple(states))
-    return inst, ens
+    inst = LockingInstance(m=m, basis_unitaries=(np.eye(d, dtype=complex), u1))
+    return inst, inst.ensemble
 
 
 def random_cq_ensemble(n_letters: int, dim_b: int, purity: str = "pure", seed: int = 0) -> CQEnsemble:

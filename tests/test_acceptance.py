@@ -59,7 +59,7 @@ def test_criterion_1_headline_table(m, family):
     inst, ens = build_locking_state(m, family)
     rho = cq_to_density(ens)
     assert abs(quantum_mutual_information(rho.mat, ens.n_letters, ens.dim_b) - m) < 1e-9
-    assert abs(key_then_measure_info(inst, ens) - (m + 1)) < 1e-9
+    assert abs(key_then_measure_info(inst) - (m + 1)) < 1e-9
     # the named candidate bases must attain the optimum exactly
     comp = measured_mutual_information(ens, projective_povm(np.eye(ens.dim_b, dtype=complex)))
     assert abs(comp - m / 2) < 1e-9
@@ -71,8 +71,8 @@ def test_criterion_1_headline_table(m, family):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_criterion_2_delta_equals_discord(m):
-    inst, ens = build_locking_state(m)
-    rep = locking_delta(inst, FULL_CFG, ens)
+    inst, _ = build_locking_state(m)
+    rep = locking_delta(inst, FULL_CFG)
     assert abs(rep.delta - rep.discord) <= 1e-3
     assert abs(rep.delta - m / 2) <= 1e-3
     assert abs(rep.discord - m / 2) <= 1e-3

@@ -16,6 +16,7 @@ from cqlock import (
     shannon_entropy,
 )
 
+from cqlock import accessible
 from cqlock.accessible import GRAD_TOL
 
 from conftest import random_unitary
@@ -162,6 +163,21 @@ class TestConvergence:
         res = accessible_information(rotated(ens, random_unitary(8, np.random.default_rng(103))), cfg)
         assert res.per_restart_iterations == (30, 30)
         assert all(g >= GRAD_TOL for g in res.per_restart_grad_norms)
+
+    def test_underflowed_step_stops_start(self, monkeypatch):
+        # this start stops improving near iteration 410 with its gradient
+        # norm near 7e-5, after which every trial fails and its step halves
+        _, ens = build_locking_state(3)
+        ens = rotated(ens, random_unitary(8, np.random.default_rng(103)))
+        cfg = OptimizerConfig(restarts=1, max_iters=800, seed=0)
+        res = accessible_information(ens, cfg)
+        assert res.per_restart_iterations[0] < 800
+        assert res.per_restart_grad_norms[0] >= GRAD_TOL
+        # without the step stop the start runs out its iterations and gains nothing
+        monkeypatch.setattr(accessible, "STEP_TOL", 0.0)
+        full = accessible_information(ens, cfg)
+        assert full.per_restart_iterations == (800,)
+        assert full.per_restart_values == res.per_restart_values
 
     def test_stationary_start_stops_at_once(self, fast_cfg):
         # a single letter gives a constant objective, so every gradient is 0 up to roundoff

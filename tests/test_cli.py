@@ -20,9 +20,14 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.4"
+        assert doc["schema_version"] == "1.5"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
+
+    def test_report_has_no_timings(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["discord", "--builtin", "bb84pair", *FAST, "--out", str(out)]) == 0
+        assert "timings_ms" not in json.loads(out.read_text())
 
     def test_orthogonal_builtin(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -140,7 +145,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.4"
+        assert doc["schema_version"] == "1.5"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out

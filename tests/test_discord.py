@@ -21,7 +21,6 @@ from conftest import assert_matches_bipartite_oracle
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
-PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
 class TestQuantumDiscord:
@@ -99,31 +98,22 @@ class TestQuantumDiscord:
 class TestKeyThenMeasure:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_exact_value(self, m):
-        inst, ens = build_locking_state(m)
-        assert abs(key_then_measure_info(inst, ens) - (m + 1)) < 1e-9
-
-    def test_mismatch_rejected(self):
-        inst, _ = build_locking_state(1)
-        _, other = build_locking_state(2)
-        with pytest.raises(ValueError):
-            key_then_measure_info(inst, other)
-        ens = CQEnsemble((0, 1, 2, 3), np.full(4, 0.25), (KET0, PLUS, KET1, KET0))
-        with pytest.raises(ValueError):
-            key_then_measure_info(inst, ens)
+        inst, _ = build_locking_state(m)
+        assert abs(key_then_measure_info(inst) - (m + 1)) < 1e-9
 
 
 class TestLockingDelta:
     @pytest.mark.parametrize("m", [1, 2])
     def test_delta_is_half_m(self, m, fast_cfg):
-        inst, ens = build_locking_state(m)
-        rep = locking_delta(inst, fast_cfg, ens)
+        inst, _ = build_locking_state(m)
+        rep = locking_delta(inst, fast_cfg)
         assert abs(rep.delta - m / 2) < 1e-3
         assert abs(rep.discord - m / 2) < 1e-3
         assert rep.delta_equals_discord_residual < 1e-3
 
     def test_report_definitions(self, fast_cfg):
-        inst, ens = build_locking_state(1)
-        rep = locking_delta(inst, fast_cfg, ens)
+        inst, _ = build_locking_state(1)
+        rep = locking_delta(inst, fast_cfg)
         assert rep.delta == rep.i_acc_with_key - (rep.i_acc_without_key + rep.key_bits)
         assert abs(rep.i_q_without_key - 1) < 1e-9
         assert abs(rep.i_acc_with_key - 2) < 1e-9

@@ -4,6 +4,7 @@ import pytest
 from cqlock import (
     CQEnsemble,
     Povm,
+    after_key_table,
     build_locking_state,
     classical_mutual_information,
     cq_to_density,
@@ -223,3 +224,26 @@ class TestMeasuredQuantities:
             mi = measured_mutual_information(ens, povm)
             assert mi >= classical_mutual_information(pairs) - 1e-12
             assert classical_mutual_information(pairs) >= classical_mutual_information(fine.sum(axis=1, keepdims=True)) - 1e-12
+
+
+class TestAfterKeyTable:
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_keyed_block_structure(self, m, family):
+        inst, _ = build_locking_state(m, family)
+        table = after_key_table(inst)
+        assert table.shape == (2 * inst.dim_b, 2 * inst.dim_b)
+        assert abs(table.sum() - 1) < 1e-12
+        # outcome column b * 2 + k carries the key k, as letters do
+        assert np.all(table[inst.keys[:, None] != inst.keys] == 0)
+        assert abs(classical_mutual_information(table) - (m + 1)) < 1e-12
+
+    def test_letters_weighted_by_probabilities(self):
+        # the key-conditioned strategy reveals the whole letter, so it reads H(A)
+        # of the ensemble's probabilities, whatever they are
+        inst, ens = build_locking_state(1)
+        skewed = CQEnsemble(ens.labels, np.array([0.7, 0.1, 0.1, 0.1]), ens.states)
+        object.__setattr__(inst, "ensemble", skewed)
+        table = after_key_table(inst)
+        assert np.allclose(table.sum(axis=1), skewed.probs, atol=1e-15)
+        assert abs(classical_mutual_information(table) - shannon_entropy(skewed.probs)) < 1e-12

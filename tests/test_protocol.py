@@ -9,7 +9,9 @@ from cqlock import (
     classical_key_bound_check,
     classical_mutual_information,
     conditional_mutual_information,
+    Povm,
     key_then_measure_info,
+    measured_mutual_information,
     one_time_pad_joint,
     projective_povm,
     simulate_locking_run,
@@ -27,9 +29,20 @@ class TestSimulateLockingRun:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_after_key_table_matches_key_then_measure(self, m):
-        inst, ens = build_locking_state(m)
+        inst, _ = build_locking_state(m)
         rep = simulate_locking_run(inst, StrategySpec("after_key"), 1000, seed=0)
-        assert abs(rep.analytic_mi - key_then_measure_info(inst, ens)) < 1e-12
+        assert abs(rep.analytic_mi - key_then_measure_info(inst)) < 1e-12
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_before_key_table_is_the_induced_table(self, m, family):
+        inst, _ = build_locking_state(m, family)
+        d = inst.dim_b
+        rng = np.random.default_rng(m)
+        g = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
+        for povm in (projective_povm(inst.basis_unitaries[1]), Povm(np.linalg.qr(g)[0])):
+            rep = simulate_locking_run(inst, StrategySpec("before_key", povm), 1000, seed=0)
+            assert abs(rep.analytic_mi - measured_mutual_information(inst.ensemble, povm)) < 1e-12
 
     def test_before_key_converges_to_half_m(self):
         inst, _ = build_locking_state(1)

@@ -5,6 +5,7 @@ import pytest
 
 from cqlock import (
     CQEnsemble,
+    LockingInstance,
     build_locking_state,
     cq_to_density,
     fourier_matrix,
@@ -56,6 +57,22 @@ class TestBuildLockingState:
         assert np.allclose(ens.states[1], PLUS)
         assert np.allclose(ens.states[2], KET1)
         assert np.allclose(ens.states[3], MINUS)
+
+    def test_instance_owns_its_ensemble(self):
+        inst, ens = build_locking_state(2, "fourier")
+        assert ens is inst.ensemble
+        # letter a * 2 + k holds the column a of U_k
+        for lab, (a, k) in enumerate(zip(inst.messages, inst.keys)):
+            assert lab == a * 2 + k
+            col = inst.basis_unitaries[k][:, a]
+            assert np.allclose(ens.states[lab], np.outer(col, col.conj()))
+
+    @pytest.mark.parametrize("n_bases", [1, 3])
+    def test_one_basis_per_key_value(self, n_bases):
+        # the three qubit bases are pairwise unbiased, but a one-bit key selects only two
+        y_basis = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
+        with pytest.raises(ValueError, match="one basis per key value"):
+            LockingInstance(m=1, basis_unitaries=(np.eye(2), hadamard_tensor(1), y_basis)[:n_bases])
 
     def test_m2_marginal(self):
         inst, ens = build_locking_state(2)
