@@ -9,7 +9,6 @@ from .qmath import (
     classical_conditional_entropy,
     classical_mutual_information,
     conditional_mutual_information,
-    eig_hermitian,
     kl_divergence,
     partial_trace,
     quantum_conditional_entropy,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, von_neumann_entropy
+from .qmath import DEFAULT_TOL, shannon_entropy, von_neumann_entropy
 from .states import CQEnsemble
 from .measurement import Povm, measured_mutual_information, projective_povm
 
@@ -102,9 +102,13 @@ class AccessibleInfoResult:
 
 
 def holevo_chi(ens: CQEnsemble) -> float:
-    """S(sum p_a sigma^(a)) - sum p_a S(sigma^(a)), in bits."""
-    avg = von_neumann_entropy(ens.average_state())
-    return avg - float(sum(p * von_neumann_entropy(s) for p, s in zip(ens.probs, ens.states)))
+    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits.
+
+    With lambda_ai the eigenvalues of sigma_a, sum_a p_a S(sigma_a) = H({p_a lambda_ai}) - H(p),
+    so one batched eigvalsh of the stacked states gives the second term.
+    """
+    weighted_spectra = ens.probs[:, None] * np.linalg.eigvalsh(ens.states)
+    return von_neumann_entropy(ens.average_state()) + shannon_entropy(ens.probs) - shannon_entropy(weighted_spectra)
 
 
 def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,16 +116,12 @@ def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     Only eigenvectors of nonzero weight are kept, so a pure letter gives one row.
     """
-    rows, owner = [], []
-    for a, (p, s) in enumerate(zip(ens.probs, ens.states)):
-        vals, vecs = np.linalg.eigh(s)
-        # a unit-trace state always keeps its largest eigenvector
-        keep = vals > DEFAULT_TOL.eig_cutoff
-        rows.append(np.sqrt(p * vals[keep])[:, None] * vecs[:, keep].conj().T)
-        owner.extend([a] * int(keep.sum()))
-    owner = np.asarray(owner)
+    vals, vecs = np.linalg.eigh(ens.states)
+    # a unit-trace state always keeps its largest eigenvector
+    owner, col = np.nonzero(vals > DEFAULT_TOL.eig_cutoff)
+    rows = np.sqrt(ens.probs[owner] * vals[owner, col])[:, None] * vecs[owner, :, col].conj()
     row_to_letter = (owner[:, None] == np.arange(ens.n_letters)[None, :]).astype(float)
-    return np.concatenate(rows), owner, row_to_letter
+    return rows, owner, row_to_letter
 
 
 def _mi_and_gradient(factors: np.ndarray, owner: np.ndarray, row_to_letter: np.ndarray, v: np.ndarray):

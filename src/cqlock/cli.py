@@ -104,7 +104,8 @@ def resolve_ensemble(args):
             raise InputError(f"bad builtin spec: {name!r}")
         if not 2 <= n <= 16:
             raise GuardError("orthogonal builtin supports n=2..16")
-        states = tuple(np.diag(np.eye(n)[a]).astype(complex) for a in range(n))
+        # letter a has the state |a><a|
+        states = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
         return CQEnsemble(tuple(range(n)), np.full(n, 1.0 / n), states), ()
     raise InputError(f"unknown builtin: {name!r}")
 
@@ -203,8 +204,7 @@ def _selftest_groups(tol: Tolerances):
                 _, ens = build_locking_state(m, family)
                 rho = cq_to_density(ens).mat
                 validate_density(rho, tol)
-                for s in ens.states:
-                    validate_density(s, tol)
+                validate_density(ens.states, tol)
                 # conjugation leaves roundoff-scale Hermiticity error, which a
                 # sane tolerance must absorb
                 g = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)

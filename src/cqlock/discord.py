@@ -115,12 +115,13 @@ def locking_delta(inst: LockingInstance, cfg: OptimizerConfig = OptimizerConfig(
 
 def extend_with_key(probs, states, keys, n_keys: int):
     """Append a classical copy of the key to Bob: sigma_(a,k) -> sigma_(a,k) (x) |k><k|."""
-    ext = []
-    for s, k in zip(states, keys):
-        proj = np.zeros((n_keys, n_keys))
-        proj[k, k] = 1.0
-        ext.append(np.kron(np.asarray(s, dtype=complex), proj))
-    return CQEnsemble(labels=tuple(range(len(ext))), probs=np.asarray(probs, dtype=float), states=tuple(ext))
+    states = np.asarray(states, dtype=complex)
+    n, d = states.shape[:2]
+    projs = np.zeros((n, n_keys, n_keys))
+    projs[np.arange(n), keys, keys] = 1.0
+    # ext[a, i, k, j, l] = sigma_a[i, j] * |k_a><k_a|[k, l], the Kronecker product of each pair
+    ext = (states[:, :, None, :, None] * projs[:, None, :, None, :]).reshape(n, d * n_keys, d * n_keys)
+    return CQEnsemble(labels=tuple(range(n)), probs=np.asarray(probs, dtype=float), states=ext)
 
 
 def single_copy_identity_chain(inst: LockingInstance) -> ChainReport:

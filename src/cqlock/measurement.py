@@ -14,7 +14,7 @@ from .qmath import (
     classical_conditional_entropy,
     classical_mutual_information,
 )
-from .states import CQEnsemble, LockingInstance, _complex_to_json, _matrix_from_json
+from .states import CQEnsemble, LockingInstance, _complex_from_json, _complex_to_json
 
 __all__ = [
     "Povm",
@@ -125,7 +125,7 @@ def _induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:
         raise DimensionError("POVM dimension does not match ensemble")
     # p_a^-1 T[a, b] = v_b^dagger sigma_a v_b
     v = povm.vectors
-    table = np.einsum("aib,bi->ab", np.stack(ens.states) @ v.T, v.conj()).real
+    table = np.einsum("aib,bi->ab", ens.states @ v.T, v.conj()).real
     table = np.clip(table, 0.0, None) * ens.probs[:, None]
     return table / table.sum()
 
@@ -165,7 +165,7 @@ def povm_to_json_dict(povm: Povm) -> dict:
 
 
 def povm_from_json_dict(doc: dict) -> Povm:
-    povm = Povm(_matrix_from_json(doc["vectors"]))
+    povm = Povm(_complex_from_json(doc["vectors"]))
     if povm.dim != int(doc["dim"]):
         raise ValueError("POVM vectors disagree with dim")
     return povm

@@ -21,7 +21,6 @@ __all__ = [
     "validate_probs",
     "tensor",
     "partial_trace",
-    "eig_hermitian",
     "von_neumann_entropy",
     "shannon_entropy",
     "kl_divergence",
@@ -65,17 +64,18 @@ def validate_probs(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def validate_density(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; returns the array."""
+    """Check Hermiticity, unit trace and positivity of a matrix, or of each matrix of a stack; returns the array."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError("density matrix must be square")
     if not np.all(np.isfinite(mat)):
         raise ValueError("density matrix entries are not finite")
-    if np.max(np.abs(mat - mat.conj().T)) > tol.hermitian:
+    if np.max(np.abs(mat - np.swapaxes(mat.conj(), -2, -1))) > tol.hermitian:
         raise ValueError("matrix is not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > tol.trace or abs(np.trace(mat).imag) > tol.trace:
+    trace = np.trace(mat, axis1=-2, axis2=-1)
+    if np.max(np.abs(trace.real - 1.0)) > tol.trace or np.max(np.abs(trace.imag)) > tol.trace:
         raise ValueError("trace is not 1")
-    if np.linalg.eigvalsh(mat)[0] < -tol.psd:
+    if np.min(np.linalg.eigvalsh(mat)[..., 0]) < -tol.psd:
         raise ValueError("matrix is not positive semidefinite")
     return mat
 
@@ -87,6 +87,8 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.mat) != 2:
+            raise ValueError("density matrix must be square")
         mat = validate_density(self.mat).copy()
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -154,17 +156,6 @@ def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> DensityMatrix:
     else:
         raise ValueError("keep must be 'A' or 'B'")
     return DensityMatrix(out)
-
-
-def eig_hermitian(m, tol: Tolerances = DEFAULT_TOL):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(m - m.conj().T)) > tol.hermitian:
-        raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
 
 
 def _entropy_of_spectrum(vals: np.ndarray, tol: Tolerances) -> float:

@@ -27,26 +27,31 @@ KEY_BITS = 1
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CQEnsemble:
-    """Labeled distribution {p_a} with one Bob-side state per letter."""
+    """Labeled distribution {p_a} with one Bob-side state per letter, stacked so that states[a] is sigma_a.
+
+    states is a read-only complex (n, d, d) array. Ensembles compare by identity.
+    """
 
     labels: tuple
     probs: np.ndarray
-    states: tuple
+    states: np.ndarray
 
     def __post_init__(self):
         probs = validate_probs(self.probs)
-        states = tuple(np.asarray(s, dtype=complex) for s in self.states)
-        if not (len(self.labels) == len(probs) == len(states)):
+        if not (len(self.labels) == len(probs) == len(self.states)):
             raise ValueError("labels, probs and states must have equal length")
-        dim = states[0].shape[0]
-        for s in states:
-            if s.shape != (dim, dim):
-                raise ValueError("all states must share one dimension")
-            validate_density(s)
+        try:
+            states = np.array(self.states, dtype=complex)
+        except ValueError:  # states of unequal shape do not stack
+            states = None
+        if states is None or states.ndim != 3 or states.shape[1] != states.shape[2]:
+            raise ValueError("all states must share one dimension")
+        validate_density(states)
         probs = probs.copy()
         probs.setflags(write=False)
+        states.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
@@ -57,19 +62,19 @@ class CQEnsemble:
 
     @property
     def dim_b(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     def average_state(self) -> np.ndarray:
-        return sum(p * s for p, s in zip(self.probs, self.states))
+        return (self.probs[:, None, None] * self.states).sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LockingInstance:
     """Message size, basis unitaries and ensemble of a locking state; the key has KEY_BITS bits.
 
     The ensemble is built here: letter (a, k) is encoded as the integer
     a * 2 + k, has probability 1 / (2 d) and the state U_k|a><a|U_k^dagger.
-    keys and messages give k and a of each letter.
+    keys and messages give k and a of each letter. Instances compare by identity.
     """
 
     m: int
@@ -93,8 +98,9 @@ class LockingInstance:
                 if not mub_check(us[i], us[j], 1e-9):
                     raise ValueError("basis pair is not mutually unbiased")
         object.__setattr__(self, "basis_unitaries", us)
-        cols = [us[k][:, a] for a, k in zip(self.messages, self.keys)]
-        states = tuple(np.outer(col, col.conj()) for col in cols)
+        # row l is column a of U_k for letter l = a * 2 + k
+        cols = np.stack(us)[self.keys, :, self.messages]
+        states = cols[:, :, None] * cols[:, None, :].conj()
         probs = np.full(2 * d, 1.0 / (2 * d))
         object.__setattr__(self, "ensemble", CQEnsemble(labels=tuple(range(2 * d)), probs=probs, states=states))
 
@@ -198,12 +204,15 @@ def _complex_to_json(arr: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def _matrix_from_json(rows) -> np.ndarray:
+def _complex_from_json(entries) -> np.ndarray:
+    """Complex array from nested lists of [re, im] pairs of numbers, the inverse of _complex_to_json."""
     try:
-        entries = [[complex(re, im) for re, im in row] for row in rows]
-    except (TypeError, ValueError):
-        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
-    return np.array(entries)
+        pairs = np.array(entries)
+    except ValueError:  # ragged nesting
+        pairs = None
+    if pairs is None or pairs.dtype.kind not in "biuf" or pairs.ndim == 0 or pairs.shape[-1] != 2:
+        raise ValueError("matrix entries must be [re, im] pairs of numbers, in matrices of one shape")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
@@ -211,14 +220,13 @@ def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
         "labels": list(ens.labels),
         "probs": [float(p) for p in ens.probs],
         "dim_b": ens.dim_b,
-        "states": [_complex_to_json(s) for s in ens.states],
+        "states": _complex_to_json(ens.states),
     }
 
 
 def ensemble_from_json_dict(doc: dict) -> CQEnsemble:
-    states = tuple(_matrix_from_json(s) for s in doc["states"])
+    states = _complex_from_json(doc["states"])
     dim_b = int(doc["dim_b"])
-    for s in states:
-        if s.shape != (dim_b, dim_b):
-            raise ValueError("state dimension disagrees with dim_b")
+    if states.shape[1:] != (dim_b, dim_b):
+        raise ValueError("state dimension disagrees with dim_b")
     return CQEnsemble(labels=tuple(doc["labels"]), probs=np.asarray(doc["probs"], dtype=float), states=states)

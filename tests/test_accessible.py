@@ -14,6 +14,7 @@ from cqlock import (
     quantum_mutual_information,
     random_cq_ensemble,
     shannon_entropy,
+    von_neumann_entropy,
 )
 
 from cqlock import accessible
@@ -58,6 +59,32 @@ class TestHolevoChi:
         ens = random_cq_ensemble(3, 2, "mixed", seed=seed)
         rho = cq_to_density(ens)
         assert abs(holevo_chi(ens) - quantum_mutual_information(rho.mat, 3, 2)) < 1e-9
+
+
+def per_letter_chi(ens):
+    """S(sum p_a sigma_a) - sum p_a S(sigma_a), one entropy per letter."""
+    avg = sum(p * s for p, s in zip(ens.probs, ens.states))
+    return von_neumann_entropy(avg) - sum(p * von_neumann_entropy(s) for p, s in zip(ens.probs, ens.states))
+
+
+class TestHolevoChiPerLetterOracle:
+    @pytest.mark.parametrize("purity", ["pure", "mixed"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_random_ensembles(self, d, purity):
+        for seed in range(3):
+            ens = random_cq_ensemble(5, d, purity, seed=seed)
+            assert abs(holevo_chi(ens) - per_letter_chi(ens)) <= 1e-12
+
+    def test_zero_probability_letter(self):
+        ens = random_cq_ensemble(4, 3, "mixed", seed=8)
+        ens = CQEnsemble(ens.labels, np.array([0.5, 0.0, 0.3, 0.2]), ens.states)
+        assert abs(holevo_chi(ens) - per_letter_chi(ens)) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_locking_ensembles(self, m, family):
+        _, ens = build_locking_state(m, family)
+        assert abs(holevo_chi(ens) - per_letter_chi(ens)) <= 1e-12
 
 
 class TestAccessibleInformation:

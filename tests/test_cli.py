@@ -64,7 +64,7 @@ class TestDiscordCommand:
         assert "not finite" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, ["1", "0"]])
+    @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, ["1", "0"], [None, 0.0]])
     def test_entry_not_a_pair_exit_2(self, tmp_path, capsys, entry):
         doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         doc["states"][0][0][1] = entry

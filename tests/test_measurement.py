@@ -97,6 +97,13 @@ class TestPovm:
         with pytest.raises(ValueError, match="dim"):
             povm_from_json_dict({**doc, "dim": 3})
 
+    @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, ["1", "0"], [None, 0.0], "1"])
+    def test_json_entry_not_a_pair_rejected(self, entry):
+        doc = povm_to_json_dict(projective_povm(hadamard_tensor(1)))
+        doc["vectors"][1][0] = entry
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            povm_from_json_dict(doc)
+
 
 class TestMeasureB:
     def test_product_state_conditionals(self):

@@ -9,7 +9,6 @@ from cqlock import (
     classical_conditional_entropy,
     classical_mutual_information,
     conditional_mutual_information,
-    eig_hermitian,
     kl_divergence,
     partial_trace,
     quantum_conditional_entropy,
@@ -84,29 +83,6 @@ class TestTensorAndPartialTrace:
             assert abs(np.trace(red) - 1) < 1e-12
 
 
-class TestEigHermitian:
-    def test_diagonal(self):
-        vals, _ = eig_hermitian(np.diag([0.25, 0.75]).astype(complex))
-        assert np.allclose(vals, [0.25, 0.75])
-
-    def test_pauli_x(self):
-        vals, _ = eig_hermitian(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(vals, [-1, 1])
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(13)
-        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = (g + g.conj().T) / 2
-        vals, vecs = eig_hermitian(h)
-        assert np.max(np.abs(h - vecs @ np.diag(vals) @ vecs.conj().T)) < 1e-9
-        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(8))) < 1e-9
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestEntropies:
     def test_pure_state_zero(self):
         assert von_neumann_entropy(KET0) == 0.0
@@ -119,7 +95,7 @@ class TestEntropies:
 
     def test_two_state_mixture_matches_spectrum_oracle(self):
         rho = 0.5 * KET0 + 0.5 * PLUS
-        vals, _ = eig_hermitian(rho)
+        vals = np.linalg.eigvalsh(rho)
         expected = shannon_entropy(vals)
         assert abs(von_neumann_entropy(rho) - expected) < 1e-12
         assert abs(expected - h2((1 + 1 / np.sqrt(2)) / 2)) < 1e-12

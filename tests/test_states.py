@@ -5,6 +5,7 @@ import pytest
 
 from cqlock import (
     CQEnsemble,
+    DensityMatrix,
     LockingInstance,
     build_locking_state,
     cq_to_density,
@@ -45,6 +46,40 @@ class TestCqToDensity:
         ens = random_cq_ensemble(3, 2, "mixed", seed=6)
         marg = partial_trace(cq_to_density(ens), 3, 2, "A").mat
         assert np.max(np.abs(marg - np.diag(ens.probs))) < 1e-12
+
+
+class TestCQEnsemble:
+    def test_states_are_one_read_only_stack(self):
+        ens = CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, PLUS))
+        assert ens.states.shape == (2, 2, 2)
+        assert ens.states.dtype == complex
+        with pytest.raises(ValueError):
+            ens.states[0, 0, 0] = 0.0
+
+    def test_unequal_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="share one dimension"):
+            CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, np.eye(3) / 3))
+
+    def test_non_square_states_rejected(self):
+        with pytest.raises(ValueError, match="share one dimension"):
+            CQEnsemble((0,), np.array([1.0]), (np.ones((2, 3)) / 2,))
+
+    def test_stack_is_not_a_density_matrix(self):
+        with pytest.raises(ValueError, match="must be square"):
+            DensityMatrix(np.stack([KET0, KET1]))
+
+    def test_invalid_letter_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, np.array([[0.5, 0.5], [0.0, 0.5]])))
+
+    def test_compares_and_hashes_by_identity(self):
+        inst_a, ens_a = build_locking_state(1)
+        inst_b, ens_b = build_locking_state(1)
+        assert ens_a == ens_a
+        assert ens_a != ens_b
+        assert inst_a == inst_a
+        assert inst_a != inst_b
+        assert len({hash(ens_a), hash(ens_b), hash(inst_a), hash(inst_b)}) == 4
 
 
 class TestBuildLockingState:
@@ -204,6 +239,21 @@ class TestSerialization:
         ens = random_cq_ensemble(5, 4, "mixed", seed=2)
         reference = [[[[float(x.real), float(x.imag)] for x in row] for row in s] for s in ens.states]
         assert json.dumps(ensemble_to_json_dict(ens)["states"]) == json.dumps(reference)
+
+    @pytest.mark.parametrize("damage", ["ragged row", "unequal letters"])
+    def test_unequal_shapes_rejected(self, damage):
+        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=0))
+        if damage == "ragged row":
+            doc["states"][0][1].pop()
+        else:
+            doc["states"][1] = ensemble_to_json_dict(random_cq_ensemble(1, 3, "pure", seed=0))["states"][0]
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs of numbers, in matrices of one shape"):
+            ensemble_from_json_dict(doc)
+
+    def test_json_round_trip_is_exact(self):
+        ens = CQEnsemble((0,), np.array([1.0]), (np.array([[0.5, -0.5j], [0.5j, 0.5]]),))
+        back = ensemble_from_json_dict(json.loads(json.dumps(ensemble_to_json_dict(ens))))
+        assert json.dumps(ensemble_to_json_dict(back)) == json.dumps(ensemble_to_json_dict(ens))
 
     def test_dim_mismatch_rejected(self):
         ens = random_cq_ensemble(2, 2, "pure", seed=0)
