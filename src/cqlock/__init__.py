@@ -1,11 +1,9 @@
 """Classical and quantum correlation measures for classical-quantum states."""
 
 from .qmath import (
-    DEFAULT_TOL,
     DensityMatrix,
     DimensionError,
     JointDistribution,
-    Tolerances,
     classical_conditional_entropy,
     classical_mutual_information,
     conditional_mutual_information,

@@ -1,7 +1,7 @@
 """Maximization of measured mutual information over POVMs.
 
-The optimizer first evaluates a set of candidate projective bases
-(computational, MUB partners when supplied, eigenbasis of the B marginal).
+The optimizer first evaluates two candidate projective bases (computational
+and the eigenbasis of the B marginal).
 It then runs seeded random-restart gradient ascent over rank-1 POVMs with
 up to d^2 outcomes. A POVM with n outcomes is a d x n isometry W with
 W W^dagger = I_d, whose column b is the measurement vector of outcome b.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, shannon_entropy, von_neumann_entropy
+from .qmath import PROB_TOL, von_neumann_entropy
 from .states import CQEnsemble
 from .measurement import Povm, measured_mutual_information, projective_povm
 
@@ -102,13 +102,8 @@ class AccessibleInfoResult:
 
 
 def holevo_chi(ens: CQEnsemble) -> float:
-    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits.
-
-    With lambda_ai the eigenvalues of sigma_a, sum_a p_a S(sigma_a) = H({p_a lambda_ai}) - H(p),
-    so one batched eigvalsh of the stacked states gives the second term.
-    """
-    weighted_spectra = ens.probs[:, None] * np.linalg.eigvalsh(ens.states)
-    return von_neumann_entropy(ens.average_state()) + shannon_entropy(ens.probs) - shannon_entropy(weighted_spectra)
+    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits, with the letters' entropies from one batched call."""
+    return float(von_neumann_entropy(ens.average_state()) - ens.probs @ von_neumann_entropy(ens.states))
 
 
 def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,7 +113,7 @@ def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     vals, vecs = np.linalg.eigh(ens.states)
     # a unit-trace state always keeps its largest eigenvector
-    owner, col = np.nonzero(vals > DEFAULT_TOL.eig_cutoff)
+    owner, col = np.nonzero(vals > PROB_TOL)
     rows = np.sqrt(ens.probs[owner] * vals[owner, col])[:, None] * vecs[owner, :, col].conj()
     row_to_letter = (owner[:, None] == np.arange(ens.n_letters)[None, :]).astype(float)
     return rows, owner, row_to_letter
@@ -135,14 +130,14 @@ def _mi_and_gradient(factors: np.ndarray, owner: np.ndarray, row_to_letter: np.n
     # T[r, b, a] = p_a w_b^dagger sigma_a w_b, summed over the rows of letter a;
     # the columns of v are orthonormal, so sum_b T[r, b, a] = p_a and T sums to 1
     table = (kv.real**2 + kv.imag**2) @ row_to_letter
-    # entries at or below the entropy cutoff count as 0, as in shannon_entropy:
+    # entries at or below PROB_TOL count as 0, as in every entropy:
     # their ratio stays 1 and their log 0; there sigma_a w_b vanishes as well,
     # so they drop out of the gradient
     ratio = np.divide(
         table,
         table.sum(axis=2, keepdims=True) * table.sum(axis=1, keepdims=True),
         out=np.ones_like(table),
-        where=table > DEFAULT_TOL.eig_cutoff,
+        where=table > PROB_TOL,
     )
     log_ratio = np.log2(ratio)
     values = np.einsum("rba,rba->r", table, log_ratio)
@@ -230,13 +225,10 @@ def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int)
     return out_val, out_v, out_iters, np.sqrt(out_gg)
 
 
-def accessible_information(
-    ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig(), extra_candidates=()
-) -> AccessibleInfoResult:
-    """Best measured mutual information over candidate bases and random restarts.
+def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> AccessibleInfoResult:
+    """Best measured mutual information over the candidate bases and the random restarts.
 
-    extra_candidates holds unitaries whose column bases are tried before the
-    random search (used for the MUB partner of locking instances).
+    The candidates are the computational basis and the eigenbasis of the B marginal.
     """
     d = ens.dim_b
     if d > MAX_DIM_B:
@@ -247,7 +239,7 @@ def accessible_information(
     best_val = -1.0
     best_povm = None
     _, marginal_eigenbasis = np.linalg.eigh(ens.average_state())
-    for u in (np.eye(d, dtype=complex), marginal_eigenbasis, *extra_candidates):
+    for u in (np.eye(d, dtype=complex), marginal_eigenbasis):
         povm = projective_povm(u)
         val = measured_mutual_information(ens, povm)
         if val > best_val:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import qmath
-from .qmath import Tolerances, validate_density
+from .qmath import validate_density
 from .states import (
     CQEnsemble,
     _complex_to_json,
@@ -73,12 +73,12 @@ def write_report(report: dict, out_path: str | None, as_json: bool):
 
 
 def resolve_ensemble(args):
-    """Builtin name or ensemble file -> (ensemble, extra candidate unitaries)."""
+    """The ensemble named by a builtin or read from an ensemble file."""
     if args.ensemble:
         try:
             with open(args.ensemble) as fh:
                 doc = json.load(fh)
-            return ensemble_from_json_dict(doc), ()
+            return ensemble_from_json_dict(doc)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot load ensemble file: {exc}")
     name = args.builtin
@@ -91,12 +91,11 @@ def resolve_ensemble(args):
             raise InputError(f"bad builtin spec: {name!r}")
         if not 1 <= m <= 3:
             raise GuardError("locking builtin supports m=1..3")
-        inst, ens = build_locking_state(m, args.family)
-        return ens, inst.basis_unitaries[1:]
+        return build_locking_state(m, args.family)[1]
     if name == "bb84pair":
         zero = np.array([[1, 0], [0, 0]], dtype=complex)
         plus = np.full((2, 2), 0.5, dtype=complex)
-        return CQEnsemble((0, 1), np.array([0.5, 0.5]), (zero, plus)), ()
+        return CQEnsemble((0, 1), np.array([0.5, 0.5]), (zero, plus))
     if name.startswith("orthogonal:"):
         try:
             n = int(name.split(":", 1)[1])
@@ -106,7 +105,7 @@ def resolve_ensemble(args):
             raise GuardError("orthogonal builtin supports n=2..16")
         # letter a has the state |a><a|
         states = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
-        return CQEnsemble(tuple(range(n)), np.full(n, 1.0 / n), states), ()
+        return CQEnsemble(tuple(range(n)), np.full(n, 1.0 / n), states)
     raise InputError(f"unknown builtin: {name!r}")
 
 
@@ -124,8 +123,7 @@ def optimizer_config(args) -> OptimizerConfig:
 
 
 def cmd_discord(args) -> int:
-    ens, extra = resolve_ensemble(args)
-    report = quantum_discord_cq(ens, optimizer_config(args), extra)
+    report = quantum_discord_cq(resolve_ensemble(args), optimizer_config(args))
     print(f"quantum mutual information  {report.mutual_info_q:.4f} bits")
     print(f"accessible information      {report.i_acc:.4f} bits")
     print(f"quantum discord             {report.discord:.4f} bits")
@@ -172,7 +170,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _selftest_groups(tol: Tolerances):
+def _selftest_groups():
     """Invariant suite; yields (group name, check callable)."""
 
     def entropy_identities():
@@ -203,13 +201,13 @@ def _selftest_groups(tol: Tolerances):
             for family in ("hadamard", "fourier"):
                 _, ens = build_locking_state(m, family)
                 rho = cq_to_density(ens).mat
-                validate_density(rho, tol)
-                validate_density(ens.states, tol)
-                # conjugation leaves roundoff-scale Hermiticity error, which a
-                # sane tolerance must absorb
+                validate_density(rho)
+                validate_density(ens.states)
+                # conjugation leaves roundoff-scale Hermiticity error, which
+                # MATRIX_TOL must absorb
                 g = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
                 v, _ = np.linalg.qr(g)
-                validate_density(v @ rho @ v.conj().T, tol)
+                validate_density(v @ rho @ v.conj().T)
 
     def povm_completeness():
         rng = np.random.default_rng(5)
@@ -249,9 +247,8 @@ def _selftest_groups(tol: Tolerances):
 
 
 def cmd_selftest(args) -> int:
-    tol = Tolerances(hermitian=args.tol_herm) if args.tol_herm is not None else Tolerances()
     results = []
-    for name, check in _selftest_groups(tol):
+    for name, check in _selftest_groups():
         try:
             check()
             results.append({"group": name, "passed": True, "detail": ""})
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tol-herm", type=float, default=None, help="override the Hermiticity tolerance")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import classical_mutual_information, shannon_entropy
+from .qmath import MATRIX_TOL, classical_mutual_information, shannon_entropy
 from .states import KEY_BITS, CQEnsemble, LockingInstance
 from .measurement import after_key_table, measured_conditional_entropy
 from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information, holevo_chi
@@ -57,16 +57,14 @@ class ChainReport:
     inequalities_hold: bool
 
 
-def quantum_discord_cq(
-    ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig(), extra_candidates=()
-) -> DiscordReport:
+def quantum_discord_cq(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> DiscordReport:
     """Discord = quantum mutual information minus best-found accessible information.
 
     A is classical, so I(A:B) is the Holevo quantity chi that the search
     reports as its upper bound and S(A|B) = H(A) - chi; the measured
     conditional entropy is H(A|B) of the table the best POVM induces.
     """
-    acc = accessible_information(ens, cfg, extra_candidates)
+    acc = accessible_information(ens, cfg)
     chi = acc.upper_bound
     return DiscordReport(
         mutual_info_q=chi,
@@ -96,8 +94,7 @@ def locking_delta(inst: LockingInstance, cfg: OptimizerConfig = OptimizerConfig(
     is chi minus the same search's value, so the residual isolates the identity.
     """
     i_with = key_then_measure_info(inst)
-    mub_partners = inst.basis_unitaries[1:]
-    acc = accessible_information(inst.ensemble, cfg, extra_candidates=mub_partners)
+    acc = accessible_information(inst.ensemble, cfg)
     delta = i_with - (acc.value + KEY_BITS)
     discord = acc.upper_bound - acc.value
     return LockingReport(
@@ -139,7 +136,7 @@ def single_copy_identity_chain(inst: LockingInstance) -> ChainReport:
     vals = (v1, v2, v3)
     resid = max(vals) - min(vals)
     cap = inst.m + KEY_BITS
-    ineq = v2 <= v3 + 1e-9 and v3 <= cap + 1e-9
+    ineq = v2 <= v3 + MATRIX_TOL and v3 <= cap + MATRIX_TOL
     return ChainReport(
         i_acc_with_key=float(v1),
         i_q_with_key=float(v2),

@@ -7,12 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import (
-    DEFAULT_TOL,
+    PROB_TOL,
     DensityMatrix,
     DimensionError,
     JointDistribution,
     classical_conditional_entropy,
     classical_mutual_information,
+    validate_isometry,
 )
 from .states import CQEnsemble, LockingInstance, _complex_from_json, _complex_to_json
 
@@ -29,8 +30,6 @@ __all__ = [
     "povm_from_json_dict",
 ]
 
-PROB_CUTOFF = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class Povm:
@@ -45,13 +44,7 @@ class Povm:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=complex)
-        if v.ndim != 2 or not 1 <= v.shape[1] <= v.shape[0]:
-            raise ValueError("POVM vectors must be an n x d array with n >= d >= 1")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("POVM vectors are not finite")
-        if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > DEFAULT_TOL.hermitian:
-            raise ValueError("POVM vectors are not an isometry: V^dagger V != I")
+        v = validate_isometry(self.vectors).copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
@@ -78,7 +71,7 @@ class Povm:
 class OutcomeAnalysis:
     """Outcome probabilities with the conditional states of the unmeasured side.
 
-    Outcomes of probability <= 1e-12 are dropped and carry no conditional state.
+    Outcomes of probability at or below PROB_TOL are dropped and carry no conditional state.
     """
 
     outcome_probs: np.ndarray
@@ -107,7 +100,7 @@ def measure_b(rho_ab, dim_a: int, dim_b: int, povm: Povm) -> OutcomeAnalysis:
         # Tr_B[(I (x) M_b) rho], unnormalized
         block = np.einsum("ijkl,lj->ik", r, m_b)
         p = np.trace(block).real
-        if p > PROB_CUTOFF:
+        if p > PROB_TOL:
             probs.append(p)
             states.append(DensityMatrix(block / p))
     probs = np.asarray(probs)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import (
+    PROB_TOL,
     JointDistribution,
     classical_mutual_information,
     conditional_mutual_information,
@@ -157,5 +158,5 @@ def classical_key_bound_check(j) -> KeyBoundReport:
         i_ab=float(i_ab),
         i_abk=float(i_abk),
         chain_residual=float(abs(i_abk - i_ab - i_ak_b)),
-        bound_holds=bool(i_ak_b <= key_bits + 1e-12),
+        bound_holds=bool(i_ak_b <= key_bits + PROB_TOL),
     )

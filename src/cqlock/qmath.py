@@ -1,8 +1,10 @@
-"""Complex linear algebra and the entropy / information functionals.
+"""Complex linear algebra, the entropy / information functionals and the package's one numerical policy.
 
 All information quantities are in bits (log base 2). Density matrices are
 plain complex numpy arrays wrapped in a validating dataclass; classical
-joint distributions are nonnegative numpy tables summing to one.
+joint distributions are nonnegative numpy tables summing to one. Every
+validator of a state, isometry or probability table lives here, and every
+module reads its tolerances from MATRIX_TOL and PROB_TOL.
 """
 
 from __future__ import annotations
@@ -11,14 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# slack of every matrix identity (Hermiticity, unit trace, positivity, V^dagger V = I,
+# unbiasedness) and of the checks on quantities computed from eigenvalues
+MATRIX_TOL = 1e-9
+# slack of a probability sum and of a negative probability entry; a probability
+# or eigenvalue at or below it counts as 0 in every entropy
+PROB_TOL = 1e-12
+
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
+    "MATRIX_TOL",
+    "PROB_TOL",
     "DimensionError",
     "DensityMatrix",
     "JointDistribution",
     "validate_density",
     "validate_probs",
+    "validate_isometry",
     "tensor",
     "partial_trace",
     "von_neumann_entropy",
@@ -36,48 +46,46 @@ class DimensionError(ValueError):
     """Subsystem dimensions do not factorize or match the operator."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerance record shared by all validators."""
-
-    hermitian: float = 1e-9
-    trace: float = 1e-9
-    psd: float = 1e-9
-    prob: float = 1e-12
-    eig_cutoff: float = 1e-12
-
-
-DEFAULT_TOL = Tolerances()
-
-
-def validate_probs(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def validate_probs(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be a nonempty 1-d array")
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities are not finite")
-    if np.any(p < -tol.prob):
+    if np.any(p < -PROB_TOL):
         raise ValueError("negative probability entry")
-    if abs(p.sum() - 1.0) > tol.prob:
+    if abs(p.sum() - 1.0) > PROB_TOL:
         raise ValueError("probabilities do not sum to 1")
     return p
 
 
-def validate_density(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def validate_density(mat) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a matrix, or of each matrix of a stack; returns the array."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError("density matrix must be square")
     if not np.all(np.isfinite(mat)):
         raise ValueError("density matrix entries are not finite")
-    if np.max(np.abs(mat - np.swapaxes(mat.conj(), -2, -1))) > tol.hermitian:
+    if np.max(np.abs(mat - np.swapaxes(mat.conj(), -2, -1))) > MATRIX_TOL:
         raise ValueError("matrix is not Hermitian")
     trace = np.trace(mat, axis1=-2, axis2=-1)
-    if np.max(np.abs(trace.real - 1.0)) > tol.trace or np.max(np.abs(trace.imag)) > tol.trace:
+    if np.max(np.abs(trace.real - 1.0)) > MATRIX_TOL or np.max(np.abs(trace.imag)) > MATRIX_TOL:
         raise ValueError("trace is not 1")
-    if np.min(np.linalg.eigvalsh(mat)[..., 0]) < -tol.psd:
+    if np.min(np.linalg.eigvalsh(mat)[..., 0]) < -MATRIX_TOL:
         raise ValueError("matrix is not positive semidefinite")
     return mat
+
+
+def validate_isometry(v) -> np.ndarray:
+    """Check that v is a finite n x d matrix, n >= d >= 1, with orthonormal columns (V^dagger V = I); returns the array."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 2 or not 1 <= v.shape[1] <= v.shape[0]:
+        raise ValueError("isometry must be an n x d array with n >= d >= 1")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("isometry entries are not finite")
+    if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > MATRIX_TOL:
+        raise ValueError("matrix is not an isometry: V^dagger V != I")
+    return v
 
 
 @dataclass(frozen=True)
@@ -108,12 +116,7 @@ class JointDistribution:
         t = np.asarray(self.table, dtype=float)
         if t.ndim not in (2, 3):
             raise ValueError("joint distribution must have 2 or 3 variables")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("joint distribution entries are not finite")
-        if np.any(t < -1e-15):
-            raise ValueError("negative probability entry")
-        if abs(t.sum() - 1.0) > 1e-12:
-            raise ValueError("table does not sum to 1")
+        validate_probs(t.ravel())
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
@@ -158,25 +161,24 @@ def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _entropy_of_spectrum(vals: np.ndarray, tol: Tolerances) -> float:
-    vals = np.where((vals < 0) & (vals >= -tol.psd), 0.0, vals)
-    vals = vals[vals > tol.eig_cutoff]
-    return float(-(vals * np.log2(vals)).sum())
+def _entropy_of_spectrum(vals: np.ndarray):
+    """-sum v log2 v over the last axis; entries at or below PROB_TOL contribute 0."""
+    kept = vals > PROB_TOL
+    logs = np.log2(vals, out=np.zeros_like(vals), where=kept)
+    return -(vals * logs).sum(axis=-1)
 
 
-def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOL) -> float:
-    """S(rho) = -Tr rho log2 rho, in bits."""
-    vals = np.linalg.eigvalsh(_as_mat(rho))
-    return _entropy_of_spectrum(vals, tol)
+def von_neumann_entropy(rho):
+    """S(rho) = -Tr rho log2 rho, in bits; a stack of matrices gives one entropy per matrix."""
+    return _entropy_of_spectrum(np.linalg.eigvalsh(_as_mat(rho)))
 
 
-def shannon_entropy(p, tol: Tolerances = DEFAULT_TOL) -> float:
+def shannon_entropy(p) -> float:
     """H(p) = -sum p log2 p, in bits; zero entries contribute 0."""
-    p = np.asarray(p, dtype=float).ravel()
-    return _entropy_of_spectrum(p, tol)
+    return float(_entropy_of_spectrum(np.asarray(p, dtype=float).ravel()))
 
 
-def kl_divergence(p, q, tol: Tolerances = DEFAULT_TOL) -> float:
+def kl_divergence(p, q) -> float:
     """Relative entropy D(p || q) in bits.
 
     Raises if p puts mass where q has none.
@@ -185,8 +187,8 @@ def kl_divergence(p, q, tol: Tolerances = DEFAULT_TOL) -> float:
     q = np.asarray(q, dtype=float).ravel()
     if p.shape != q.shape:
         raise ValueError("distributions must have equal length")
-    support = p > tol.eig_cutoff
-    if np.any(q[support] <= tol.eig_cutoff):
+    support = p > PROB_TOL
+    if np.any(q[support] <= PROB_TOL):
         raise ValueError("divergence infinite")
     return float((p[support] * np.log2(p[support] / q[support])).sum())
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import DensityMatrix, DimensionError, validate_density, validate_probs
+from .qmath import MATRIX_TOL, DensityMatrix, DimensionError, validate_density, validate_isometry, validate_probs
 
 __all__ = [
     "CQEnsemble",
@@ -86,16 +86,15 @@ class LockingInstance:
         if len(us) != 2**KEY_BITS:
             raise ValueError(f"a locking instance has one basis per key value, {2**KEY_BITS} in all")
         d = 2**self.m
-        if np.max(np.abs(us[0] - np.eye(d))) > 1e-9:
-            raise ValueError("first basis unitary must be the identity")
         for u in us:
             if u.shape != (d, d):
                 raise ValueError("basis unitary has wrong dimension")
-            if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-9:
-                raise ValueError("basis matrix is not unitary")
+            validate_isometry(u)
+        if np.max(np.abs(us[0] - np.eye(d))) > MATRIX_TOL:
+            raise ValueError("first basis unitary must be the identity")
         for i in range(len(us)):
             for j in range(i + 1, len(us)):
-                if not mub_check(us[i], us[j], 1e-9):
+                if not mub_check(us[i], us[j]):
                     raise ValueError("basis pair is not mutually unbiased")
         object.__setattr__(self, "basis_unitaries", us)
         # row l is column a of U_k for letter l = a * 2 + k
@@ -144,7 +143,7 @@ def fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
 
 
-def mub_check(u, v, tol: float = 1e-9) -> bool:
+def mub_check(u, v) -> bool:
     """True iff the bases given by the columns of u and v are mutually unbiased."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -152,7 +151,7 @@ def mub_check(u, v, tol: float = 1e-9) -> bool:
         raise DimensionError("unitaries must be square and of equal dimension")
     d = u.shape[0]
     overlaps = np.abs(u.conj().T @ v) ** 2
-    return bool(np.max(np.abs(overlaps - 1.0 / d)) <= tol)
+    return bool(np.max(np.abs(overlaps - 1.0 / d)) <= MATRIX_TOL)
 
 
 def build_locking_state(m: int, family: str = "hadamard"):

@@ -30,8 +30,8 @@ class TestQuantumDiscord:
         assert abs(rep.discord) < 1e-6
 
     def test_locking_m1_half_bit(self, fast_cfg):
-        inst, ens = build_locking_state(1)
-        rep = quantum_discord_cq(ens, fast_cfg, extra_candidates=inst.basis_unitaries[1:])
+        _, ens = build_locking_state(1)
+        rep = quantum_discord_cq(ens, fast_cfg)
         assert abs(rep.discord - 0.5) < 1e-3
 
     def test_bb84_pair_vs_grid_oracle(self):

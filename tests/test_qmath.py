@@ -5,7 +5,6 @@ from cqlock import (
     DensityMatrix,
     DimensionError,
     JointDistribution,
-    Tolerances,
     classical_conditional_entropy,
     classical_mutual_information,
     conditional_mutual_information,
@@ -17,7 +16,7 @@ from cqlock import (
     tensor,
     von_neumann_entropy,
 )
-from cqlock.qmath import validate_density, validate_probs
+from cqlock.qmath import validate_density, validate_isometry, validate_probs
 from cqlock.states import CQEnsemble, cq_to_density, random_cq_ensemble
 
 from conftest import bell_state, random_unitary
@@ -123,6 +122,13 @@ class TestEntropies:
 
     def test_shannon_dyadic(self):
         assert abs(shannon_entropy([0.5, 0.25, 0.25]) - 1.5) < 1e-12
+
+    def test_stack_gives_one_entropy_per_matrix(self):
+        ens = random_cq_ensemble(5, 3, "mixed", seed=4)
+        stacked = von_neumann_entropy(np.stack([KET0, PLUS, np.eye(2) / 2]))
+        assert stacked.shape == (3,)
+        assert np.allclose(stacked, [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.array_equal(von_neumann_entropy(ens.states), [von_neumann_entropy(s) for s in ens.states])
 
 
 class TestKLDivergence:
@@ -255,12 +261,61 @@ class TestDensityMatrixValidation:
             dm.mat[0, 0] = 3.0
 
 
+class TestIsometryValidation:
+    def test_accepts_isometry(self):
+        v = random_unitary(4, np.random.default_rng(2))[:, :3]
+        assert np.array_equal(validate_isometry(v), v)
+        assert np.array_equal(validate_isometry(np.eye(2)), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        v = np.eye(3, 2, dtype=complex)
+        v[0, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            validate_isometry(v)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3, 0), (2,), (2, 2, 2)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="n >= d >= 1"):
+            validate_isometry(np.zeros(shape))
+
+    def test_rejects_non_isometry(self):
+        with pytest.raises(ValueError, match="not an isometry"):
+            validate_isometry(np.ones((3, 2)) / np.sqrt(3))
+        # an isometry off by more than MATRIX_TOL in one entry
+        with pytest.raises(ValueError, match="not an isometry"):
+            validate_isometry(np.eye(2) * (1 + 1e-8))
+        validate_isometry(np.eye(2) * (1 + 1e-11))
+
+
+class TestJointDistributionValidation:
+    """JointDistribution validates its flattened table with validate_probs."""
+
+    def test_negative_entry(self):
+        with pytest.raises(ValueError, match="negative probability entry"):
+            JointDistribution(np.array([[0.5, -1e-11], [0.25, 0.25 + 1e-11]]))
+        # an entry within PROB_TOL of 0 is accepted
+        JointDistribution(np.array([[0.5, -1e-13], [0.25, 0.25 + 1e-13]]))
+
+    def test_sum(self):
+        with pytest.raises(ValueError, match="probabilities do not sum to 1"):
+            JointDistribution(np.full((2, 2), 0.3))
+
+    def test_non_finite(self):
+        with pytest.raises(ValueError, match="probabilities are not finite"):
+            JointDistribution(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+
+    def test_variable_count(self):
+        with pytest.raises(ValueError, match="2 or 3 variables"):
+            JointDistribution(np.full(4, 0.25))
+
+
 class TestProbabilityValidation:
     def test_sum_check_uses_prob_tolerance(self):
-        p = [0.5, 0.5 + 1e-9]
+        p = [0.5, 0.5 + 1e-13]
+        assert np.array_equal(validate_probs(p), p)
         with pytest.raises(ValueError, match="sum to 1"):
-            validate_probs(p)
-        assert np.array_equal(validate_probs(p, Tolerances(prob=1e-6)), p)
+            validate_probs([0.5, 0.5 + 1e-9])
 
 
 class TestNonFiniteInput:

@@ -109,6 +109,19 @@ class TestBuildLockingState:
         with pytest.raises(ValueError, match="one basis per key value"):
             LockingInstance(m=1, basis_unitaries=(np.eye(2), hadamard_tensor(1), y_basis)[:n_bases])
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_basis_rejected(self, which):
+        us = [np.eye(2, dtype=complex), hadamard_tensor(1)]
+        us[which][0, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            LockingInstance(m=1, basis_unitaries=tuple(us))
+
+    def test_non_unitary_basis_rejected(self):
+        with pytest.raises(ValueError, match="not an isometry"):
+            LockingInstance(m=1, basis_unitaries=(np.eye(2), 2 * hadamard_tensor(1)))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            LockingInstance(m=1, basis_unitaries=(np.eye(2), hadamard_tensor(2)))
+
     def test_m2_marginal(self):
         inst, ens = build_locking_state(2)
         assert ens.n_letters == 8
