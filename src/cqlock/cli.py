@@ -79,7 +79,7 @@ def resolve_ensemble(args):
             with open(args.ensemble) as fh:
                 doc = json.load(fh)
             return ensemble_from_json_dict(doc)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise InputError(f"cannot load ensemble file: {exc}")
     name = args.builtin
     if name is None:
@@ -200,8 +200,7 @@ def _selftest_groups():
         for m in (1, 2):
             for family in ("hadamard", "fourier"):
                 _, ens = build_locking_state(m, family)
-                rho = cq_to_density(ens).mat
-                validate_density(rho)
+                rho = cq_to_density(ens)
                 validate_density(ens.states)
                 # conjugation leaves roundoff-scale Hermiticity error, which
                 # MATRIX_TOL must absorb
@@ -214,9 +213,9 @@ def _selftest_groups():
         for d in (2, 3, 4):
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             u, _ = np.linalg.qr(g)
-            povm = projective_povm(u)
-            total = sum(povm.elements)
-            assert np.max(np.abs(total - np.eye(d))) <= 1e-9
+            v = projective_povm(u).vectors
+            # V^T conj(V) = sum_b |v_b><v_b|
+            assert np.max(np.abs(v.T @ v.conj() - np.eye(d))) <= 1e-9
 
     def discord_bounds():
         from .accessible import holevo_chi

@@ -8,21 +8,18 @@ import numpy as np
 
 from .qmath import (
     PROB_TOL,
-    DensityMatrix,
     DimensionError,
-    JointDistribution,
     classical_conditional_entropy,
     classical_mutual_information,
+    validate_density,
     validate_isometry,
 )
-from .states import CQEnsemble, LockingInstance, _complex_from_json, _complex_to_json
+from .states import CQEnsemble, LockingInstance, _complex_from_json, _complex_to_json, _int_from_json
 
 __all__ = [
     "Povm",
-    "OutcomeAnalysis",
     "projective_povm",
-    "measure_b",
-    "induced_joint",
+    "induced_table",
     "after_key_table",
     "measured_mutual_information",
     "measured_conditional_entropy",
@@ -61,22 +58,6 @@ class Povm:
     def n_outcomes(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def elements(self) -> np.ndarray:
-        """The n elements |v_b><v_b|, stacked as an (n, d, d) array."""
-        return self.vectors[:, :, None] * self.vectors[:, None, :].conj()
-
-
-@dataclass(frozen=True)
-class OutcomeAnalysis:
-    """Outcome probabilities with the conditional states of the unmeasured side.
-
-    Outcomes of probability at or below PROB_TOL are dropped and carry no conditional state.
-    """
-
-    outcome_probs: np.ndarray
-    conditional_states: tuple
-
 
 def projective_povm(u) -> Povm:
     """Rank-1 projective measurement onto the columns of a unitary."""
@@ -86,34 +67,27 @@ def projective_povm(u) -> Povm:
     return Povm(u.T)
 
 
-def measure_b(rho_ab, dim_a: int, dim_b: int, povm: Povm) -> OutcomeAnalysis:
-    """Apply {I_A (x) M_b} to a bipartite state; returns p_b and rho_{A|b}."""
-    mat = rho_ab.mat if isinstance(rho_ab, DensityMatrix) else np.asarray(rho_ab, dtype=complex)
+def measure_b(rho_ab, dim_a: int, dim_b: int, povm: Povm):
+    """Apply {I_A (x) |v_b><v_b|} to a bipartite state; returns p_b and the (k, dim_a, dim_a) stack of rho_{A|b}.
+
+    Outcomes of probability at or below PROB_TOL are dropped and carry no
+    conditional state. Test oracle, outside __all__; the benchmark traces it by name.
+    """
+    mat = np.asarray(rho_ab, dtype=complex)
     if mat.shape[0] != dim_a * dim_b:
         raise DimensionError("bad factorization")
     if povm.dim != dim_b:
         raise DimensionError("POVM dimension does not match subsystem B")
-    r = mat.reshape(dim_a, dim_b, dim_a, dim_b)
-    probs = []
-    states = []
-    for m_b in povm.elements:
-        # Tr_B[(I (x) M_b) rho], unnormalized
-        block = np.einsum("ijkl,lj->ik", r, m_b)
-        p = np.trace(block).real
-        if p > PROB_TOL:
-            probs.append(p)
-            states.append(DensityMatrix(block / p))
-    probs = np.asarray(probs)
-    probs = probs / probs.sum()
-    return OutcomeAnalysis(outcome_probs=probs, conditional_states=tuple(states))
+    v = povm.vectors
+    # Tr_B[(I (x) |v_b><v_b|) rho] = sum_jl v_b[j]^* v_b[l] rho[ij, kl], unnormalized
+    blocks = np.einsum("ijkl,bl,bj->bik", mat.reshape(dim_a, dim_b, dim_a, dim_b), v, v.conj())
+    p = np.trace(blocks, axis1=1, axis2=2).real
+    kept = p > PROB_TOL
+    return p[kept] / p[kept].sum(), validate_density(blocks[kept] / p[kept, None, None])
 
 
-def induced_joint(ens: CQEnsemble, povm: Povm) -> JointDistribution:
-    """Classical joint p(a, b) = p_a Tr(M_b sigma^(a))."""
-    return JointDistribution(_induced_table(ens, povm))
-
-
-def _induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:
+def induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:
+    """Classical joint table p(a, b) = p_a <v_b| sigma_a |v_b> that the POVM induces on the ensemble."""
     if povm.dim != ens.dim_b:
         raise DimensionError("POVM dimension does not match ensemble")
     # p_a^-1 T[a, b] = v_b^dagger sigma_a v_b
@@ -134,23 +108,23 @@ def after_key_table(inst: LockingInstance) -> np.ndarray:
     table = np.zeros((ens.n_letters, ens.n_letters))
     for k, u in enumerate(inst.basis_unitaries):
         mine = inst.keys == k
-        table[mine, k::2] = _induced_table(ens, projective_povm(u))[mine]
+        table[mine, k::2] = induced_table(ens, projective_povm(u))[mine]
     return table
 
 
 def measured_mutual_information(ens: CQEnsemble, povm: Povm) -> float:
     """Classical mutual information extracted by the given measurement."""
-    return classical_mutual_information(_induced_table(ens, povm))
+    return classical_mutual_information(induced_table(ens, povm))
 
 
 def measured_conditional_entropy(ens: CQEnsemble, povm: Povm) -> float:
     """sum_b p_b S(rho_{A|b}) for the given measurement, in bits.
 
     Every rho_{A|b} of a CQ state is diagonal with entries p(a|b), so the sum
-    is H(A|B) of the induced joint table; measure_b gives the same value from
-    the full bipartite state.
+    is H(A|B) of the induced joint table; the measure_b oracle gives the same
+    value from the full bipartite state.
     """
-    return classical_conditional_entropy(_induced_table(ens, povm))
+    return classical_conditional_entropy(induced_table(ens, povm))
 
 
 def povm_to_json_dict(povm: Povm) -> dict:
@@ -159,6 +133,6 @@ def povm_to_json_dict(povm: Povm) -> dict:
 
 def povm_from_json_dict(doc: dict) -> Povm:
     povm = Povm(_complex_from_json(doc["vectors"]))
-    if povm.dim != int(doc["dim"]):
+    if povm.dim != _int_from_json(doc["dim"], "POVM dim"):
         raise ValueError("POVM vectors disagree with dim")
     return povm

@@ -8,12 +8,12 @@ import numpy as np
 
 from .qmath import (
     PROB_TOL,
-    JointDistribution,
     classical_mutual_information,
     conditional_mutual_information,
+    validate_probs,
 )
 from .states import LockingInstance
-from .measurement import Povm, _induced_table, after_key_table
+from .measurement import Povm, after_key_table, induced_table
 
 __all__ = [
     "StrategySpec",
@@ -107,7 +107,7 @@ def simulate_locking_run(
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"number of samples must lie in [1, {MAX_SAMPLES}]")
     if strategy.kind == "before_key":
-        joint = _induced_table(inst.ensemble, strategy.povm)
+        joint = induced_table(inst.ensemble, strategy.povm)
     else:
         joint = after_key_table(inst)
     counts = np.random.default_rng(seed).multinomial(n_samples, joint.ravel()).reshape(joint.shape)
@@ -129,23 +129,23 @@ def simulate_locking_run(
     )
 
 
-def one_time_pad_joint(m: int) -> JointDistribution:
+def one_time_pad_joint(m: int) -> np.ndarray:
     """Exact (A, B, K) table for B = A xor K with uniform message and key."""
     if not 1 <= m <= 3:
         raise ValueError("message size out of range (1..3)")
     size = 2**m
+    a, k = np.arange(size)[:, None], np.arange(size)
     table = np.zeros((size, size, size))
-    for a in range(size):
-        for k in range(size):
-            table[a, a ^ k, k] = 1.0 / size**2
-    return JointDistribution(table)
+    table[a, a ^ k, k] = 1.0 / size**2
+    return table
 
 
-def classical_key_bound_check(j) -> KeyBoundReport:
-    """Key-size bound and chain-rule accounting on an (A, B, K) joint."""
-    table = j.table if isinstance(j, JointDistribution) else np.asarray(j, dtype=float)
+def classical_key_bound_check(table) -> KeyBoundReport:
+    """Key-size bound and chain-rule accounting on an (A, B, K) joint table, validated as a distribution."""
+    table = np.asarray(table, dtype=float)
     if table.ndim != 3:
         raise ValueError("expected a 3-variable joint")
+    validate_probs(table.ravel())
     key_bits = float(np.log2(table.shape[2]))
     i_ak_b = conditional_mutual_information(table)
     i_ab = classical_mutual_information(table.sum(axis=2))

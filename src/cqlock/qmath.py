@@ -1,15 +1,13 @@
 """Complex linear algebra, the entropy / information functionals and the package's one numerical policy.
 
 All information quantities are in bits (log base 2). Density matrices are
-plain complex numpy arrays wrapped in a validating dataclass; classical
-joint distributions are nonnegative numpy tables summing to one. Every
-validator of a state, isometry or probability table lives here, and every
-module reads its tolerances from MATRIX_TOL and PROB_TOL.
+plain complex numpy arrays; classical joint distributions are nonnegative
+numpy tables summing to one. Every validator of a state, isometry or
+probability table lives here, and every module reads its tolerances from
+MATRIX_TOL and PROB_TOL.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +22,14 @@ __all__ = [
     "MATRIX_TOL",
     "PROB_TOL",
     "DimensionError",
-    "DensityMatrix",
-    "JointDistribution",
     "validate_density",
     "validate_probs",
     "validate_isometry",
-    "tensor",
-    "partial_trace",
     "von_neumann_entropy",
     "shannon_entropy",
-    "kl_divergence",
     "classical_mutual_information",
     "classical_conditional_entropy",
     "conditional_mutual_information",
-    "quantum_mutual_information",
-    "quantum_conditional_entropy",
 ]
 
 
@@ -88,67 +79,13 @@ def validate_isometry(v) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, PSD, unit-trace operator. Immutable after construction."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        if np.ndim(self.mat) != 2:
-            raise ValueError("density matrix must be square")
-        mat = validate_density(self.mat).copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint probability table over 2 or 3 classical variables."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim not in (2, 3):
-            raise ValueError("joint distribution must have 2 or 3 variables")
-        validate_probs(t.ravel())
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    @property
-    def shape(self):
-        return self.table.shape
-
-    def marginal(self, axis: int) -> np.ndarray:
-        axes = tuple(i for i in range(self.table.ndim) if i != axis)
-        return self.table.sum(axis=axes)
-
-
-def _as_mat(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
-def _as_table(j) -> np.ndarray:
-    return j.table if isinstance(j, JointDistribution) else np.asarray(j, dtype=float)
-
-
-def tensor(a, b) -> DensityMatrix:
-    """Kronecker product of two states, a's index major."""
-    return DensityMatrix(np.kron(_as_mat(a), _as_mat(b)))
-
-
-def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> DensityMatrix:
-    """Reduced state of a bipartite operator on the kept subsystem.
+def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
+    """Reduced state of a bipartite operator on the kept subsystem, validated.
 
     keep is "A" or "B"; rho must live on a dim_a x dim_b tensor product.
+    Test oracle, outside __all__; the benchmark traces it by name.
     """
-    mat = _as_mat(rho)
+    mat = np.asarray(rho, dtype=complex)
     if mat.shape[0] != dim_a * dim_b:
         raise DimensionError("bad factorization")
     r = mat.reshape(dim_a, dim_b, dim_a, dim_b)
@@ -158,7 +95,7 @@ def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> DensityMatrix:
         out = np.einsum("ijil->jl", r)
     else:
         raise ValueError("keep must be 'A' or 'B'")
-    return DensityMatrix(out)
+    return validate_density(out)
 
 
 def _entropy_of_spectrum(vals: np.ndarray):
@@ -170,7 +107,7 @@ def _entropy_of_spectrum(vals: np.ndarray):
 
 def von_neumann_entropy(rho):
     """S(rho) = -Tr rho log2 rho, in bits; a stack of matrices gives one entropy per matrix."""
-    return _entropy_of_spectrum(np.linalg.eigvalsh(_as_mat(rho)))
+    return _entropy_of_spectrum(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
 
 
 def shannon_entropy(p) -> float:
@@ -178,24 +115,9 @@ def shannon_entropy(p) -> float:
     return float(_entropy_of_spectrum(np.asarray(p, dtype=float).ravel()))
 
 
-def kl_divergence(p, q) -> float:
-    """Relative entropy D(p || q) in bits.
-
-    Raises if p puts mass where q has none.
-    """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != q.shape:
-        raise ValueError("distributions must have equal length")
-    support = p > PROB_TOL
-    if np.any(q[support] <= PROB_TOL):
-        raise ValueError("divergence infinite")
-    return float((p[support] * np.log2(p[support] / q[support])).sum())
-
-
 def classical_mutual_information(j) -> float:
     """I(A;B) = H(A) + H(B) - H(A,B) of a two-variable joint table."""
-    t = _as_table(j)
+    t = np.asarray(j, dtype=float)
     if t.ndim != 2:
         raise ValueError("expected a 2-variable joint")
     return (
@@ -207,7 +129,7 @@ def classical_mutual_information(j) -> float:
 
 def classical_conditional_entropy(j) -> float:
     """H(A|B) = H(A,B) - H(B) of a two-variable joint table."""
-    t = _as_table(j)
+    t = np.asarray(j, dtype=float)
     if t.ndim != 2:
         raise ValueError("expected a 2-variable joint")
     return shannon_entropy(t) - shannon_entropy(t.sum(axis=0))
@@ -215,7 +137,7 @@ def classical_conditional_entropy(j) -> float:
 
 def conditional_mutual_information(j) -> float:
     """I(A;K|B) of a three-variable joint with axes ordered (A, B, K)."""
-    t = _as_table(j)
+    t = np.asarray(j, dtype=float)
     if t.ndim != 3:
         raise ValueError("expected a 3-variable joint")
     h_ab = shannon_entropy(t.sum(axis=2))
@@ -226,8 +148,11 @@ def conditional_mutual_information(j) -> float:
 
 
 def quantum_mutual_information(rho, dim_a: int, dim_b: int) -> float:
-    """I(A;B) = S(A) + S(B) - S(A,B) in bits."""
-    mat = _as_mat(rho)
+    """I(A;B) = S(A) + S(B) - S(A,B) in bits.
+
+    Test oracle, outside __all__; the benchmark traces it by name.
+    """
+    mat = np.asarray(rho, dtype=complex)
     if mat.shape[0] != dim_a * dim_b:
         raise DimensionError("bad factorization")
     s_a = von_neumann_entropy(partial_trace(mat, dim_a, dim_b, "A"))
@@ -236,8 +161,11 @@ def quantum_mutual_information(rho, dim_a: int, dim_b: int) -> float:
 
 
 def quantum_conditional_entropy(rho, dim_a: int, dim_b: int) -> float:
-    """S(A|B) = S(A,B) - S(B); may be negative for entangled states."""
-    mat = _as_mat(rho)
+    """S(A|B) = S(A,B) - S(B); may be negative for entangled states.
+
+    Test oracle, outside __all__; the benchmark traces it by name.
+    """
+    mat = np.asarray(rho, dtype=complex)
     if mat.shape[0] != dim_a * dim_b:
         raise DimensionError("bad factorization")
     s_b = von_neumann_entropy(partial_trace(mat, dim_a, dim_b, "B"))

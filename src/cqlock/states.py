@@ -6,12 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import MATRIX_TOL, DensityMatrix, DimensionError, validate_density, validate_isometry, validate_probs
+from .qmath import MATRIX_TOL, DimensionError, validate_density, validate_isometry, validate_probs
 
 __all__ = [
     "CQEnsemble",
     "LockingInstance",
-    "cq_to_density",
     "build_locking_state",
     "mub_check",
     "fourier_matrix",
@@ -92,10 +91,8 @@ class LockingInstance:
             validate_isometry(u)
         if np.max(np.abs(us[0] - np.eye(d))) > MATRIX_TOL:
             raise ValueError("first basis unitary must be the identity")
-        for i in range(len(us)):
-            for j in range(i + 1, len(us)):
-                if not mub_check(us[i], us[j]):
-                    raise ValueError("basis pair is not mutually unbiased")
+        if not mub_check(us[0], us[1]):
+            raise ValueError("basis pair is not mutually unbiased")
         object.__setattr__(self, "basis_unitaries", us)
         # row l is column a of U_k for letter l = a * 2 + k
         cols = np.stack(us)[self.keys, :, self.messages]
@@ -118,13 +115,15 @@ class LockingInstance:
         return np.arange(2 * self.dim_b) // 2
 
 
-def cq_to_density(ens: CQEnsemble) -> DensityMatrix:
-    """Block-diagonal embedding sum_a p_a |a><a| (x) sigma^(a)."""
+def cq_to_density(ens: CQEnsemble) -> np.ndarray:
+    """Block-diagonal embedding sum_a p_a |a><a| (x) sigma^(a), an (n d, n d) array, validated.
+
+    Test oracle, outside __all__; the benchmark traces it by name.
+    """
     n, d = ens.n_letters, ens.dim_b
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for a, (p, s) in enumerate(zip(ens.probs, ens.states)):
-        out[a * d : (a + 1) * d, a * d : (a + 1) * d] = p * s
-    return DensityMatrix(out)
+    out = np.zeros((n, d, n, d), dtype=complex)
+    out[np.arange(n), :, np.arange(n), :] = ens.probs[:, None, None] * ens.states
+    return validate_density(out.reshape(n * d, n * d))
 
 
 def hadamard_tensor(m: int) -> np.ndarray:
@@ -203,15 +202,33 @@ def _complex_to_json(arr: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
+def _numbers_from_json(x, message: str) -> np.ndarray:
+    """Float array of a JSON number or of nested lists of numbers in one shape; anything else raises ValueError(message).
+
+    Strings, bools, null and ragged nesting are rejected, not converted.
+    """
+    try:
+        arr = np.array(x, dtype=object)
+        if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, arr.flat))):
+            return arr.astype(float)
+    except (ValueError, OverflowError):  # nesting numpy cannot place; an integer beyond float range
+        pass
+    raise ValueError(message)
+
+
+def _int_from_json(x, name: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{name} must be an integer")
+    return x
+
+
 def _complex_from_json(entries) -> np.ndarray:
     """Complex array from nested lists of [re, im] pairs of numbers, the inverse of _complex_to_json."""
-    try:
-        pairs = np.array(entries)
-    except ValueError:  # ragged nesting
-        pairs = None
-    if pairs is None or pairs.dtype.kind not in "biuf" or pairs.ndim == 0 or pairs.shape[-1] != 2:
-        raise ValueError("matrix entries must be [re, im] pairs of numbers, in matrices of one shape")
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    message = "matrix entries must be [re, im] pairs of numbers, in matrices of one shape"
+    pairs = _numbers_from_json(entries, message)
+    if pairs.ndim == 0 or pairs.shape[-1] != 2:
+        raise ValueError(message)
+    return np.ascontiguousarray(pairs).view(complex)[..., 0]
 
 
 def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
@@ -224,8 +241,15 @@ def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
 
 
 def ensemble_from_json_dict(doc: dict) -> CQEnsemble:
+    if not isinstance(doc, dict):
+        raise ValueError("an ensemble must be a JSON object")
+    if not isinstance(doc["labels"], list):
+        raise ValueError("labels must be a list")
+    if doc["states"] == []:
+        raise ValueError("the ensemble has no letters")
     states = _complex_from_json(doc["states"])
-    dim_b = int(doc["dim_b"])
+    dim_b = _int_from_json(doc["dim_b"], "dim_b")
     if states.shape[1:] != (dim_b, dim_b):
         raise ValueError("state dimension disagrees with dim_b")
-    return CQEnsemble(labels=tuple(doc["labels"]), probs=np.asarray(doc["probs"], dtype=float), states=states)
+    probs = _numbers_from_json(doc["probs"], "probs must be a list of numbers")
+    return CQEnsemble(labels=tuple(doc["labels"]), probs=probs, states=states)

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from cqlock import (
-    OptimizerConfig,
-    cq_to_density,
-    measure_b,
-    quantum_conditional_entropy,
-    quantum_mutual_information,
-    von_neumann_entropy,
-)
+from cqlock import OptimizerConfig, von_neumann_entropy
+from cqlock.measurement import measure_b
+from cqlock.qmath import quantum_conditional_entropy, quantum_mutual_information
+from cqlock.states import cq_to_density
 
 
 def random_unitary(d, rng):
@@ -35,8 +31,8 @@ def assert_matches_bipartite_oracle(ens, rep):
     cond_q = quantum_conditional_entropy(rho, na, db)
     assert abs(rep.mutual_info_q - quantum_mutual_information(rho, na, db)) <= 1e-9
     assert abs(rep.cond_entropy_q - cond_q) <= 1e-9
-    out = measure_b(rho, na, db, rep.optimizer.best_povm)
-    measured = sum(p * von_neumann_entropy(s) for p, s in zip(out.outcome_probs, out.conditional_states))
+    probs, states = measure_b(rho, na, db, rep.optimizer.best_povm)
+    measured = sum(p * von_neumann_entropy(s) for p, s in zip(probs, states))
     assert abs(rep.discord - (measured - cond_q)) <= 1e-6
 
 

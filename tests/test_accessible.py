@@ -7,11 +7,9 @@ from cqlock import (
     OptimizerConfig,
     accessible_information,
     build_locking_state,
-    cq_to_density,
     holevo_chi,
     measured_mutual_information,
     projective_povm,
-    quantum_mutual_information,
     random_cq_ensemble,
     shannon_entropy,
     von_neumann_entropy,
@@ -19,6 +17,8 @@ from cqlock import (
 
 from cqlock import accessible
 from cqlock.accessible import GRAD_TOL
+from cqlock.qmath import quantum_mutual_information
+from cqlock.states import cq_to_density
 
 from conftest import random_unitary
 
@@ -58,7 +58,7 @@ class TestHolevoChi:
     def test_equals_quantum_mutual_information(self, seed):
         ens = random_cq_ensemble(3, 2, "mixed", seed=seed)
         rho = cq_to_density(ens)
-        assert abs(holevo_chi(ens) - quantum_mutual_information(rho.mat, 3, 2)) < 1e-9
+        assert abs(holevo_chi(ens) - quantum_mutual_information(rho, 3, 2)) < 1e-9
 
 
 def per_letter_chi(ens):

@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqlock.accessible import GRAD_TOL, OptimizerConfig
 from cqlock.cli import build_parser, main, optimizer_config
@@ -50,6 +56,12 @@ class TestDiscordCommand:
         path.write_text("{not json")
         assert run(["discord", "--ensemble", str(path), *FAST]) == 2
 
+    def test_deeply_nested_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert run(["discord", "--ensemble", str(path), *FAST]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["probs", "states"])
     def test_nan_ensemble_file_exit_2(self, tmp_path, capsys, field):
         doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
@@ -73,6 +85,30 @@ class TestDiscordCommand:
         assert run(["discord", "--ensemble", str(path), *FAST]) == 2
         err = capsys.readouterr().err
         assert "[re, im] pairs" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("probs", ["0.5", "0.5"], "probs must be a list of numbers"),
+            ("probs", [True, False], "probs must be a list of numbers"),
+            ("dim_b", 2.9, "dim_b must be an integer"),
+            ("dim_b", "2", "dim_b must be an integer"),
+            ("dim_b", True, "dim_b must be an integer"),
+            ("labels", "ab", "labels must be a list"),
+            ("labels", {"a": 1, "b": 2}, "labels must be a list"),
+            ("states", [[[[True, False], [0.0, 0.0]], [[0.0, 0.0], [False, False]]]] * 2, "[re, im] pairs"),
+            ("states", [], "no letters"),
+        ],
+    )
+    def test_non_numeric_field_exit_2(self, tmp_path, capsys, field, value, message):
+        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["discord", "--ensemble", str(path), "--restarts", "1", "--iters", "5"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
 
     def test_d16_report_carries_povm_vectors(self, tmp_path):
@@ -197,3 +233,54 @@ class TestSelftestCommand:
         results = json.loads(capsys.readouterr().out)
         assert all(r["passed"] for r in results)
         assert {"group", "passed", "detail"} <= set(results[0])
+
+
+FUZZ_BASE = ensemble_to_json_dict(random_cq_ensemble(2, 2, "mixed", seed=3))
+
+
+def _node_paths(node, prefix=()):
+    """Paths of every field and nested list entry below node, as tuples of keys and indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+FUZZ_PATHS = list(_node_paths(FUZZ_BASE))
+BAD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"), "0.5", "x", True, False, None, [[0.5, 0.5]]])
+WRONG_LENGTH = st.integers(0, 5).map(lambda k: [0.5] * k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_ensemble_file(data):
+    """A mutated ensemble file gives exit 0, 2 or 3 and never a traceback; only a changed label can still be valid."""
+    kind = data.draw(st.sampled_from(["replace", "drop", "top-level"]))
+    doc, path = copy.deepcopy(FUZZ_BASE), ()
+    if kind == "top-level":
+        doc = data.draw(BAD_VALUES | WRONG_LENGTH | st.integers())
+    elif kind == "drop":
+        path = (data.draw(st.sampled_from(sorted(doc))),)
+        del doc[path[0]]
+    else:
+        path = data.draw(st.sampled_from(FUZZ_PATHS))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        # the old value's own text, or a bool that equals it where it is 0 or 1, keeps its value but is no JSON number
+        value = data.draw(BAD_VALUES | WRONG_LENGTH | st.sampled_from([json.dumps(old), bool(old)]))
+        if isinstance(value, list) and isinstance(old, list) and len(value) == len(old):
+            value.append(0.5)
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "ens.json"
+        file.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["discord", "--ensemble", str(file), "--restarts", "1", "--iters", "5"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    # a label may be any JSON value; every other change leaves a non-numeric,
+    # non-finite, misshapen or missing field
+    assert code == (0 if len(path) == 2 and path[0] == "labels" else 2), (path, err.getvalue())

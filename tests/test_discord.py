@@ -137,8 +137,8 @@ class TestIdentityChain:
             ens = random_cq_ensemble(4, 2, "mixed", seed=seed)
             keys = [lab % 2 for lab in range(4)]
             ext = extend_with_key(ens.probs, ens.states, keys, 2)
-            iq_with = quantum_mutual_information(cq_to_density(ext).mat, 4, 4)
-            iq_plus = quantum_mutual_information(cq_to_density(ens).mat, 4, 2) + 1
+            iq_with = quantum_mutual_information(cq_to_density(ext), 4, 4)
+            iq_plus = quantum_mutual_information(cq_to_density(ens), 4, 2) + 1
             cap = np.log2(ens.dim_b) + 1
             assert iq_with <= iq_plus + 1e-9
             assert iq_plus <= cap + 1e-9

@@ -7,19 +7,17 @@ from cqlock import (
     after_key_table,
     build_locking_state,
     classical_mutual_information,
-    cq_to_density,
-    induced_joint,
-    measure_b,
+    induced_table,
     measured_conditional_entropy,
     measured_mutual_information,
-    partial_trace,
     projective_povm,
     random_cq_ensemble,
     shannon_entropy,
     von_neumann_entropy,
 )
-from cqlock.measurement import povm_from_json_dict, povm_to_json_dict
-from cqlock.states import hadamard_tensor
+from cqlock.measurement import measure_b, povm_from_json_dict, povm_to_json_dict
+from cqlock.qmath import partial_trace
+from cqlock.states import cq_to_density, hadamard_tensor
 
 from conftest import random_unitary
 
@@ -32,21 +30,26 @@ def orthogonal_ensemble():
     return CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
 
 
+def elements(povm):
+    """The POVM elements |v_b><v_b|, stacked as an (n, d, d) array."""
+    return povm.vectors[:, :, None] * povm.vectors[:, None, :].conj()
+
+
 class TestPovm:
     def test_computational_basis(self):
         povm = projective_povm(np.eye(2, dtype=complex))
-        assert np.allclose(povm.elements[0], KET0)
-        assert np.allclose(povm.elements[1], KET1)
+        assert np.allclose(elements(povm)[0], KET0)
+        assert np.allclose(elements(povm)[1], KET1)
 
     def test_hadamard_basis(self):
         povm = projective_povm(hadamard_tensor(1))
-        assert np.allclose(povm.elements[0], PLUS)
+        assert np.allclose(elements(povm)[0], PLUS)
 
     def test_random_unitary_completeness(self):
         rng = np.random.default_rng(31)
         for d in (2, 4):
             povm = projective_povm(random_unitary(d, rng))
-            assert np.max(np.abs(sum(povm.elements) - np.eye(d))) < 1e-12
+            assert np.max(np.abs(sum(elements(povm)) - np.eye(d))) < 1e-12
 
     def test_equality(self):
         assert projective_povm(np.eye(2)) == projective_povm(np.eye(2))
@@ -109,27 +112,27 @@ class TestMeasureB:
     def test_product_state_conditionals(self):
         rho_a = 0.5 * KET0 + 0.5 * PLUS
         rho = np.kron(rho_a, np.eye(2) / 2)
-        out = measure_b(rho, 2, 2, projective_povm(hadamard_tensor(1)))
-        for s in out.conditional_states:
-            assert np.max(np.abs(s.mat - rho_a)) < 1e-9
+        _, states = measure_b(rho, 2, 2, projective_povm(hadamard_tensor(1)))
+        for s in states:
+            assert np.max(np.abs(s - rho_a)) < 1e-9
 
     def test_locking_state_computational(self):
         _, ens = build_locking_state(1)
         rho = cq_to_density(ens)
-        out = measure_b(rho, 4, 2, projective_povm(np.eye(2, dtype=complex)))
-        assert np.allclose(out.outcome_probs, [0.5, 0.5])
+        probs, states = measure_b(rho, 4, 2, projective_povm(np.eye(2, dtype=complex)))
+        assert np.allclose(probs, [0.5, 0.5])
         # hand-evaluated conditionals over letters (a,k) encoded a*2+k
         expected_b0 = np.diag([0.5, 0.25, 0.0, 0.25])
         expected_b1 = np.diag([0.0, 0.25, 0.5, 0.25])
-        assert np.max(np.abs(out.conditional_states[0].mat - expected_b0)) < 1e-9
-        assert np.max(np.abs(out.conditional_states[1].mat - expected_b1)) < 1e-9
+        assert np.max(np.abs(states[0] - expected_b0)) < 1e-9
+        assert np.max(np.abs(states[1] - expected_b1)) < 1e-9
 
     def test_orthogonal_ensemble_own_basis(self):
         ens = orthogonal_ensemble()
-        out = measure_b(cq_to_density(ens), 2, 2, projective_povm(np.eye(2, dtype=complex)))
-        assert np.allclose(out.outcome_probs, ens.probs)
-        for b, s in enumerate(out.conditional_states):
-            assert abs(np.linalg.eigvalsh(s.mat)[-1] - 1) < 1e-9
+        probs, states = measure_b(cq_to_density(ens), 2, 2, projective_povm(np.eye(2, dtype=complex)))
+        assert np.allclose(probs, ens.probs)
+        for b, s in enumerate(states):
+            assert abs(np.linalg.eigvalsh(s)[-1] - 1) < 1e-9
 
     def test_non_disturbance(self):
         rng = np.random.default_rng(37)
@@ -137,9 +140,9 @@ class TestMeasureB:
             ens = random_cq_ensemble(3, 2, "mixed", seed=rng.integers(1 << 30))
             povm = projective_povm(random_unitary(2, rng))
             rho = cq_to_density(ens)
-            out = measure_b(rho, 3, 2, povm)
-            avg = sum(p * s.mat for p, s in zip(out.outcome_probs, out.conditional_states))
-            rho_a = partial_trace(rho, 3, 2, "A").mat
+            probs, states = measure_b(rho, 3, 2, povm)
+            avg = sum(p * s for p, s in zip(probs, states))
+            rho_a = partial_trace(rho, 3, 2, "A")
             assert np.max(np.abs(avg - rho_a)) < 1e-9
 
     def test_dimension_mismatch(self):
@@ -149,8 +152,8 @@ class TestMeasureB:
 
 class TestInducedJoint:
     def test_orthogonal_matching_basis(self):
-        j = induced_joint(orthogonal_ensemble(), projective_povm(np.eye(2, dtype=complex)))
-        assert np.allclose(j.table, np.diag([0.5, 0.5]))
+        j = induced_table(orthogonal_ensemble(), projective_povm(np.eye(2, dtype=complex)))
+        assert np.allclose(j, np.diag([0.5, 0.5]))
 
     def test_shared_state_reveals_nothing(self):
         # letters that share one state: every measurement gives p(a) q(b)
@@ -158,21 +161,21 @@ class TestInducedJoint:
         shared = random_cq_ensemble(1, 3, "mixed", seed=4).states[0]
         ens = CQEnsemble((0, 1, 2), np.array([0.2, 0.3, 0.5]), (shared,) * 3)
         for povm in (projective_povm(random_unitary(3, rng)), Povm(random_unitary(9, rng)[:3].T)):
-            j = induced_joint(ens, povm)
-            assert np.max(np.abs(j.table - np.outer(ens.probs, j.table.sum(axis=0)))) < 1e-12
+            j = induced_table(ens, povm)
+            assert np.max(np.abs(j - np.outer(ens.probs, j.sum(axis=0)))) < 1e-12
             assert abs(measured_mutual_information(ens, povm)) < 1e-12
 
     def test_a_marginal_invariance(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             ens = random_cq_ensemble(4, 2, "pure", seed=rng.integers(1 << 30))
-            j = induced_joint(ens, projective_povm(random_unitary(2, rng)))
-            assert np.max(np.abs(j.marginal(0) - ens.probs)) < 1e-12
+            j = induced_table(ens, projective_povm(random_unitary(2, rng)))
+            assert np.max(np.abs(j.sum(axis=1) - ens.probs)) < 1e-12
 
     def test_locking_computational_half_bit(self):
         _, ens = build_locking_state(1)
-        j = induced_joint(ens, projective_povm(np.eye(2, dtype=complex)))
-        assert abs(classical_mutual_information(j.table) - 0.5) < 1e-9
+        j = induced_table(ens, projective_povm(np.eye(2, dtype=complex)))
+        assert abs(classical_mutual_information(j) - 0.5) < 1e-9
 
 
 class TestMeasuredQuantities:
@@ -216,8 +219,8 @@ class TestMeasuredQuantities:
                 # the first d rows of a d^2 x d^2 unitary: d^2 rank-1 outcomes
                 w = random_unitary(d * d, rng)[:d]
                 povm = Povm(w.T)
-            out = measure_b(cq_to_density(ens), ens.n_letters, d, povm)
-            oracle = sum(p * von_neumann_entropy(s) for p, s in zip(out.outcome_probs, out.conditional_states))
+            probs, states = measure_b(cq_to_density(ens), ens.n_letters, d, povm)
+            oracle = sum(p * von_neumann_entropy(s) for p, s in zip(probs, states))
             assert abs(measured_conditional_entropy(ens, povm) - oracle) < 1e-9
 
     def test_refinement_never_decreases_information(self):
@@ -226,7 +229,7 @@ class TestMeasuredQuantities:
         for _ in range(20):
             ens = random_cq_ensemble(3, 2, "pure", seed=rng.integers(1 << 30))
             povm = Povm(random_unitary(4, rng)[:2].T)
-            fine = induced_joint(ens, povm).table
+            fine = induced_table(ens, povm)
             pairs = fine.reshape(3, 2, 2).sum(axis=2)
             mi = measured_mutual_information(ens, povm)
             assert mi >= classical_mutual_information(pairs) - 1e-12

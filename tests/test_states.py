@@ -5,18 +5,15 @@ import pytest
 
 from cqlock import (
     CQEnsemble,
-    DensityMatrix,
     LockingInstance,
     build_locking_state,
-    cq_to_density,
     fourier_matrix,
     hadamard_tensor,
     mub_check,
-    partial_trace,
-    quantum_mutual_information,
     random_cq_ensemble,
 )
-from cqlock.states import ensemble_from_json_dict, ensemble_to_json_dict
+from cqlock.qmath import partial_trace, quantum_mutual_information
+from cqlock.states import cq_to_density, ensemble_from_json_dict, ensemble_to_json_dict
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -29,22 +26,22 @@ class TestCqToDensity:
         ens = CQEnsemble((0,), np.array([1.0]), (PLUS,))
         rho = cq_to_density(ens)
         # one-letter A register is trivial: |0><0| (x) sigma = sigma
-        assert rho.dim == 2
-        assert np.allclose(rho.mat, PLUS)
+        assert rho.shape == (2, 2)
+        assert np.allclose(rho, PLUS)
 
     def test_orthogonal_ensemble(self):
         ens = CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
         rho = cq_to_density(ens)
-        assert np.allclose(rho.mat, np.diag([0.5, 0, 0, 0.5]))
+        assert np.allclose(rho, np.diag([0.5, 0, 0, 0.5]))
 
     def test_locking_state_mutual_information(self):
         _, ens = build_locking_state(1)
         rho = cq_to_density(ens)
-        assert abs(quantum_mutual_information(rho.mat, 4, 2) - 1) < 1e-9
+        assert abs(quantum_mutual_information(rho, 4, 2) - 1) < 1e-9
 
     def test_a_marginal_is_diag_p(self):
         ens = random_cq_ensemble(3, 2, "mixed", seed=6)
-        marg = partial_trace(cq_to_density(ens), 3, 2, "A").mat
+        marg = partial_trace(cq_to_density(ens), 3, 2, "A")
         assert np.max(np.abs(marg - np.diag(ens.probs))) < 1e-12
 
 
@@ -63,10 +60,6 @@ class TestCQEnsemble:
     def test_non_square_states_rejected(self):
         with pytest.raises(ValueError, match="share one dimension"):
             CQEnsemble((0,), np.array([1.0]), (np.ones((2, 3)) / 2,))
-
-    def test_stack_is_not_a_density_matrix(self):
-        with pytest.raises(ValueError, match="must be square"):
-            DensityMatrix(np.stack([KET0, KET1]))
 
     def test_invalid_letter_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -134,14 +127,14 @@ class TestBuildLockingState:
     def test_mutual_information_is_m(self, m, family):
         _, ens = build_locking_state(m, family)
         rho = cq_to_density(ens)
-        assert abs(quantum_mutual_information(rho.mat, ens.n_letters, ens.dim_b) - m) < 1e-9
+        assert abs(quantum_mutual_information(rho, ens.n_letters, ens.dim_b) - m) < 1e-9
 
     @pytest.mark.parametrize("family", ["hadamard", "fourier"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_b_marginal_maximally_mixed(self, m, family):
         _, ens = build_locking_state(m, family)
         d = ens.dim_b
-        marg = partial_trace(cq_to_density(ens), ens.n_letters, d, "B").mat
+        marg = partial_trace(cq_to_density(ens), ens.n_letters, d, "B")
         assert np.max(np.abs(marg - np.eye(d) / d)) < 1e-9
 
     def test_instance_invariants(self):
