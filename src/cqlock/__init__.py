@@ -31,6 +31,7 @@ from .accessible import (
     OptimizerConfig,
     accessible_information,
     holevo_chi,
+    maassen_uffink_bound,
 )
 from .discord import (
     DiscordReport,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import PROB_TOL, von_neumann_entropy
-from .states import CQEnsemble
+from .states import CQEnsemble, LockingInstance
 from .measurement import Povm, measured_mutual_information, projective_povm
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "AccessibleInfoResult",
     "GuardError",
     "holevo_chi",
+    "maassen_uffink_bound",
     "accessible_information",
 ]
 
@@ -104,6 +105,30 @@ class AccessibleInfoResult:
 def holevo_chi(ens: CQEnsemble) -> float:
     """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits, with the letters' entropies from one batched call."""
     return float(von_neumann_entropy(ens.average_state()) - ens.probs @ von_neumann_entropy(ens.states))
+
+
+def maassen_uffink_bound(inst: LockingInstance) -> float:
+    """Upper bound log2 d + log2 c on the accessible information of a locking ensemble without its key.
+
+    Here c = max_{a,b} |<u_0a|u_1b>| is the largest overlap of the two bases.
+    The letters (a, k) are uniform and each U_k is a complete basis, so
+    rho = I/d. A rank-1 POVM with elements |v_b><v_b| has q_b = |v_b|^2 / d,
+    and with phi_b = v_b / |v_b| the posterior is p(a, k | b) =
+    |<u_ka|phi_b>|^2 / 2, whose entropy is 1 + (H_0(phi_b) + H_1(phi_b)) / 2,
+    H_k(phi) being the entropy of measuring phi in U_k. Since H(A, K) =
+    1 + log2 d,
+
+        I = log2 d - sum_b q_b (H_0(phi_b) + H_1(phi_b)) / 2,
+
+    and the Maassen-Uffink relation H_0 + H_1 >= -2 log2 c (PRL 60, 1103,
+    1988) gives I <= log2 d + log2 c. Every POVM refines to a rank-1 one that
+    extracts at least as much, so the bound holds for all of them. A
+    LockingInstance holds a mutually unbiased pair, where c = d^(-1/2) and the
+    bound is m/2, which measuring in U_0 attains (DiVincenzo et al., PRL 92,
+    067902, 2004).
+    """
+    u0, u1 = inst.basis_unitaries
+    return float(np.log2(inst.dim_b) + np.log2(np.max(np.abs(u0.conj().T @ u1))))
 
 
 def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

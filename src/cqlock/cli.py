@@ -12,6 +12,7 @@ import numpy as np
 from . import qmath
 from .qmath import validate_density
 from .states import (
+    MAX_MESSAGE_BITS,
     CQEnsemble,
     _complex_to_json,
     build_locking_state,
@@ -20,11 +21,13 @@ from .states import (
     random_cq_ensemble,
 )
 from .measurement import Povm, povm_to_json_dict, projective_povm
-from .accessible import GuardError, OptimizerConfig
+from .accessible import MAX_DIM_B, GuardError, OptimizerConfig
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import StrategySpec, simulate_locking_run
 
-SCHEMA_VERSION = "1.5"
+SCHEMA_VERSION = "1.6"
+# the largest m whose locking builtin, of dimension 2^m, the accessible-information search accepts
+MAX_BUILTIN_LOCKING_M = MAX_DIM_B.bit_length() - 1
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -89,8 +92,8 @@ def resolve_ensemble(args):
             m = int(name.split("=", 1)[1])
         except ValueError:
             raise InputError(f"bad builtin spec: {name!r}")
-        if not 1 <= m <= 3:
-            raise GuardError("locking builtin supports m=1..3")
+        if not 1 <= m <= MAX_BUILTIN_LOCKING_M:
+            raise GuardError(f"locking builtin supports m=1..{MAX_BUILTIN_LOCKING_M} (dimension cap {MAX_DIM_B})")
         return build_locking_state(m, args.family)[1]
     if name == "bb84pair":
         zero = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -101,8 +104,8 @@ def resolve_ensemble(args):
             n = int(name.split(":", 1)[1])
         except ValueError:
             raise InputError(f"bad builtin spec: {name!r}")
-        if not 2 <= n <= 16:
-            raise GuardError("orthogonal builtin supports n=2..16")
+        if not 2 <= n <= MAX_DIM_B:
+            raise GuardError(f"orthogonal builtin supports n=2..{MAX_DIM_B}")
         # letter a has the state |a><a|
         states = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
         return CQEnsemble(tuple(range(n)), np.full(n, 1.0 / n), states)
@@ -132,26 +135,28 @@ def cmd_discord(args) -> int:
     return EXIT_OK
 
 
+def _locking_instance(args):
+    if not 1 <= args.m <= MAX_MESSAGE_BITS:
+        raise GuardError(f"{args.command} supports m=1..{MAX_MESSAGE_BITS}")
+    return build_locking_state(args.m, args.family)[0]
+
+
 def cmd_lock_analyze(args) -> int:
-    if not 1 <= args.m <= 3:
-        raise GuardError("lock-analyze supports m=1..3")
-    inst, _ = build_locking_state(args.m, args.family)
-    report = locking_delta(inst, optimizer_config(args))
+    report = locking_delta(_locking_instance(args))
     print("m  I_q     I_acc(no key)  I_acc(key)  delta   discord")
     print(
         f"{report.m}  {report.i_q_without_key:.4f}  {report.i_acc_without_key:.4f}"
         f"         {report.i_acc_with_key:.4f}      {report.delta:.4f}  {report.discord:.4f}"
     )
     print(f"|delta - discord| = {report.delta_equals_discord_residual:.2e}")
+    print(f"Maassen-Uffink bound on I_acc(no key) = {report.i_acc_upper_bound:.4f}")
     run = make_run_report("lock-analyze", _echo(args), report, args.seed)
     write_report(run, args.out, args.json)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    if not 1 <= args.m <= 3:
-        raise GuardError("simulate supports m=1..3")
-    inst, _ = build_locking_state(args.m, args.family)
+    inst = _locking_instance(args)
     if args.strategy == "before-key":
         strategy = StrategySpec("before_key", projective_povm(np.eye(inst.dim_b, dtype=complex)))
     elif args.strategy == "after-key":
@@ -228,12 +233,12 @@ def _selftest_groups():
             assert rep.discord <= holevo_chi(ens) + 1e-6
 
     def delta_equals_discord():
-        cfg = OptimizerConfig(restarts=2, max_iters=60, seed=3)
-        for m in (1, 2):
-            inst, _ = build_locking_state(m)
-            rep = locking_delta(inst, cfg)
-            assert abs(rep.delta - rep.discord) <= 1e-3
-            assert abs(rep.delta - m / 2) <= 1e-3
+        for m in (1, 2, 3):
+            for family in ("hadamard", "fourier"):
+                inst, _ = build_locking_state(m, family)
+                rep = locking_delta(inst)
+                assert abs(rep.delta - rep.discord) <= 1e-12
+                assert abs(rep.delta - m / 2) <= 1e-12
 
     return [
         ("entropy_identities", entropy_identities),
@@ -286,22 +291,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--outcome-budget", type=int, default=defaults.outcome_budget)
 
     p = sub.add_parser("discord", help="quantum discord of a CQ ensemble")
-    p.add_argument("--builtin", default=None, help="locking:m=1..3 | bb84pair | orthogonal:n")
+    p.add_argument(
+        "--builtin",
+        default=None,
+        help=f"locking:m=N (N=1..{MAX_BUILTIN_LOCKING_M}) | bb84pair | orthogonal:n (n=2..{MAX_DIM_B})",
+    )
     p.add_argument("--ensemble", metavar="FILE", default=None)
     p.add_argument("--family", choices=("hadamard", "fourier"), default="hadamard")
     add_optimizer(p)
     add_common(p)
     p.set_defaults(func=cmd_discord)
 
-    p = sub.add_parser("lock-analyze", help="headline locking quantities for one m")
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("lock-analyze", help="headline locking quantities for one m, exact and with no search")
+    p.add_argument("--m", type=int, required=True, help=f"message bits, 1..{MAX_MESSAGE_BITS}")
     p.add_argument("--family", choices=("hadamard", "fourier"), default="hadamard")
-    add_optimizer(p)
     add_common(p)
     p.set_defaults(func=cmd_lock_analyze)
 
     p = sub.add_parser("simulate", help="Monte Carlo run of the locking protocol")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=f"message bits, 1..{MAX_MESSAGE_BITS}")
     p.add_argument("--family", choices=("hadamard", "fourier"), default="hadamard")
     p.add_argument("--strategy", choices=("before-key", "after-key"), required=True)
     p.add_argument("--n", type=int, default=100000)

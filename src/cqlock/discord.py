@@ -8,8 +8,8 @@ import numpy as np
 
 from .qmath import MATRIX_TOL, classical_mutual_information, shannon_entropy
 from .states import KEY_BITS, CQEnsemble, LockingInstance
-from .measurement import after_key_table, measured_conditional_entropy
-from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information, holevo_chi
+from .measurement import after_key_table, measured_conditional_entropy, measured_mutual_information, projective_povm
+from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information, holevo_chi, maassen_uffink_bound
 
 __all__ = [
     "DiscordReport",
@@ -35,15 +35,17 @@ class DiscordReport:
 
 @dataclass(frozen=True)
 class LockingReport:
+    """Locking quantities of one instance; measuring in U_0 attains i_acc_without_key, and i_acc_upper_bound caps it."""
+
     m: int
     key_bits: int
     i_acc_with_key: float
     i_acc_without_key: float
+    i_acc_upper_bound: float
     i_q_without_key: float
     delta: float
     discord: float
     delta_equals_discord_residual: float
-    optimizer: AccessibleInfoResult | None = None
 
 
 @dataclass(frozen=True)
@@ -86,27 +88,32 @@ def key_then_measure_info(inst: LockingInstance) -> float:
     return classical_mutual_information(after_key_table(inst))
 
 
-def locking_delta(inst: LockingInstance, cfg: OptimizerConfig = OptimizerConfig()) -> LockingReport:
-    """Locking advantage: with-key information minus (without-key + key bits).
+def locking_delta(inst: LockingInstance) -> LockingReport:
+    """Locking advantage: with-key information minus (without-key information + key bits), with no search.
 
-    The with-key term is exact (the key-conditioned measurement is optimal);
-    only the without-key term is numerical. The discord of the shared state
-    is chi minus the same search's value, so the residual isolates the identity.
+    The with-key term is exact because the key-conditioned measurement is
+    optimal. The without-key term is the information that measuring in U_0
+    extracts, and maassen_uffink_bound caps every measurement at the same
+    value up to roundoff, so it is the accessible information; the bound is
+    reported next to it. The discord of the shared state is chi minus the
+    without-key term, so the residual isolates the identity Delta = D.
     """
+    ens = inst.ensemble
     i_with = key_then_measure_info(inst)
-    acc = accessible_information(inst.ensemble, cfg)
-    delta = i_with - (acc.value + KEY_BITS)
-    discord = acc.upper_bound - acc.value
+    i_without = measured_mutual_information(ens, projective_povm(inst.basis_unitaries[0]))
+    chi = holevo_chi(ens)
+    delta = i_with - (i_without + KEY_BITS)
+    discord = chi - i_without
     return LockingReport(
         m=inst.m,
         key_bits=KEY_BITS,
         i_acc_with_key=float(i_with),
-        i_acc_without_key=float(acc.value),
-        i_q_without_key=acc.upper_bound,
+        i_acc_without_key=float(i_without),
+        i_acc_upper_bound=maassen_uffink_bound(inst),
+        i_q_without_key=chi,
         delta=float(delta),
         discord=float(discord),
         delta_equals_discord_residual=float(abs(delta - discord)),
-        optimizer=acc,
     )
 
 

@@ -22,6 +22,8 @@ __all__ = [
 
 # key length of the locking protocol: one bit selects the basis U_k
 KEY_BITS = 1
+# the largest message size m of a built locking state, of dimension 2^m
+MAX_MESSAGE_BITS = 6
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -159,8 +161,8 @@ def build_locking_state(m: int, family: str = "hadamard"):
     family selects the second basis: "hadamard" for H^(x)m, "fourier" for the
     d-dimensional Fourier matrix. The ensemble returned is inst.ensemble.
     """
-    if not 1 <= m <= 6:
-        raise ValueError("message size out of range (1..6)")
+    if not 1 <= m <= MAX_MESSAGE_BITS:
+        raise ValueError(f"message size out of range (1..{MAX_MESSAGE_BITS})")
     d = 2**m
     if family == "hadamard":
         u1 = hadamard_tensor(m)

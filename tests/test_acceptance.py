@@ -70,10 +70,10 @@ def test_criterion_1_headline_table(m, family):
 @pytest.mark.parametrize("m", [1, 2])
 def test_criterion_2_delta_equals_discord(m):
     inst, _ = build_locking_state(m)
-    rep = locking_delta(inst, FULL_CFG)
-    assert abs(rep.delta - rep.discord) <= 1e-3
-    assert abs(rep.delta - m / 2) <= 1e-3
-    assert abs(rep.discord - m / 2) <= 1e-3
+    rep = locking_delta(inst)
+    assert abs(rep.delta - rep.discord) <= 1e-9
+    assert abs(rep.delta - m / 2) <= 1e-9
+    assert abs(rep.discord - m / 2) <= 1e-9
     report(2, f"delta equals discord m={m}")
 
 
@@ -161,7 +161,7 @@ def test_criterion_8_monte_carlo_convergence():
 def test_criterion_9_determinism(tmp_path):
     cases = [
         ["simulate", "--m", "1", "--strategy", "after-key", "--n", "5000", "--seed", "7"],
-        ["lock-analyze", "--m", "1", "--restarts", "3", "--iters", "40", "--seed", "7"],
+        ["lock-analyze", "--m", "1", "--seed", "7"],
         ["discord", "--builtin", "bb84pair", "--restarts", "3", "--iters", "40", "--seed", "7"],
     ]
     for i, argv in enumerate(cases):

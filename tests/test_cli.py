@@ -26,7 +26,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.5"
+        assert doc["schema_version"] == "1.6"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -143,8 +143,21 @@ class TestDiscordCommand:
     def test_guard_exit_3(self, capsys):
         assert run(["discord", "--builtin", "orthogonal:99", *FAST]) == 3
 
+    def test_locking_builtin_up_to_the_dimension_cap(self, tmp_path, capsys):
+        # m=4 is d=16, the search's dimension cap; m=5 would be d=32
+        out = tmp_path / "r.json"
+        assert run(["discord", "--builtin", "locking:m=4", "--restarts", "1", "--iters", "5", "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["results"]["mutual_info_q"] - 4.0) < 1e-9
+        assert run(["discord", "--builtin", "locking:m=5", *FAST]) == 3
+        assert "m=1..4 (dimension cap 16)" in capsys.readouterr().err
 
-@pytest.mark.parametrize("argv", [["discord", "--builtin", "bb84pair"], ["lock-analyze", "--m", "1"]])
+    def test_builtin_help_states_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["discord", "--help"])
+        assert "locking:m=N (N=1..4)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["discord", "--builtin", "bb84pair"]])
 def test_parser_defaults_match_optimizer_config(argv):
     assert optimizer_config(build_parser().parse_args(argv)) == OptimizerConfig()
 
@@ -152,21 +165,42 @@ def test_parser_defaults_match_optimizer_config(argv):
 class TestLockAnalyzeCommand:
     def test_m1_headline_row(self, tmp_path):
         out = tmp_path / "r.json"
-        assert run(["lock-analyze", "--m", "1", *FAST, "--out", str(out)]) == 0
+        assert run(["lock-analyze", "--m", "1", "--out", str(out)]) == 0
         res = json.loads(out.read_text())["results"]
         assert abs(res["i_q_without_key"] - 1.0) < 1e-9
-        assert abs(res["i_acc_without_key"] - 0.5) < 1e-3
+        assert abs(res["i_acc_without_key"] - 0.5) < 1e-9
         assert abs(res["i_acc_with_key"] - 2.0) < 1e-9
-        assert abs(res["delta"] - 0.5) < 1e-3
-        assert abs(res["discord"] - 0.5) < 1e-3
+        assert abs(res["delta"] - 0.5) < 1e-9
+        assert abs(res["discord"] - 0.5) < 1e-9
 
     def test_m_out_of_range_exit_3(self, capsys):
-        assert run(["lock-analyze", "--m", "9", *FAST]) == 3
+        for m in ("0", "7", "9"):
+            assert run(["lock-analyze", "--m", m]) == 3
+            assert "lock-analyze supports m=1..6" in capsys.readouterr().err
 
     def test_fourier_family(self, tmp_path):
         out = tmp_path / "r.json"
-        assert run(["lock-analyze", "--m", "1", "--family", "fourier", *FAST, "--out", str(out)]) == 0
-        assert abs(json.loads(out.read_text())["results"]["delta"] - 0.5) < 1e-3
+        assert run(["lock-analyze", "--m", "1", "--family", "fourier", "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["results"]["delta"] - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_certified_for_every_m(self, m, family, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["lock-analyze", "--m", str(m), "--family", family, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        res = doc["results"]
+        assert doc["schema_version"] == "1.6"
+        assert "optimizer" not in res
+        assert abs(res["delta"] - m / 2) <= 1e-9
+        assert abs(res["discord"] - m / 2) <= 1e-9
+        # the witness U_0 attains the Maassen-Uffink bound, so the value is the optimum
+        assert abs(res["i_acc_upper_bound"] - res["i_acc_without_key"]) <= 1e-12
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--iters", "--outcome-budget"])
+    def test_search_flags_removed(self, flag, capsys):
+        assert run(["lock-analyze", "--m", "1", flag, "2"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -181,7 +215,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.5"
+        assert doc["schema_version"] == "1.6"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out
@@ -192,6 +226,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "number of samples" in err
         assert "Traceback" not in err
+
+    def test_m6(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["simulate", "--m", "6", "--strategy", "after-key", "--n", "1000000", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert abs(res["analytic_mi"] - 7.0) < 1e-9
+        assert res["decoding_errors"] == 0
+        assert run(["simulate", "--m", "6", "--strategy", "before-key", "--n", "1000000", "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["results"]["analytic_mi"] - 3.0) < 1e-9
+
+    def test_m7_exit_3(self, capsys):
+        assert run(["simulate", "--m", "7", "--strategy", "after-key"]) == 3
+        assert "simulate supports m=1..6" in capsys.readouterr().err
 
     def test_huge_n(self, tmp_path):
         out = tmp_path / "r.json"

@@ -6,9 +6,11 @@ from cqlock import (
     CQEnsemble,
     OptimizerConfig,
     build_locking_state,
+    accessible_information,
     holevo_chi,
     key_then_measure_info,
     locking_delta,
+    maassen_uffink_bound,
     quantum_discord_cq,
     random_cq_ensemble,
     single_copy_identity_chain,
@@ -103,20 +105,44 @@ class TestKeyThenMeasure:
 
 
 class TestLockingDelta:
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_delta_is_half_m(self, m, fast_cfg):
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_delta_is_half_m(self, m):
         inst, _ = build_locking_state(m)
-        rep = locking_delta(inst, fast_cfg)
-        assert abs(rep.delta - m / 2) < 1e-3
-        assert abs(rep.discord - m / 2) < 1e-3
-        assert rep.delta_equals_discord_residual < 1e-3
+        rep = locking_delta(inst)
+        assert abs(rep.delta - m / 2) < 1e-9
+        assert abs(rep.discord - m / 2) < 1e-9
+        assert rep.delta_equals_discord_residual < 1e-9
+        assert abs(rep.i_acc_upper_bound - m / 2) <= 1e-12
 
-    def test_report_definitions(self, fast_cfg):
+    def test_report_definitions(self):
         inst, _ = build_locking_state(1)
-        rep = locking_delta(inst, fast_cfg)
+        rep = locking_delta(inst)
         assert rep.delta == rep.i_acc_with_key - (rep.i_acc_without_key + rep.key_bits)
+        assert rep.discord == rep.i_q_without_key - rep.i_acc_without_key
+        assert rep.i_acc_upper_bound == maassen_uffink_bound(inst)
         assert abs(rep.i_q_without_key - 1) < 1e-9
         assert abs(rep.i_acc_with_key - 2) < 1e-9
+
+
+class TestMaassenUffinkBound:
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_search_never_exceeds_the_bound(self, m, family):
+        inst, ens = build_locking_state(m, family)
+        assert accessible_information(ens, OptimizerConfig()).value <= maassen_uffink_bound(inst) + 1e-9
+
+    def test_bound_caps_random_measurements(self):
+        # I of any rank-1 POVM on the m=2 ensemble, including ones far from either basis
+        from cqlock import Povm, measured_mutual_information
+
+        inst, ens = build_locking_state(2, "fourier")
+        rng = np.random.default_rng(61)
+        bound = maassen_uffink_bound(inst)
+        for n in (4, 8, 16):
+            for _ in range(20):
+                g = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+                v, _ = np.linalg.qr(g)
+                assert measured_mutual_information(ens, Povm(v)) <= bound + 1e-12
 
 
 class TestIdentityChain:

@@ -59,8 +59,8 @@ def test_oracle_names_are_not_exported():
         ["discord", "--builtin", "locking:m=2", *SEARCH],
         ["discord", "--builtin", "orthogonal:3", *SEARCH],
         ["discord", "--ensemble", "ENSEMBLE", *SEARCH],
-        ["lock-analyze", "--m", "1", *SEARCH],
-        ["lock-analyze", "--m", "2", *SEARCH],
+        ["lock-analyze", "--m", "1"],
+        ["lock-analyze", "--m", "2"],
         ["simulate", "--m", "2", "--strategy", "before-key", "--n", "1000"],
         ["simulate", "--m", "2", "--strategy", "after-key", "--n", "1000"],
     ],
