@@ -4,7 +4,6 @@ from .qmath import (
     DimensionError,
     classical_conditional_entropy,
     classical_mutual_information,
-    conditional_mutual_information,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -39,13 +38,10 @@ from .discord import (
     key_then_measure_info,
     locking_delta,
     quantum_discord_cq,
-    single_copy_identity_chain,
 )
 from .protocol import (
     EmpiricalReport,
     StrategySpec,
-    classical_key_bound_check,
-    one_time_pad_joint,
     simulate_locking_run,
 )
 

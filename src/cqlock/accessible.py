@@ -3,8 +3,9 @@
 The optimizer first evaluates two candidate projective bases (computational
 and the eigenbasis of the B marginal).
 It then runs seeded random-restart gradient ascent over rank-1 POVMs with
-up to d^2 outcomes. A POVM with n outcomes is a d x n isometry W with
-W W^dagger = I_d, whose column b is the measurement vector of outcome b.
+n = d^2 outcomes, which suffice for the optimum (Davies 1978). A POVM with
+n outcomes is a d x n isometry W with W W^dagger = I_d, whose column b is
+the measurement vector of outcome b.
 The search keeps the n x d transpose of W, whose columns are orthonormal;
 it is the `vectors` array of the returned Povm.
 
@@ -71,7 +72,6 @@ class GuardError(ValueError):
 class OptimizerConfig:
     restarts: int = 10
     max_iters: int = 200
-    outcome_budget: int | None = None  # defaults to d^2
     seed: int = 0
 
     def __post_init__(self):
@@ -79,12 +79,6 @@ class OptimizerConfig:
             raise ValueError("need at least one restart")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
-
-    def budget_for(self, d: int) -> int:
-        b = d * d if self.outcome_budget is None else self.outcome_budget
-        if not d <= b <= d * d:
-            raise ValueError("outcome budget must lie between d and d^2")
-        return b
 
 
 @dataclass(frozen=True)
@@ -258,7 +252,6 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     d = ens.dim_b
     if d > MAX_DIM_B:
         raise GuardError("instance too large")
-    n = cfg.budget_for(d)
     chi = holevo_chi(ens)
 
     best_val = -1.0
@@ -270,7 +263,7 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
         if val > best_val:
             best_val, best_povm = val, povm
 
-    restart_vals, vs, iters, grad_norms = _stiefel_ascent(*_letter_factors(ens), cfg, n)
+    restart_vals, vs, iters, grad_norms = _stiefel_ascent(*_letter_factors(ens), cfg, d * d)
     best_restart = int(np.argmax(restart_vals))
     if restart_vals[best_restart] > best_val:
         best_val = restart_vals[best_restart]

@@ -1,12 +1,10 @@
-"""Quantum discord of CQ states, the locking advantage and its identity checks."""
+"""Quantum discord of CQ states and the locking advantage."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .qmath import MATRIX_TOL, classical_mutual_information, shannon_entropy
+from .qmath import classical_mutual_information, shannon_entropy
 from .states import KEY_BITS, CQEnsemble, LockingInstance
 from .measurement import after_key_table, measured_conditional_entropy, measured_mutual_information, projective_povm
 from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information, holevo_chi, maassen_uffink_bound
@@ -14,12 +12,9 @@ from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_inform
 __all__ = [
     "DiscordReport",
     "LockingReport",
-    "ChainReport",
     "quantum_discord_cq",
     "key_then_measure_info",
     "locking_delta",
-    "single_copy_identity_chain",
-    "extend_with_key",
 ]
 
 
@@ -46,17 +41,6 @@ class LockingReport:
     delta: float
     discord: float
     delta_equals_discord_residual: float
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """The three quantities of the single-copy chain and their spread."""
-
-    i_acc_with_key: float
-    i_q_with_key: float
-    i_q_plus_key: float
-    max_residual: float
-    inequalities_hold: bool
 
 
 def quantum_discord_cq(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> DiscordReport:
@@ -96,7 +80,9 @@ def locking_delta(inst: LockingInstance) -> LockingReport:
     extracts, and maassen_uffink_bound caps every measurement at the same
     value up to roundoff, so it is the accessible information; the bound is
     reported next to it. The discord of the shared state is chi minus the
-    without-key term, so the residual isolates the identity Delta = D.
+    without-key term, so the residual |Delta - D| = |I_acc(with key) - (chi +
+    key bits)| isolates the identity Delta = D; it is the end-to-end residual
+    of the single-copy chain I_acc(with key) = I(A:BK) = I(A:B) + H(K).
     """
     ens = inst.ensemble
     i_with = key_then_measure_info(inst)
@@ -116,38 +102,3 @@ def locking_delta(inst: LockingInstance) -> LockingReport:
         delta_equals_discord_residual=float(abs(delta - discord)),
     )
 
-
-def extend_with_key(probs, states, keys, n_keys: int):
-    """Append a classical copy of the key to Bob: sigma_(a,k) -> sigma_(a,k) (x) |k><k|."""
-    states = np.asarray(states, dtype=complex)
-    n, d = states.shape[:2]
-    projs = np.zeros((n, n_keys, n_keys))
-    projs[np.arange(n), keys, keys] = 1.0
-    # ext[a, i, k, j, l] = sigma_a[i, j] * |k_a><k_a|[k, l], the Kronecker product of each pair
-    ext = (states[:, :, None, :, None] * projs[:, None, :, None, :]).reshape(n, d * n_keys, d * n_keys)
-    return CQEnsemble(labels=tuple(range(n)), probs=np.asarray(probs, dtype=float), states=ext)
-
-
-def single_copy_identity_chain(inst: LockingInstance) -> ChainReport:
-    """Check I_acc(key strategy) = I_q(with key on Bob) = I_q(without key) + |K|.
-
-    A stays classical on both sides, so each I_q is a Holevo quantity.
-    """
-    ens = inst.ensemble
-    v1 = key_then_measure_info(inst)
-
-    ext = extend_with_key(ens.probs, ens.states, inst.keys, 2)
-    v2 = holevo_chi(ext)
-    v3 = holevo_chi(ens) + KEY_BITS
-
-    vals = (v1, v2, v3)
-    resid = max(vals) - min(vals)
-    cap = inst.m + KEY_BITS
-    ineq = v2 <= v3 + MATRIX_TOL and v3 <= cap + MATRIX_TOL
-    return ChainReport(
-        i_acc_with_key=float(v1),
-        i_q_with_key=float(v2),
-        i_q_plus_key=float(v3),
-        max_residual=float(resid),
-        inequalities_hold=bool(ineq),
-    )

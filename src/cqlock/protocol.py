@@ -1,4 +1,4 @@
-"""Monte Carlo simulation of the locking protocol and the one-time-pad baseline."""
+"""Monte Carlo simulation of the locking protocol."""
 
 from __future__ import annotations
 
@@ -6,22 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import (
-    PROB_TOL,
-    classical_mutual_information,
-    conditional_mutual_information,
-    validate_probs,
-)
+from .qmath import classical_mutual_information
 from .states import LockingInstance
 from .measurement import Povm, after_key_table, induced_table
 
 __all__ = [
     "StrategySpec",
     "EmpiricalReport",
-    "KeyBoundReport",
     "simulate_locking_run",
-    "one_time_pad_joint",
-    "classical_key_bound_check",
 ]
 
 # the largest sample count numpy's multinomial accepts (int64)
@@ -51,17 +43,6 @@ class EmpiricalReport:
     std_error_estimate: float
     seed: int
     decoding_errors: int | None = None
-
-
-@dataclass(frozen=True)
-class KeyBoundReport:
-    i_ak_given_b: float
-    key_bits: float
-    slack: float
-    i_ab: float
-    i_abk: float
-    chain_residual: float
-    bound_holds: bool
 
 
 def _plugin_mi_and_stderr(counts: np.ndarray, n: int):
@@ -128,35 +109,3 @@ def simulate_locking_run(
         decoding_errors=decoding_errors,
     )
 
-
-def one_time_pad_joint(m: int) -> np.ndarray:
-    """Exact (A, B, K) table for B = A xor K with uniform message and key."""
-    if not 1 <= m <= 3:
-        raise ValueError("message size out of range (1..3)")
-    size = 2**m
-    a, k = np.arange(size)[:, None], np.arange(size)
-    table = np.zeros((size, size, size))
-    table[a, a ^ k, k] = 1.0 / size**2
-    return table
-
-
-def classical_key_bound_check(table) -> KeyBoundReport:
-    """Key-size bound and chain-rule accounting on an (A, B, K) joint table, validated as a distribution."""
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 3:
-        raise ValueError("expected a 3-variable joint")
-    validate_probs(table.ravel())
-    key_bits = float(np.log2(table.shape[2]))
-    i_ak_b = conditional_mutual_information(table)
-    i_ab = classical_mutual_information(table.sum(axis=2))
-    # I(A; B, K) with (B, K) flattened into one variable
-    i_abk = classical_mutual_information(table.reshape(table.shape[0], -1))
-    return KeyBoundReport(
-        i_ak_given_b=float(i_ak_b),
-        key_bits=key_bits,
-        slack=float(key_bits - i_ak_b),
-        i_ab=float(i_ab),
-        i_abk=float(i_abk),
-        chain_residual=float(abs(i_abk - i_ab - i_ak_b)),
-        bound_holds=bool(i_ak_b <= key_bits + PROB_TOL),
-    )

@@ -29,7 +29,6 @@ __all__ = [
     "shannon_entropy",
     "classical_mutual_information",
     "classical_conditional_entropy",
-    "conditional_mutual_information",
 ]
 
 
@@ -133,18 +132,6 @@ def classical_conditional_entropy(j) -> float:
     if t.ndim != 2:
         raise ValueError("expected a 2-variable joint")
     return shannon_entropy(t) - shannon_entropy(t.sum(axis=0))
-
-
-def conditional_mutual_information(j) -> float:
-    """I(A;K|B) of a three-variable joint with axes ordered (A, B, K)."""
-    t = np.asarray(j, dtype=float)
-    if t.ndim != 3:
-        raise ValueError("expected a 3-variable joint")
-    h_ab = shannon_entropy(t.sum(axis=2))
-    h_bk = shannon_entropy(t.sum(axis=0))
-    h_b = shannon_entropy(t.sum(axis=(0, 2)))
-    h_abk = shannon_entropy(t)
-    return h_ab + h_bk - h_b - h_abk
 
 
 def quantum_mutual_information(rho, dim_a: int, dim_b: int) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqlock import OptimizerConfig, von_neumann_entropy
+from cqlock import CQEnsemble, OptimizerConfig, classical_mutual_information, shannon_entropy, von_neumann_entropy
 from cqlock.measurement import measure_b
 from cqlock.qmath import quantum_conditional_entropy, quantum_mutual_information
 from cqlock.states import cq_to_density
@@ -34,6 +34,42 @@ def assert_matches_bipartite_oracle(ens, rep):
     probs, states = measure_b(rho, na, db, rep.optimizer.best_povm)
     measured = sum(p * von_neumann_entropy(s) for p, s in zip(probs, states))
     assert abs(rep.discord - (measured - cond_q)) <= 1e-6
+
+
+def key_extended_ensemble(ens, keys, n_keys):
+    """The ensemble with a classical copy of each letter's key on Bob's side: sigma_a (x) |k_a><k_a|.
+
+    Its Holevo quantity is I(A:BK), the information Bob can reach once the key is announced.
+    """
+    n, d = ens.n_letters, ens.dim_b
+    key_projs = np.eye(n_keys)[keys]
+    # ext[a, i, k, j, l] = sigma_a[i, j] * |k_a><k_a|[k, l]
+    ext = np.einsum("aij,ak,al->aikjl", ens.states, key_projs, key_projs).reshape(n, d * n_keys, d * n_keys)
+    return CQEnsemble(ens.labels, ens.probs, ext)
+
+
+def one_time_pad_table(m):
+    """Exact (A, B, K) table of B = A xor K with a uniform m-bit message and key."""
+    size = 2**m
+    a, k = np.arange(size)[:, None], np.arange(size)
+    table = np.zeros((size, size, size))
+    table[a, a ^ k, k] = 1.0 / size**2
+    return table
+
+
+def key_information(t):
+    """I(A;BK) - I(A;B) of an (A, B, K) table: what K adds to Bob's B, which the chain rule makes I(A;K|B)."""
+    return classical_mutual_information(t.reshape(t.shape[0], -1)) - classical_mutual_information(t.sum(axis=2))
+
+
+def conditional_mutual_information(t):
+    """I(A;K|B) = H(A,B) + H(B,K) - H(B) - H(A,B,K) of an (A, B, K) table, from its marginals' entropies."""
+    return (
+        shannon_entropy(t.sum(axis=2))
+        + shannon_entropy(t.sum(axis=0))
+        - shannon_entropy(t.sum(axis=(0, 2)))
+        - shannon_entropy(t)
+    )
 
 
 @pytest.fixture

@@ -9,18 +9,16 @@ import numpy as np
 import pytest
 
 from cqlock import (
+    CQEnsemble,
     OptimizerConfig,
     StrategySpec,
     accessible_information,
     build_locking_state,
-    classical_key_bound_check,
     classical_mutual_information,
-    conditional_mutual_information,
     holevo_chi,
     key_then_measure_info,
     locking_delta,
     measured_mutual_information,
-    one_time_pad_joint,
     projective_povm,
     quantum_discord_cq,
     random_cq_ensemble,
@@ -32,7 +30,15 @@ from cqlock.measurement import measure_b
 from cqlock.qmath import partial_trace, quantum_conditional_entropy, quantum_mutual_information
 from cqlock.states import cq_to_density
 
-from conftest import assert_matches_bipartite_oracle, bell_state, random_unitary
+from conftest import (
+    assert_matches_bipartite_oracle,
+    bell_state,
+    conditional_mutual_information,
+    key_extended_ensemble,
+    key_information,
+    one_time_pad_table,
+    random_unitary,
+)
 
 FULL_CFG = OptimizerConfig(restarts=50, max_iters=200, seed=0)
 REDUCED_CFG = OptimizerConfig(restarts=5, max_iters=100, seed=0)
@@ -79,12 +85,15 @@ def test_criterion_2_delta_equals_discord(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_criterion_3_single_copy_chain(m):
-    from cqlock import single_copy_identity_chain
-
-    inst, _ = build_locking_state(m)
-    rep = single_copy_identity_chain(inst)
-    vals = (rep.i_acc_with_key, rep.i_q_with_key, rep.i_q_plus_key)
-    assert max(vals) - min(vals) <= 1e-6
+    # I_acc(with key) = I(A:BK) = I(A:B) + H(K), with I(A:BK) the Holevo quantity of
+    # the ensemble that also hands Bob the key; the report's residual is the chain end to end
+    for family in ("hadamard", "fourier"):
+        inst, ens = build_locking_state(m, family)
+        rep = locking_delta(inst)
+        i_q_with_key = holevo_chi(key_extended_ensemble(ens, inst.keys, 2))
+        assert abs(i_q_with_key - rep.i_acc_with_key) <= 1e-12
+        assert abs(rep.i_acc_with_key - (rep.i_q_without_key + rep.key_bits)) <= 1e-12
+        assert rep.delta_equals_discord_residual <= 1e-12
     report(3, f"single-copy chain m={m}")
 
 
@@ -132,17 +141,27 @@ def test_criterion_6_grid_oracle_equivalence():
 
 def test_criterion_7_classical_baseline():
     for m in (1, 2, 3):
-        j = one_time_pad_joint(m)
-        assert abs(classical_mutual_information(j.sum(axis=2))) <= 1e-12
-        assert abs(classical_mutual_information(j.reshape(2**m, -1)) - m) <= 1e-12
-        assert abs(conditional_mutual_information(j) - m) <= 1e-12
+        t = one_time_pad_table(m)
+        assert abs(classical_mutual_information(t.sum(axis=2))) <= 1e-12
+        assert abs(classical_mutual_information(t.reshape(2**m, -1)) - m) <= 1e-12
+        assert abs(key_information(t) - m) <= 1e-12
+        assert abs(conditional_mutual_information(t) - m) <= 1e-12
+        # the pad as a CQ state: letter (a, k) leaves Bob |a xor k>, which he reads without loss
+        size = 2**m
+        a, k = np.divmod(np.arange(size * size), size)
+        kets = np.eye(size)[a ^ k]
+        states = kets[:, :, None] * kets[:, None, :]
+        ens = CQEnsemble(tuple(range(size * size)), np.full(size * size, 1.0 / size**2), states)
+        rep = quantum_discord_cq(ens, SWEEP_CFG)
+        assert abs(rep.discord) <= 1e-9
+        assert abs(rep.i_acc - m) <= 1e-9
+        assert abs(rep.mutual_info_q - m) <= 1e-9
     rng = np.random.default_rng(73)
     for _ in range(100):
         t = rng.random((3, 4, 2))
         t /= t.sum()
-        rep = classical_key_bound_check(t)
-        assert rep.chain_residual <= 1e-12
-        assert rep.bound_holds
+        assert abs(key_information(t) - conditional_mutual_information(t)) <= 1e-12
+        assert key_information(t) <= np.log2(t.shape[2]) + 1e-12
     report(7, "one-time-pad baseline and key bound")
 
 

@@ -231,23 +231,14 @@ class TestOptimizePovm:
         assert povm.dim == 2
         assert povm.n_outcomes <= 4
 
-    def test_projective_budget(self):
-        cfg = OptimizerConfig(restarts=2, max_iters=40, outcome_budget=2, seed=0)
-        ens = random_cq_ensemble(3, 2, "pure", seed=3)
-        povm = accessible_information(ens, cfg).best_povm
-        assert povm.n_outcomes == 2
-
-    def test_budget_bounds_enforced(self):
-        cfg = OptimizerConfig(outcome_budget=1)
-        ens = random_cq_ensemble(2, 2, "pure", seed=0)
-        with pytest.raises(ValueError):
-            accessible_information(ens, cfg)
+    def test_search_uses_d_squared_outcomes(self, fast_cfg):
+        # on these mixed ensembles a restart beats both candidate bases, and every restart has d^2 outcomes
+        for d in (2, 3):
+            povm = accessible_information(random_cq_ensemble(4, d, "mixed", seed=0), fast_cfg).best_povm
+            assert povm.n_outcomes == d * d
 
 
 class TestOptimizerConfig:
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
-
-    def test_default_budget_is_d_squared(self):
-        assert OptimizerConfig().budget_for(3) == 9

@@ -26,7 +26,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.6"
+        assert doc["schema_version"] == "1.7"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -137,6 +137,11 @@ class TestDiscordCommand:
     def test_threads_flag_removed(self, capsys):
         assert run(["discord", "--builtin", "bb84pair", *FAST, "--threads", "2"]) == 2
 
+    def test_outcome_budget_flag_removed(self, capsys):
+        # the search always uses d^2 outcomes
+        assert run(["discord", "--builtin", "bb84pair", *FAST, "--outcome-budget", "4"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_input_exit_2(self, capsys):
         assert run(["discord", *FAST]) == 2
 
@@ -190,7 +195,7 @@ class TestLockAnalyzeCommand:
         assert run(["lock-analyze", "--m", str(m), "--family", family, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         res = doc["results"]
-        assert doc["schema_version"] == "1.6"
+        assert doc["schema_version"] == "1.7"
         assert "optimizer" not in res
         assert abs(res["delta"] - m / 2) <= 1e-9
         assert abs(res["discord"] - m / 2) <= 1e-9
@@ -215,7 +220,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.6"
+        assert doc["schema_version"] == "1.7"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out

@@ -13,13 +13,11 @@ from cqlock import (
     maassen_uffink_bound,
     quantum_discord_cq,
     random_cq_ensemble,
-    single_copy_identity_chain,
 )
-from cqlock.discord import extend_with_key
 from cqlock.qmath import quantum_mutual_information
 from cqlock.states import cq_to_density
 
-from conftest import assert_matches_bipartite_oracle
+from conftest import assert_matches_bipartite_oracle, key_extended_ensemble
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -146,25 +144,32 @@ class TestMaassenUffinkBound:
 
 
 class TestIdentityChain:
+    """The single-copy chain I_acc(with key) = I(A:BK) = I(A:B) + H(K), with I(A:BK) taken on
+    the ensemble that also hands Bob the key, so that |Delta - D| is the chain's end-to-end residual."""
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("family", ["hadamard", "fourier"])
     def test_three_way_equality(self, m, family):
-        inst, _ = build_locking_state(m, family)
-        rep = single_copy_identity_chain(inst)
-        assert rep.max_residual < 1e-6
-        assert abs(rep.i_acc_with_key - (m + 1)) < 1e-6
-        assert rep.inequalities_hold
+        inst, ens = build_locking_state(m, family)
+        rep = locking_delta(inst)
+        i_q_with_key = holevo_chi(key_extended_ensemble(ens, inst.keys, 2))
+        i_q_plus_key = rep.i_q_without_key + rep.key_bits
+        vals = (rep.i_acc_with_key, i_q_with_key, i_q_plus_key)
+        assert max(vals) - min(vals) <= 1e-12
+        assert abs(rep.i_acc_with_key - (m + 1)) <= 1e-12
+        assert abs(rep.delta_equals_discord_residual - abs(rep.i_acc_with_key - i_q_plus_key)) <= 1e-14
+        assert i_q_plus_key <= m + rep.key_bits + 1e-12
 
     def test_perturbed_ensemble_keeps_inequalities(self):
         # non-locking keyed ensembles obey the two inequalities even though
-        # the equalities fail; residual is only reported
-        rng = np.random.default_rng(59)
+        # the equalities fail
         for seed in range(10):
             ens = random_cq_ensemble(4, 2, "mixed", seed=seed)
-            keys = [lab % 2 for lab in range(4)]
-            ext = extend_with_key(ens.probs, ens.states, keys, 2)
-            iq_with = quantum_mutual_information(cq_to_density(ext), 4, 4)
-            iq_plus = quantum_mutual_information(cq_to_density(ens), 4, 2) + 1
+            ext = key_extended_ensemble(ens, [lab % 2 for lab in range(4)], 2)
+            iq_with = holevo_chi(ext)
+            # A stays classical, so chi is the mutual information of the full bipartite state
+            assert abs(iq_with - quantum_mutual_information(cq_to_density(ext), 4, 4)) <= 1e-9
+            iq_plus = holevo_chi(ens) + 1
             cap = np.log2(ens.dim_b) + 1
             assert iq_with <= iq_plus + 1e-9
             assert iq_plus <= cap + 1e-9

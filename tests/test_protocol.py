@@ -6,17 +6,16 @@ import pytest
 from cqlock import (
     StrategySpec,
     build_locking_state,
-    classical_key_bound_check,
     classical_mutual_information,
-    conditional_mutual_information,
     Povm,
     key_then_measure_info,
     measured_mutual_information,
-    one_time_pad_joint,
     projective_povm,
     simulate_locking_run,
 )
 from cqlock.protocol import _miller_madow_mi
+
+from conftest import conditional_mutual_information, key_information, one_time_pad_table
 
 
 class TestSimulateLockingRun:
@@ -125,47 +124,42 @@ class TestMillerMadow:
 
 
 class TestOneTimePad:
+    """The classical foil: an m-bit key that hides an m-bit message completely."""
+
     def test_m1_hiding_and_revealing(self):
-        j = one_time_pad_joint(1)
-        assert abs(classical_mutual_information(j.sum(axis=2))) < 1e-12
-        i_abk = classical_mutual_information(j.reshape(2, -1))
+        t = one_time_pad_table(1)
+        assert abs(classical_mutual_information(t.sum(axis=2))) < 1e-12
+        i_abk = classical_mutual_information(t.reshape(2, -1))
         assert abs(i_abk - 1) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_conditional_information_equals_key(self, m):
-        j = one_time_pad_joint(m)
-        assert abs(conditional_mutual_information(j) - m) < 1e-12
+        assert abs(key_information(one_time_pad_table(m)) - m) < 1e-12
 
     def test_chain_rule_residual_zero(self):
-        rep = classical_key_bound_check(one_time_pad_joint(1))
-        assert rep.chain_residual < 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_time_pad_joint(0)
-        with pytest.raises(ValueError):
-            one_time_pad_joint(4)
+        t = one_time_pad_table(1)
+        assert abs(key_information(t) - conditional_mutual_information(t)) < 1e-12
 
 
 class TestKeyBoundCheck:
+    """A classical key of |K| values adds at most log2 |K| bits: I(A;BK) - I(A;B) <= log2 |K|."""
+
     def test_pad_bound_tight(self):
-        rep = classical_key_bound_check(one_time_pad_joint(2))
-        assert rep.bound_holds
-        assert abs(rep.slack) < 1e-12
-        assert abs(rep.i_ab) < 1e-12
-        assert abs(rep.i_abk - 2) < 1e-12
+        t = one_time_pad_table(2)
+        assert abs(key_information(t) - np.log2(t.shape[2])) < 1e-12
+        assert abs(classical_mutual_information(t.sum(axis=2))) < 1e-12
+        assert abs(classical_mutual_information(t.reshape(4, -1)) - 2) < 1e-12
 
     def test_independent_key_full_slack(self):
         ab = np.random.default_rng(4).random((2, 2))
         ab /= ab.sum()
         t = ab[:, :, None] * np.array([0.5, 0.5])[None, None, :]
-        rep = classical_key_bound_check(t)
-        assert abs(rep.i_ak_given_b) < 1e-12
-        assert abs(rep.slack - 1) < 1e-12
+        assert abs(key_information(t)) < 1e-12
+        assert abs(conditional_mutual_information(t)) < 1e-12
 
     def test_bound_never_violated_on_random_joints(self):
         rng = np.random.default_rng(61)
         for _ in range(100):
             t = rng.random((3, 3, 2))
             t /= t.sum()
-            assert classical_key_bound_check(t).bound_holds
+            assert key_information(t) <= 1 + 1e-12

@@ -5,8 +5,6 @@ from cqlock import (
     DimensionError,
     classical_conditional_entropy,
     classical_mutual_information,
-    classical_key_bound_check,
-    conditional_mutual_information,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -20,7 +18,7 @@ from cqlock.qmath import (
 )
 from cqlock.states import CQEnsemble, cq_to_density, random_cq_ensemble
 
-from conftest import bell_state, random_unitary
+from conftest import bell_state, conditional_mutual_information, key_information, random_unitary
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -161,11 +159,13 @@ class TestClassicalInformation:
 
 
 class TestConditionalMutualInformation:
+    """I(A;K|B) of an (A, B, K) table, read off classical_mutual_information as I(A;BK) - I(A;B)."""
+
     def test_independent_key(self):
         ab = np.random.default_rng(2).random((2, 3))
         ab /= ab.sum()
         t = ab[:, :, None] * np.array([0.5, 0.5])[None, None, :]
-        assert abs(conditional_mutual_information(t)) < 1e-12
+        assert abs(key_information(t)) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_time_pad(self, m):
@@ -174,22 +174,20 @@ class TestConditionalMutualInformation:
         for a in range(size):
             for k in range(size):
                 t[a, a ^ k, k] = 1.0 / size**2
-        # exhaustive oracle: H(A,B) + H(B,K) - H(B) - H(A,B,K)
-        assert abs(conditional_mutual_information(t) - m) < 1e-12
+        assert abs(key_information(t) - m) < 1e-12
 
     def test_copied_variable(self):
         t = np.zeros((2, 2, 2))
         t[0, 0, 0] = t[1, 1, 1] = 0.5
-        assert abs(conditional_mutual_information(t)) < 1e-12
+        assert abs(key_information(t)) < 1e-12
 
     def test_chain_rule(self):
+        # against H(A,B) + H(B,K) - H(B) - H(A,B,K)
         rng = np.random.default_rng(23)
         for _ in range(100):
             t = rng.random((2, 3, 2))
             t /= t.sum()
-            i_abk = classical_mutual_information(t.reshape(2, -1))
-            i_ab = classical_mutual_information(t.sum(axis=2))
-            assert abs(i_abk - i_ab - conditional_mutual_information(t)) < 1e-12
+            assert abs(key_information(t) - conditional_mutual_information(t)) < 1e-12
 
 
 class TestQuantumInformation:
@@ -261,25 +259,28 @@ class TestIsometryValidation:
 
 
 class TestJointDistributionValidation:
-    """classical_key_bound_check validates the flattened (A, B, K) table it is given with validate_probs."""
+    """A joint table is validated flattened, by validate_probs; the information functionals take two variables."""
 
     def test_negative_entry(self):
         with pytest.raises(ValueError, match="negative probability entry"):
-            classical_key_bound_check(np.array([[[0.5, -1e-11], [0.25, 0.25 + 1e-11]]]))
+            validate_probs(np.array([[[0.5, -1e-11], [0.25, 0.25 + 1e-11]]]).ravel())
         # an entry within PROB_TOL of 0 is accepted
-        classical_key_bound_check(np.array([[[0.5, -1e-13], [0.25, 0.25 + 1e-13]]]))
+        validate_probs(np.array([[[0.5, -1e-13], [0.25, 0.25 + 1e-13]]]).ravel())
 
     def test_sum(self):
         with pytest.raises(ValueError, match="probabilities do not sum to 1"):
-            classical_key_bound_check(np.full((2, 2, 2), 0.3))
+            validate_probs(np.full((2, 2, 2), 0.3).ravel())
 
     def test_non_finite(self):
         with pytest.raises(ValueError, match="probabilities are not finite"):
-            classical_key_bound_check(np.array([[[np.nan, 0.5], [0.25, 0.25]]]))
+            validate_probs(np.array([[[np.nan, 0.5], [0.25, 0.25]]]).ravel())
 
     def test_variable_count(self):
-        with pytest.raises(ValueError, match="3-variable"):
-            classical_key_bound_check(np.full(4, 0.25))
+        for bad in (np.full(4, 0.25), np.full((2, 2, 2), 0.125)):
+            with pytest.raises(ValueError, match="2-variable"):
+                classical_mutual_information(bad)
+            with pytest.raises(ValueError, match="2-variable"):
+                classical_conditional_entropy(bad)
 
 
 class TestProbabilityValidation:
@@ -307,9 +308,9 @@ class TestNonFiniteInput:
 
     def test_joint_distribution(self):
         with pytest.raises(ValueError, match="not finite"):
-            classical_key_bound_check(np.full((2, 2, 2), np.nan))
+            validate_probs(np.full((2, 2, 2), np.nan).ravel())
         with pytest.raises(ValueError, match="not finite"):
-            classical_key_bound_check(np.array([[[np.inf, 0.0], [0.0, 0.0]]]))
+            validate_probs(np.array([[[np.inf, 0.0], [0.0, 0.0]]]).ravel())
 
     def test_ensemble(self):
         with pytest.raises(ValueError, match="not finite"):
