@@ -1,11 +1,15 @@
 """Maximization of measured mutual information over POVMs.
 
-The optimizer first evaluates two candidate projective bases (computational
-and the eigenbasis of the B marginal).
-It then runs seeded random-restart gradient ascent over rank-1 POVMs with
-n = d^2 outcomes, which suffice for the optimum (Davies 1978). A POVM with
-n outcomes is a d x n isometry W with W W^dagger = I_d, whose column b is
-the measurement vector of outcome b.
+The search answers in stages and stops at the first whose best value lies
+within MATRIX_TOL of a proven upper bound: the Holevo quantity, or for a
+two-basis ensemble the smaller Maassen-Uffink bound (maassen_uffink_bound).
+Stage 1 evaluates two candidate projective bases (computational and the
+eigenbasis of the B marginal). Stage 2 runs only for a two-basis ensemble:
+seeded random-restart gradient ascent over rank-1 POVMs with n = d outcomes.
+Stage 3 runs the same ascent with n = d^2 outcomes, which suffice for the
+optimum (Davies 1978), on every other ensemble and wherever stage 2 ends
+short of the bound. A POVM with n outcomes is a d x n isometry W with
+W W^dagger = I_d, whose column b is the measurement vector of outcome b.
 The search keeps the n x d transpose of W, whose columns are orthonormal;
 it is the `vectors` array of the returned Povm.
 
@@ -23,8 +27,8 @@ only if it raises its value, growing its step on success and shrinking it
 on failure, so the reported value is a maximum over evaluated POVMs. A
 start stops once its tangent-gradient norm falls below GRAD_TOL, once its
 step has shrunk below roundoff, or after max_iters iterations. The returned
-value is a certified lower bound on the accessible information, capped
-above by the Holevo quantity.
+value is a lower bound on the accessible information, and the certified
+optimum where it meets the upper bound.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import PROB_TOL, von_neumann_entropy
-from .states import CQEnsemble, LockingInstance
+from .qmath import MATRIX_TOL, PROB_TOL, von_neumann_entropy
+from .states import CQEnsemble
 from .measurement import Povm, measured_mutual_information, projective_povm
 
 __all__ = [
@@ -83,14 +87,18 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class AccessibleInfoResult:
-    """The search's best value and POVM, and for each restart its final value,
-    the iterations it ran and its final tangent-gradient norm (below GRAD_TOL
-    where it stopped on the gradient; a start that stopped before max_iters
-    with a larger norm stopped on its step)."""
+    """The search's best value and POVM, and for each restart of the stage that
+    answered its final value, the iterations it ran and its final
+    tangent-gradient norm (below GRAD_TOL where it stopped on the gradient; a
+    start that stopped before max_iters with a larger norm stopped on its
+    step). The restart tuples are empty when a candidate basis certified the
+    value. upper_bound is the Holevo quantity; certified is true iff the value
+    lies within MATRIX_TOL of min(chi, maassen_uffink_bound)."""
 
     value: float
     best_povm: Povm
     upper_bound: float
+    certified: bool
     per_restart_values: tuple
     per_restart_iterations: tuple
     per_restart_grad_norms: tuple
@@ -101,28 +109,58 @@ def holevo_chi(ens: CQEnsemble) -> float:
     return float(von_neumann_entropy(ens.average_state()) - ens.probs @ von_neumann_entropy(ens.states))
 
 
-def maassen_uffink_bound(inst: LockingInstance) -> float:
-    """Upper bound log2 d + log2 c on the accessible information of a locking ensemble without its key.
+def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
+    """Upper bound log2 d + log2 c on the accessible information of a two-basis ensemble, None for any other.
 
-    Here c = max_{a,b} |<u_0a|u_1b>| is the largest overlap of the two bases.
-    The letters (a, k) are uniform and each U_k is a complete basis, so
-    rho = I/d. A rank-1 POVM with elements |v_b><v_b| has q_b = |v_b|^2 / d,
-    and with phi_b = v_b / |v_b| the posterior is p(a, k | b) =
-    |<u_ka|phi_b>|^2 / 2, whose entropy is 1 + (H_0(phi_b) + H_1(phi_b)) / 2,
-    H_k(phi) being the entropy of measuring phi in U_k. Since H(A, K) =
-    1 + log2 d,
+    A two-basis ensemble has 2d pure letters of probability 1/(2d) each that
+    split into two orthonormal bases U_0 and U_1 of C^d (a locking ensemble
+    without its key), and c = max_{a,b} |<u_0a|u_1b>| is the largest overlap
+    of the two bases. The letters are uniform and each U_k is a complete
+    basis, so rho = I/d. A rank-1 POVM with elements |v_b><v_b| has q_b =
+    |v_b|^2 / d, and with phi_b = v_b / |v_b| the posterior of the letter
+    (a, k) is |<u_ka|phi_b>|^2 / 2, whose entropy is 1 + (H_0(phi_b) +
+    H_1(phi_b)) / 2, H_k(phi) being the entropy of measuring phi in U_k.
+    Since H(A) = 1 + log2 d,
 
         I = log2 d - sum_b q_b (H_0(phi_b) + H_1(phi_b)) / 2,
 
     and the Maassen-Uffink relation H_0 + H_1 >= -2 log2 c (PRL 60, 1103,
     1988) gives I <= log2 d + log2 c. Every POVM refines to a rank-1 one that
-    extracts at least as much, so the bound holds for all of them. A
-    LockingInstance holds a mutually unbiased pair, where c = d^(-1/2) and the
-    bound is m/2, which measuring in U_0 attains (DiVincenzo et al., PRL 92,
-    067902, 2004).
+    extracts at least as much, so the bound holds for all of them. For a
+    mutually unbiased pair c = d^(-1/2) and the bound is m/2 with d = 2^m,
+    which measuring in U_0 attains (DiVincenzo et al., PRL 92, 067902, 2004).
     """
-    u0, u1 = inst.basis_unitaries
-    return float(np.log2(inst.dim_b) + np.log2(np.max(np.abs(u0.conj().T @ u1))))
+    return _two_basis_bound(ens, _letter_factors(ens)[0])
+
+
+def _two_basis_bound(ens: CQEnsemble, rows: np.ndarray) -> float | None:
+    """maassen_uffink_bound of ens, given its letter rows from _letter_factors."""
+    d = ens.dim_b
+    # every letter keeps at least one row, so 2d rows for 2d letters means every letter is pure
+    if ens.n_letters != 2 * d or len(rows) != 2 * d or np.any(np.abs(ens.probs - 0.5 / d) > PROB_TOL):
+        return None
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    overlap = np.abs(unit @ unit.conj().T)
+    np.fill_diagonal(overlap, 0.0)
+    # letters of one basis are orthogonal, so the two bases 2-colour the graph of
+    # non-orthogonal pairs; conversely each colour holds at most d mutually
+    # orthogonal unit vectors in C^d, so any 2-colouring splits 2d letters into
+    # two bases, and every nonzero overlap joins the two
+    linked = overlap > MATRIX_TOL
+    side = np.zeros(2 * d, dtype=int)
+    for root in range(2 * d):
+        if side[root]:
+            continue
+        side[root] = 1
+        queue = [root]
+        for a in queue:
+            nbrs = np.flatnonzero(linked[a])
+            if np.any(side[nbrs] == side[a]):
+                return None
+            fresh = nbrs[side[nbrs] == 0]
+            side[fresh] = -side[a]
+            queue.extend(fresh)
+    return float(np.log2(d) + np.log2(overlap.max()))
 
 
 def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,9 +283,12 @@ def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int)
 
 
 def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> AccessibleInfoResult:
-    """Best measured mutual information over the candidate bases and the random restarts.
+    """Best measured mutual information over the stages, stopping at the first that meets the proven bound.
 
-    The candidates are the computational basis and the eigenbasis of the B marginal.
+    Stage 1 evaluates the computational basis and the eigenbasis of the B
+    marginal. Stage 2, for a two-basis ensemble only, runs the ascent with d
+    outcomes; stage 3 runs it with d^2 outcomes. The bound is chi, or for a
+    two-basis ensemble the smaller of chi and maassen_uffink_bound.
     """
     d = ens.dim_b
     if d > MAX_DIM_B:
@@ -263,16 +304,27 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
         if val > best_val:
             best_val, best_povm = val, povm
 
-    restart_vals, vs, iters, grad_norms = _stiefel_ascent(*_letter_factors(ens), cfg, d * d)
-    best_restart = int(np.argmax(restart_vals))
-    if restart_vals[best_restart] > best_val:
-        best_val = restart_vals[best_restart]
-        best_povm = Povm(vs[best_restart])
+    bound = chi
+    restart_vals = iters = grad_norms = ()
+    if best_val < bound - MATRIX_TOL:
+        factors = _letter_factors(ens)
+        two_basis = _two_basis_bound(ens, factors[0])
+        if two_basis is not None:
+            bound = min(bound, two_basis)
+        for n in (d * d,) if two_basis is None else (d, d * d):
+            if best_val >= bound - MATRIX_TOL:
+                break
+            restart_vals, vs, iters, grad_norms = _stiefel_ascent(*factors, cfg, n)
+            best_restart = int(np.argmax(restart_vals))
+            if restart_vals[best_restart] > best_val:
+                best_val = restart_vals[best_restart]
+                best_povm = Povm(vs[best_restart])
 
     return AccessibleInfoResult(
         value=float(best_val),
         best_povm=best_povm,
         upper_bound=float(chi),
+        certified=bool(best_val >= bound - MATRIX_TOL),
         per_restart_values=tuple(float(v) for v in restart_vals),
         per_restart_iterations=tuple(int(i) for i in iters),
         per_restart_grad_norms=tuple(float(g) for g in grad_norms),

@@ -24,7 +24,7 @@ from .accessible import MAX_DIM_B, GuardError, OptimizerConfig, holevo_chi
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import StrategySpec, simulate_locking_run
 
-SCHEMA_VERSION = "1.7"
+SCHEMA_VERSION = "1.8"
 # the largest m whose locking builtin, of dimension 2^m, the accessible-information search accepts
 MAX_BUILTIN_LOCKING_M = MAX_DIM_B.bit_length() - 1
 
@@ -126,7 +126,8 @@ def optimizer_config(args) -> OptimizerConfig:
 def cmd_discord(args) -> int:
     report = quantum_discord_cq(resolve_ensemble(args), optimizer_config(args))
     print(f"quantum mutual information  {report.mutual_info_q:.4f} bits")
-    print(f"accessible information      {report.i_acc:.4f} bits")
+    label = "certified optimum" if report.optimizer.certified else "lower bound"
+    print(f"accessible information      {report.i_acc:.4f} bits ({label})")
     print(f"quantum discord             {report.discord:.4f} bits")
     run = make_run_report("discord", _echo(args), report, args.seed)
     write_report(run, args.out, args.json)

@@ -95,7 +95,7 @@ def locking_delta(inst: LockingInstance) -> LockingReport:
         key_bits=KEY_BITS,
         i_acc_with_key=float(i_with),
         i_acc_without_key=float(i_without),
-        i_acc_upper_bound=maassen_uffink_bound(inst),
+        i_acc_upper_bound=maassen_uffink_bound(ens),
         i_q_without_key=chi,
         delta=float(delta),
         discord=float(discord),

@@ -153,11 +153,19 @@ class TestAccessibleInformation:
         ens = CQEnsemble((0,), np.array([1.0]), (PLUS,))
         res = accessible_information(ens, fast_cfg)
         assert abs(res.value) < 1e-9
+        # chi = 0 certifies a candidate basis, so no restart runs
+        assert res.certified
+        assert res.per_restart_values == res.per_restart_iterations == res.per_restart_grad_norms == ()
 
 
 def rotated(ens, u):
     """The ensemble with every letter conjugated by the unitary u on B."""
     return CQEnsemble(ens.labels, ens.probs, tuple(u @ s @ u.conj().T for s in ens.states))
+
+
+def d_squared_ascent(ens, cfg):
+    """The search's d^2-outcome ascent alone: final values, isometries, iterations and gradient norms per restart."""
+    return accessible._stiefel_ascent(*accessible._letter_factors(ens), cfg, ens.dim_b**2)
 
 
 class TestSearchWithoutHints:
@@ -168,7 +176,33 @@ class TestSearchWithoutHints:
         _, ens = build_locking_state(m)
         u = random_unitary(2**m, np.random.default_rng(100 + m))
         res = accessible_information(rotated(ens, u))
-        assert abs(res.value - m / 2) < {2: 1e-5, 3: 1e-5, 4: 1e-4}[m]
+        assert abs(res.value - m / 2) < 1e-9
+        # the d-outcome stage meets the Maassen-Uffink bound
+        assert res.certified
+        assert res.best_povm.n_outcomes == 2**m
+
+    def test_stalled_d_outcome_stage_falls_back(self):
+        # on this rotation the single d-outcome start stalls near 1.9666, short of
+        # the bound 2, so the d^2-outcome ascent runs as well
+        _, ens = build_locking_state(4)
+        ens = rotated(ens, random_unitary(16, np.random.default_rng(16)))
+        cfg = OptimizerConfig(restarts=1)
+        stage2 = accessible._stiefel_ascent(*accessible._letter_factors(ens), cfg, 16)[0]
+        assert abs(stage2[0] - 1.9666) < 1e-4
+        alone = d_squared_ascent(ens, cfg)[0]
+        res = accessible_information(ens, cfg)
+        assert res.value >= max(alone)
+        assert res.per_restart_values == tuple(alone)
+        assert not res.certified
+
+    @pytest.mark.parametrize("n, d, purity", [(128, 2, "pure"), (64, 4, "mixed"), (32, 8, "mixed")])
+    def test_other_ensembles_run_the_d_squared_ascent_alone(self, n, d, purity):
+        # shaped like the benchmark's discord-sweep inputs, none of which is a two-basis ensemble
+        cfg = OptimizerConfig(restarts=2, max_iters=60, seed=3)
+        ens = random_cq_ensemble(n, d, purity, seed=n + d)
+        assert accessible.maassen_uffink_bound(ens) is None
+        res = accessible_information(ens, cfg)
+        assert res.per_restart_values == tuple(float(v) for v in d_squared_ascent(ens, cfg)[0])
 
     def test_local_unitary_invariance_d4(self):
         ens = random_cq_ensemble(6, 4, "mixed", seed=5)
@@ -195,9 +229,9 @@ class TestConvergence:
         # gradient norm decays slowly; every start runs out of iterations
         _, ens = build_locking_state(3)
         cfg = OptimizerConfig(restarts=2, max_iters=30, seed=0)
-        res = accessible_information(rotated(ens, random_unitary(8, np.random.default_rng(103))), cfg)
-        assert res.per_restart_iterations == (30, 30)
-        assert all(g >= GRAD_TOL for g in res.per_restart_grad_norms)
+        _, _, iters, grad_norms = d_squared_ascent(rotated(ens, random_unitary(8, np.random.default_rng(103))), cfg)
+        assert tuple(iters) == (30, 30)
+        assert all(g >= GRAD_TOL for g in grad_norms)
 
     def test_underflowed_step_stops_start(self, monkeypatch):
         # this start stops improving near iteration 410 with its gradient
@@ -205,21 +239,21 @@ class TestConvergence:
         _, ens = build_locking_state(3)
         ens = rotated(ens, random_unitary(8, np.random.default_rng(103)))
         cfg = OptimizerConfig(restarts=1, max_iters=800, seed=0)
-        res = accessible_information(ens, cfg)
-        assert res.per_restart_iterations[0] < 800
-        assert res.per_restart_grad_norms[0] >= GRAD_TOL
+        vals, _, iters, grad_norms = d_squared_ascent(ens, cfg)
+        assert iters[0] < 800
+        assert grad_norms[0] >= GRAD_TOL
         # without the step stop the start runs out its iterations and gains nothing
         monkeypatch.setattr(accessible, "STEP_TOL", 0.0)
-        full = accessible_information(ens, cfg)
-        assert full.per_restart_iterations == (800,)
-        assert full.per_restart_values == res.per_restart_values
+        full_vals, _, full_iters, _ = d_squared_ascent(ens, cfg)
+        assert tuple(full_iters) == (800,)
+        assert tuple(full_vals) == tuple(vals)
 
     def test_stationary_start_stops_at_once(self, fast_cfg):
         # a single letter gives a constant objective, so every gradient is 0 up to roundoff
         ens = CQEnsemble((0,), np.array([1.0]), (PLUS,))
-        res = accessible_information(ens, fast_cfg)
-        assert res.per_restart_iterations == (0, 0, 0)
-        assert all(g < 1e-12 for g in res.per_restart_grad_norms)
+        _, _, iters, grad_norms = d_squared_ascent(ens, fast_cfg)
+        assert tuple(iters) == (0, 0, 0)
+        assert all(g < 1e-12 for g in grad_norms)
 
 
 class TestOptimizePovm:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqlock.accessible import GRAD_TOL, OptimizerConfig
+from cqlock.accessible import GRAD_TOL, OptimizerConfig, accessible_information
 from cqlock.cli import build_parser, main, optimizer_config
 from cqlock.states import CQEnsemble, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
@@ -26,7 +26,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.7"
+        assert doc["schema_version"] == "1.8"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -112,7 +112,7 @@ class TestDiscordCommand:
         assert "Traceback" not in err
 
     def test_d16_report_carries_povm_vectors(self, tmp_path):
-        # a Haar-rotated m=4 locking ensemble, where the d^2-outcome restart beats every candidate basis
+        # a Haar-rotated m=4 locking ensemble, where a restart beats every candidate basis
         _, ens = build_locking_state(4)
         rng = np.random.default_rng(0)
         u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
@@ -121,9 +121,10 @@ class TestDiscordCommand:
         path.write_text(json.dumps(ensemble_to_json_dict(rotated)))
         assert run(["discord", "--ensemble", str(path), "--restarts", "1", "--out", str(out)]) == 0
         povm = json.loads(out.read_text())["results"]["optimizer"]["best_povm"]
+        n_outcomes = accessible_information(rotated, OptimizerConfig(restarts=1)).best_povm.n_outcomes
         assert set(povm) == {"dim", "vectors"}
         assert povm["dim"] == 16
-        assert len(povm["vectors"]) == 256
+        assert len(povm["vectors"]) == n_outcomes
         assert all(len(row) == 16 and all(len(entry) == 2 for entry in row) for row in povm["vectors"])
 
     def test_report_carries_convergence_evidence(self, tmp_path):
@@ -195,7 +196,7 @@ class TestLockAnalyzeCommand:
         assert run(["lock-analyze", "--m", str(m), "--family", family, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         res = doc["results"]
-        assert doc["schema_version"] == "1.7"
+        assert doc["schema_version"] == "1.8"
         assert "optimizer" not in res
         assert abs(res["delta"] - m / 2) <= 1e-9
         assert abs(res["discord"] - m / 2) <= 1e-9
@@ -220,7 +221,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.7"
+        assert doc["schema_version"] == "1.8"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out

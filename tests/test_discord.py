@@ -17,10 +17,22 @@ from cqlock import (
 from cqlock.qmath import quantum_mutual_information
 from cqlock.states import cq_to_density
 
-from conftest import assert_matches_bipartite_oracle, key_extended_ensemble
+from conftest import assert_matches_bipartite_oracle, key_extended_ensemble, random_unitary
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def pure_ensemble(vecs, probs=None):
+    """Letters |v><v| for the unit rows v of vecs, uniform unless probs is given."""
+    n = len(vecs)
+    probs = np.full(n, 1.0 / n) if probs is None else np.asarray(probs)
+    return CQEnsemble(tuple(range(n)), probs, vecs[:, :, None] * vecs[:, None, :].conj())
+
+
+def two_basis_ensemble(u0, u1, probs=None):
+    """Letters |u_0a> then |u_1a>, the columns of the two unitaries."""
+    return pure_ensemble(np.concatenate([u0.T, u1.T]), probs)
 
 
 class TestQuantumDiscord:
@@ -117,7 +129,7 @@ class TestLockingDelta:
         rep = locking_delta(inst)
         assert rep.delta == rep.i_acc_with_key - (rep.i_acc_without_key + rep.key_bits)
         assert rep.discord == rep.i_q_without_key - rep.i_acc_without_key
-        assert rep.i_acc_upper_bound == maassen_uffink_bound(inst)
+        assert rep.i_acc_upper_bound == maassen_uffink_bound(inst.ensemble)
         assert abs(rep.i_q_without_key - 1) < 1e-9
         assert abs(rep.i_acc_with_key - 2) < 1e-9
 
@@ -127,7 +139,7 @@ class TestMaassenUffinkBound:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_search_never_exceeds_the_bound(self, m, family):
         inst, ens = build_locking_state(m, family)
-        assert accessible_information(ens, OptimizerConfig()).value <= maassen_uffink_bound(inst) + 1e-9
+        assert accessible_information(ens, OptimizerConfig()).value <= maassen_uffink_bound(ens) + 1e-9
 
     def test_bound_caps_random_measurements(self):
         # I of any rank-1 POVM on the m=2 ensemble, including ones far from either basis
@@ -135,12 +147,84 @@ class TestMaassenUffinkBound:
 
         inst, ens = build_locking_state(2, "fourier")
         rng = np.random.default_rng(61)
-        bound = maassen_uffink_bound(inst)
+        bound = maassen_uffink_bound(ens)
         for n in (4, 8, 16):
             for _ in range(20):
                 g = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
                 v, _ = np.linalg.qr(g)
                 assert measured_mutual_information(ens, Povm(v)) <= bound + 1e-12
+
+
+class TestTwoBasisDetection:
+    """maassen_uffink_bound answers only for 2d uniform pure letters that split into two orthonormal bases."""
+
+    def test_locking_ensemble(self):
+        inst, ens = build_locking_state(3, "fourier")
+        u0, u1 = inst.basis_unitaries
+        assert abs(maassen_uffink_bound(ens) - 1.5) <= 1e-12
+        assert abs(maassen_uffink_bound(two_basis_ensemble(u0, u1)) - 1.5) <= 1e-12
+
+    def test_non_uniform_probabilities(self):
+        inst, _ = build_locking_state(2)
+        probs = np.full(8, 1 / 8) + np.array([1e-3, -1e-3, 0, 0, 0, 0, 0, 0])
+        assert maassen_uffink_bound(two_basis_ensemble(*inst.basis_unitaries, probs)) is None
+
+    def test_one_mixed_letter(self):
+        _, ens = build_locking_state(2)
+        states = ens.states.copy()
+        states[0] = 0.9 * states[0] + 0.1 * states[2]
+        assert maassen_uffink_bound(CQEnsemble(ens.labels, ens.probs, states)) is None
+
+    def test_pure_letters_that_are_not_two_bases(self):
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        # eight random pure letters in C^4, no two orthogonal
+        vecs = g / np.linalg.norm(g, axis=1, keepdims=True)
+        assert maassen_uffink_bound(pure_ensemble(vecs)) is None
+        # |00>, |01>, |0+>, |0->: two bases of the first block; |10>, |11>, |1+> and a
+        # random |1 psi> in the second cannot split, since |10>, |1+>, |1 psi> overlap pairwise
+        psi = g[0, :2] / np.linalg.norm(g[0, :2])
+        blocks = np.array([[1, 0], [0, 1], [2**-0.5, 2**-0.5], [2**-0.5, -(2**-0.5)]], dtype=complex)
+        vecs = np.zeros((8, 4), dtype=complex)
+        vecs[:4, :2] = blocks
+        vecs[4:7, 2:] = blocks[:3]
+        vecs[7, 2:] = psi
+        assert maassen_uffink_bound(pure_ensemble(vecs)) is None
+
+    @pytest.mark.parametrize("n_bases", [1, 3])
+    def test_letter_count_other_than_2d(self, n_bases):
+        # one basis, or the three qubit Pauli bases
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        y = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
+        vecs = np.concatenate([np.eye(2), h.T, y.T][:n_bases]).astype(complex)
+        assert maassen_uffink_bound(pure_ensemble(vecs)) is None
+
+    def test_letter_permutation(self):
+        rng = np.random.default_rng(9)
+        # Z(x)Z and Z(x)X share orthogonal pairs across the bases, so their graph of
+        # non-orthogonal pairs is not complete bipartite
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        u = random_unitary(4, rng)
+        ens = two_basis_ensemble(u, u @ np.kron(np.eye(2), h))
+        bound = maassen_uffink_bound(ens)
+        assert abs(bound - 1.5) <= 1e-12
+        for _ in range(5):
+            perm = rng.permutation(8)
+            permuted = CQEnsemble(ens.labels, ens.probs[perm], ens.states[perm])
+            assert maassen_uffink_bound(permuted) == bound
+        # measuring in the first basis attains the bound, which certifies the search
+        res = accessible_information(ens, OptimizerConfig(restarts=2))
+        assert res.certified
+        assert abs(res.value - 1.5) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_mutually_unbiased_pair(self, seed):
+        u1 = random_unitary(4, np.random.default_rng(seed))
+        ens = two_basis_ensemble(np.eye(4, dtype=complex), u1)
+        c = np.max(np.abs(u1))
+        assert c > 0.5
+        assert abs(maassen_uffink_bound(ens) - (2 + np.log2(c))) <= 1e-12
+        assert accessible_information(ens).value <= maassen_uffink_bound(ens) + 1e-9
 
 
 class TestIdentityChain:
