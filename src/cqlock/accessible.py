@@ -4,11 +4,12 @@ The search answers in stages and stops at the first whose best value lies
 within MATRIX_TOL of a proven upper bound: the Holevo quantity, or for a
 two-basis ensemble the smaller Maassen-Uffink bound (maassen_uffink_bound).
 Stage 1 evaluates two candidate projective bases (computational and the
-eigenbasis of the B marginal). Stage 2 runs only for a two-basis ensemble:
-seeded random-restart gradient ascent over rank-1 POVMs with n = d outcomes.
-Stage 3 runs the same ascent with n = d^2 outcomes, which suffice for the
-optimum (Davies 1978), on every other ensemble and wherever stage 2 ends
-short of the bound. A POVM with n outcomes is a d x n isometry W with
+eigenbasis of the B marginal) at any dimension. Stage 2 runs only for a
+two-basis ensemble: seeded random-restart gradient ascent over rank-1 POVMs
+with n = d outcomes. Stage 3 runs the same ascent with n = d^2 outcomes,
+which suffice for the optimum (Davies 1978), on every other ensemble and
+wherever stage 2 ends short of the bound. The MAX_DIM_B guard applies only
+to the ascent. A POVM with n outcomes is a d x n isometry W with
 W W^dagger = I_d, whose column b is the measurement vector of outcome b.
 The search keeps the n x d transpose of W, whose columns are orthonormal;
 it is the `vectors` array of the returned Povm.
@@ -92,11 +93,14 @@ class AccessibleInfoResult:
     tangent-gradient norm (below GRAD_TOL where it stopped on the gradient; a
     start that stopped before max_iters with a larger norm stopped on its
     step). The restart tuples are empty when a candidate basis certified the
-    value. upper_bound is the Holevo quantity; certified is true iff the value
-    lies within MATRIX_TOL of min(chi, maassen_uffink_bound)."""
+    value. chi is the Holevo quantity. upper_bound is the bound the search
+    proved: min(chi, maassen_uffink_bound) where the candidate bases fell
+    short of chi and the ensemble is a two-basis one, chi otherwise; certified
+    is true iff the value lies within MATRIX_TOL of it."""
 
     value: float
     best_povm: Povm
+    chi: float
     upper_bound: float
     certified: bool
     per_restart_values: tuple
@@ -288,11 +292,10 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     Stage 1 evaluates the computational basis and the eigenbasis of the B
     marginal. Stage 2, for a two-basis ensemble only, runs the ascent with d
     outcomes; stage 3 runs it with d^2 outcomes. The bound is chi, or for a
-    two-basis ensemble the smaller of chi and maassen_uffink_bound.
+    two-basis ensemble the smaller of chi and maassen_uffink_bound. Raises
+    GuardError where an ascent would run at d > MAX_DIM_B.
     """
     d = ens.dim_b
-    if d > MAX_DIM_B:
-        raise GuardError("instance too large")
     chi = holevo_chi(ens)
 
     best_val = -1.0
@@ -314,6 +317,8 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
         for n in (d * d,) if two_basis is None else (d, d * d):
             if best_val >= bound - MATRIX_TOL:
                 break
+            if d > MAX_DIM_B:
+                raise GuardError("instance too large")
             restart_vals, vs, iters, grad_norms = _stiefel_ascent(*factors, cfg, n)
             best_restart = int(np.argmax(restart_vals))
             if restart_vals[best_restart] > best_val:
@@ -323,7 +328,8 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     return AccessibleInfoResult(
         value=float(best_val),
         best_povm=best_povm,
-        upper_bound=float(chi),
+        chi=float(chi),
+        upper_bound=float(bound),
         certified=bool(best_val >= bound - MATRIX_TOL),
         per_restart_values=tuple(float(v) for v in restart_vals),
         per_restart_iterations=tuple(int(i) for i in iters),

@@ -24,9 +24,7 @@ from .accessible import MAX_DIM_B, GuardError, OptimizerConfig, holevo_chi
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import StrategySpec, simulate_locking_run
 
-SCHEMA_VERSION = "1.8"
-# the largest m whose locking builtin, of dimension 2^m, the accessible-information search accepts
-MAX_BUILTIN_LOCKING_M = MAX_DIM_B.bit_length() - 1
+SCHEMA_VERSION = "1.9"
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -82,18 +80,16 @@ def resolve_ensemble(args):
                 doc = json.load(fh)
             return ensemble_from_json_dict(doc)
         except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise InputError(f"cannot load ensemble file: {exc}")
+            raise ValueError(f"cannot load ensemble file: {exc}")
     name = args.builtin
     if name is None:
-        raise InputError("either --builtin or --ensemble is required")
+        raise ValueError("either --builtin or --ensemble is required")
     if name.startswith("locking:m="):
         try:
             m = int(name.split("=", 1)[1])
         except ValueError:
-            raise InputError(f"bad builtin spec: {name!r}")
-        if not 1 <= m <= MAX_BUILTIN_LOCKING_M:
-            raise GuardError(f"locking builtin supports m=1..{MAX_BUILTIN_LOCKING_M} (dimension cap {MAX_DIM_B})")
-        return build_locking_state(m, args.family)[1]
+            raise ValueError(f"bad builtin spec: {name!r}")
+        return _locking_state(m, args.family, "locking builtin")[1]
     if name == "bb84pair":
         zero = np.array([[1, 0], [0, 0]], dtype=complex)
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -102,17 +98,20 @@ def resolve_ensemble(args):
         try:
             n = int(name.split(":", 1)[1])
         except ValueError:
-            raise InputError(f"bad builtin spec: {name!r}")
+            raise ValueError(f"bad builtin spec: {name!r}")
         if not 2 <= n <= MAX_DIM_B:
             raise GuardError(f"orthogonal builtin supports n=2..{MAX_DIM_B}")
         # letter a has the state |a><a|
         states = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
         return CQEnsemble(tuple(range(n)), np.full(n, 1.0 / n), states)
-    raise InputError(f"unknown builtin: {name!r}")
+    raise ValueError(f"unknown builtin: {name!r}")
 
 
-class InputError(ValueError):
-    pass
+def _locking_state(m: int, family: str, what: str):
+    """build_locking_state(m, family), after the one m guard of every command that takes a locking instance."""
+    if not 1 <= m <= MAX_MESSAGE_BITS:
+        raise GuardError(f"{what} supports m=1..{MAX_MESSAGE_BITS}")
+    return build_locking_state(m, family)
 
 
 def optimizer_config(args) -> OptimizerConfig:
@@ -134,14 +133,8 @@ def cmd_discord(args) -> int:
     return EXIT_OK
 
 
-def _locking_instance(args):
-    if not 1 <= args.m <= MAX_MESSAGE_BITS:
-        raise GuardError(f"{args.command} supports m=1..{MAX_MESSAGE_BITS}")
-    return build_locking_state(args.m, args.family)[0]
-
-
 def cmd_lock_analyze(args) -> int:
-    report = locking_delta(_locking_instance(args))
+    report = locking_delta(_locking_state(args.m, args.family, args.command)[0])
     print("m  I_q     I_acc(no key)  I_acc(key)  delta   discord")
     print(
         f"{report.m}  {report.i_q_without_key:.4f}  {report.i_acc_without_key:.4f}"
@@ -155,13 +148,13 @@ def cmd_lock_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    inst = _locking_instance(args)
+    inst = _locking_state(args.m, args.family, args.command)[0]
     if args.strategy == "before-key":
-        strategy = StrategySpec("before_key", projective_povm(np.eye(inst.dim_b, dtype=complex)))
+        strategy = StrategySpec("before_key", projective_povm(inst.basis_unitaries[0]))
     elif args.strategy == "after-key":
         strategy = StrategySpec("after_key")
     else:
-        raise InputError(f"unknown strategy: {args.strategy!r}")
+        raise ValueError(f"unknown strategy: {args.strategy!r}")
     report = simulate_locking_run(inst, strategy, args.n, args.seed)
     print(f"empirical mutual information  {report.empirical_mi:.4f} bits")
     print(f"Miller-Madow corrected        {report.miller_madow_mi:.4f} bits")
@@ -280,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--builtin",
         default=None,
-        help=f"locking:m=N (N=1..{MAX_BUILTIN_LOCKING_M}) | bb84pair | orthogonal:n (n=2..{MAX_DIM_B})",
+        help=f"locking:m=N (N=1..{MAX_MESSAGE_BITS}) | bb84pair | orthogonal:n (n=2..{MAX_DIM_B})",
     )
     p.add_argument("--ensemble", metavar="FILE", default=None)
     p.add_argument("--family", choices=("hadamard", "fourier"), default="hadamard")
@@ -320,7 +313,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from .qmath import classical_mutual_information, shannon_entropy
 from .states import KEY_BITS, CQEnsemble, LockingInstance
-from .measurement import after_key_table, measured_conditional_entropy, measured_mutual_information, projective_povm
-from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information, holevo_chi, maassen_uffink_bound
+from .measurement import after_key_table, measured_conditional_entropy
+from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information
 
 __all__ = [
     "DiscordReport",
@@ -25,12 +25,12 @@ class DiscordReport:
     discord: float
     cond_entropy_q: float
     min_measured_cond_entropy: float
-    optimizer: AccessibleInfoResult | None = None
+    optimizer: AccessibleInfoResult
 
 
 @dataclass(frozen=True)
 class LockingReport:
-    """Locking quantities of one instance; measuring in U_0 attains i_acc_without_key, and i_acc_upper_bound caps it."""
+    """Locking quantities of one instance; i_acc_upper_bound is the bound that certifies i_acc_without_key."""
 
     m: int
     key_bits: int
@@ -47,16 +47,15 @@ def quantum_discord_cq(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()
     """Discord = quantum mutual information minus best-found accessible information.
 
     A is classical, so I(A:B) is the Holevo quantity chi that the search
-    reports as its upper bound and S(A|B) = H(A) - chi; the measured
-    conditional entropy is H(A|B) of the table the best POVM induces.
+    reports and S(A|B) = H(A) - chi; the measured conditional entropy is
+    H(A|B) of the table the best POVM induces.
     """
     acc = accessible_information(ens, cfg)
-    chi = acc.upper_bound
     return DiscordReport(
-        mutual_info_q=chi,
+        mutual_info_q=acc.chi,
         i_acc=acc.value,
-        discord=chi - acc.value,
-        cond_entropy_q=shannon_entropy(ens.probs) - chi,
+        discord=acc.chi - acc.value,
+        cond_entropy_q=shannon_entropy(ens.probs) - acc.chi,
         min_measured_cond_entropy=measured_conditional_entropy(ens, acc.best_povm),
         optimizer=acc,
     )
@@ -73,32 +72,28 @@ def key_then_measure_info(inst: LockingInstance) -> float:
 
 
 def locking_delta(inst: LockingInstance) -> LockingReport:
-    """Locking advantage: with-key information minus (without-key information + key bits), with no search.
+    """Locking advantage: with-key information minus (without-key information + key bits).
 
     The with-key term is exact because the key-conditioned measurement is
-    optimal. The without-key term is the information that measuring in U_0
-    extracts, and maassen_uffink_bound caps every measurement at the same
-    value up to roundoff, so it is the accessible information; the bound is
-    reported next to it. The discord of the shared state is chi minus the
-    without-key term, so the residual |Delta - D| = |I_acc(with key) - (chi +
-    key bits)| isolates the identity Delta = D; it is the end-to-end residual
-    of the single-copy chain I_acc(with key) = I(A:BK) = I(A:B) + H(K).
+    optimal. The without-key terms come from quantum_discord_cq on the
+    instance's ensemble, whose first stage certifies them with no ascent:
+    measuring in U_0, the computational basis, attains the Maassen-Uffink
+    bound up to roundoff, and the report gives that bound next to the value.
+    The residual |Delta - D| = |I_acc(with key) - (chi + key bits)| isolates
+    the identity Delta = D; it is the end-to-end residual of the single-copy
+    chain I_acc(with key) = I(A:BK) = I(A:B) + H(K).
     """
-    ens = inst.ensemble
     i_with = key_then_measure_info(inst)
-    i_without = measured_mutual_information(ens, projective_povm(inst.basis_unitaries[0]))
-    chi = holevo_chi(ens)
-    delta = i_with - (i_without + KEY_BITS)
-    discord = chi - i_without
+    without = quantum_discord_cq(inst.ensemble)
+    delta = i_with - (without.i_acc + KEY_BITS)
     return LockingReport(
         m=inst.m,
         key_bits=KEY_BITS,
         i_acc_with_key=float(i_with),
-        i_acc_without_key=float(i_without),
-        i_acc_upper_bound=maassen_uffink_bound(ens),
-        i_q_without_key=chi,
+        i_acc_without_key=without.i_acc,
+        i_acc_upper_bound=without.optimizer.upper_bound,
+        i_q_without_key=without.mutual_info_q,
         delta=float(delta),
-        discord=float(discord),
-        delta_equals_discord_residual=float(abs(delta - discord)),
+        discord=without.discord,
+        delta_equals_discord_residual=float(abs(delta - without.discord)),
     )
-

@@ -13,6 +13,8 @@ from cqlock.accessible import GRAD_TOL, OptimizerConfig, accessible_information
 from cqlock.cli import build_parser, main, optimizer_config
 from cqlock.states import CQEnsemble, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
+from conftest import random_unitary
+
 FAST = ["--restarts", "2", "--iters", "40"]
 
 
@@ -26,7 +28,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.8"
+        assert doc["schema_version"] == "1.9"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -150,17 +152,46 @@ class TestDiscordCommand:
         assert run(["discord", "--builtin", "orthogonal:99", *FAST]) == 3
 
     def test_locking_builtin_up_to_the_dimension_cap(self, tmp_path, capsys):
-        # m=4 is d=16, the search's dimension cap; m=5 would be d=32
+        # m=6 is d=64, beyond the ascent's dimension cap 16, but the candidate basis
+        # certifies it; m=7 is beyond the cap lock-analyze and simulate share
         out = tmp_path / "r.json"
-        assert run(["discord", "--builtin", "locking:m=4", "--restarts", "1", "--iters", "5", "--out", str(out)]) == 0
-        assert abs(json.loads(out.read_text())["results"]["mutual_info_q"] - 4.0) < 1e-9
-        assert run(["discord", "--builtin", "locking:m=5", *FAST]) == 3
-        assert "m=1..4 (dimension cap 16)" in capsys.readouterr().err
+        assert run(["discord", "--builtin", "locking:m=6", "--restarts", "1", "--iters", "5", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert abs(res["mutual_info_q"] - 6.0) < 1e-9
+        assert res["optimizer"]["certified"] is True
+        assert run(["discord", "--builtin", "locking:m=7", *FAST]) == 3
+        assert "m=1..6" in capsys.readouterr().err
 
     def test_builtin_help_states_the_cap(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["discord", "--help"])
-        assert "locking:m=N (N=1..4)" in capsys.readouterr().out
+        assert "locking:m=N (N=1..6)" in capsys.readouterr().out
+
+    def test_report_names_the_certifying_bound(self, tmp_path):
+        # on a rotated m=3 locking ensemble the Maassen-Uffink bound 1.5, not chi = 3, certifies the value
+        _, ens = build_locking_state(3)
+        u = random_unitary(8, np.random.default_rng(103))
+        rotated = CQEnsemble(ens.labels, ens.probs, u @ ens.states @ u.conj().T)
+        path, out = tmp_path / "m3.json", tmp_path / "r.json"
+        path.write_text(json.dumps(ensemble_to_json_dict(rotated)))
+        assert run(["discord", "--ensemble", str(path), "--out", str(out)]) == 0
+        opt = json.loads(out.read_text())["results"]["optimizer"]
+        assert opt["certified"] is True
+        assert abs(opt["upper_bound"] - 1.5) <= 1e-9
+        assert abs(opt["chi"] - 3.0) <= 1e-9
+        assert abs(opt["value"] - 1.5) <= 1e-9
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_agrees_with_lock_analyze(self, m, family, tmp_path):
+        # lock-analyze reads its without-key terms from the same search
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["discord", "--builtin", f"locking:m={m}", "--family", family, "--out", str(a)]) == 0
+        assert run(["lock-analyze", "--m", str(m), "--family", family, "--out", str(b)]) == 0
+        disc, lock = (json.loads(p.read_text())["results"] for p in (a, b))
+        assert disc["i_acc"] == lock["i_acc_without_key"]
+        assert disc["discord"] == lock["discord"]
+        assert disc["optimizer"]["upper_bound"] == lock["i_acc_upper_bound"]
 
 
 @pytest.mark.parametrize("argv", [["discord", "--builtin", "bb84pair"]])
@@ -196,7 +227,7 @@ class TestLockAnalyzeCommand:
         assert run(["lock-analyze", "--m", str(m), "--family", family, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         res = doc["results"]
-        assert doc["schema_version"] == "1.8"
+        assert doc["schema_version"] == "1.9"
         assert "optimizer" not in res
         assert abs(res["delta"] - m / 2) <= 1e-9
         assert abs(res["discord"] - m / 2) <= 1e-9
@@ -221,7 +252,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.8"
+        assert doc["schema_version"] == "1.9"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out

@@ -14,6 +14,7 @@ from cqlock import (
     quantum_discord_cq,
     random_cq_ensemble,
 )
+from cqlock.accessible import MAX_DIM_B
 from cqlock.qmath import quantum_mutual_information
 from cqlock.states import cq_to_density
 
@@ -105,6 +106,36 @@ class TestQuantumDiscord:
         best_b = max(b.i_acc, measured_mutual_information(rotated, rotate(a.optimizer.best_povm, v)))
         assert abs(best_a - best_b) < 1e-6
         assert abs((a.mutual_info_q - best_a) - (b.mutual_info_q - best_b)) < 1e-6
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_locking_beyond_the_ascent_cap(self, m, family):
+        # d = 32 and 64 exceed MAX_DIM_B, but the computational basis meets the
+        # Maassen-Uffink bound, so no ascent runs and the guard is not reached
+        _, ens = build_locking_state(m, family)
+        assert ens.dim_b > MAX_DIM_B
+        opt = quantum_discord_cq(ens).optimizer
+        assert opt.certified
+        assert opt.per_restart_values == opt.per_restart_iterations == opt.per_restart_grad_norms == ()
+        assert abs(opt.upper_bound - m / 2) <= 1e-12
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 3),
+        family=st.sampled_from(["hadamard", "fourier"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_locking_report_invariant_under_rotation_and_relabelling(self, m, family, seed):
+        _, ens = build_locking_state(m, family)
+        rng = np.random.default_rng(seed)
+        u = random_unitary(ens.dim_b, rng)
+        perm = rng.permutation(ens.n_letters)
+        moved = CQEnsemble(tuple(ens.labels[i] for i in perm), ens.probs[perm], u @ ens.states[perm] @ u.conj().T)
+        a, b = quantum_discord_cq(ens), quantum_discord_cq(moved)
+        assert a.optimizer.certified and b.optimizer.certified
+        assert abs(a.i_acc - b.i_acc) <= 1e-9
+        assert abs(a.discord - b.discord) <= 1e-9
+        assert abs(a.optimizer.upper_bound - b.optimizer.upper_bound) <= 1e-9
 
 
 class TestKeyThenMeasure:
