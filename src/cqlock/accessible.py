@@ -3,16 +3,21 @@
 The search answers in stages and stops at the first whose best value lies
 within MATRIX_TOL of a proven upper bound: the Holevo quantity, or for a
 two-basis ensemble the smaller Maassen-Uffink bound (maassen_uffink_bound).
-Stage 1 evaluates two candidate projective bases (computational and the
-eigenbasis of the B marginal) at any dimension. Stage 2 runs only for a
+Stage 1 evaluates candidate projective bases at any dimension: the
+computational basis and the eigenbasis of the B marginal, then, for a
+two-basis ensemble where those fall short of the bound, the ensemble's own
+two letter bases. Measuring in either letter basis attains the bound when
+the two are mutually unbiased, in any frame. Stage 2 runs only for a
 two-basis ensemble: seeded random-restart gradient ascent over rank-1 POVMs
 with n = d outcomes. Stage 3 runs the same ascent with n = d^2 outcomes,
 which suffice for the optimum (Davies 1978), on every other ensemble and
 wherever stage 2 ends short of the bound. The MAX_DIM_B guard applies only
-to the ascent. A POVM with n outcomes is a d x n isometry W with
-W W^dagger = I_d, whose column b is the measurement vector of outcome b.
-The search keeps the n x d transpose of W, whose columns are orthonormal;
-it is the `vectors` array of the returned Povm.
+to the ascent. The letter stack is eigendecomposed once per search, for the
+Holevo quantity and the ascent's letter factors alike. A POVM with n
+outcomes is a d x n isometry W with W W^dagger = I_d, whose column b is the
+measurement vector of outcome b. The search keeps the n x d transpose of W,
+whose columns are orthonormal; it is the `vectors` array of the returned
+Povm.
 
 All restarts are stacked into one (restarts, n, d) array and advance
 together by Riemannian conjugate gradient (Polak-Ribiere+, Absil, Mahony &
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import MATRIX_TOL, PROB_TOL, von_neumann_entropy
+from .qmath import MATRIX_TOL, PROB_TOL, _entropy_of_spectrum, von_neumann_entropy
 from .states import CQEnsemble
 from .measurement import Povm, measured_mutual_information, projective_povm
 
@@ -94,9 +99,10 @@ class AccessibleInfoResult:
     start that stopped before max_iters with a larger norm stopped on its
     step). The restart tuples are empty when a candidate basis certified the
     value. chi is the Holevo quantity. upper_bound is the bound the search
-    proved: min(chi, maassen_uffink_bound) where the candidate bases fell
-    short of chi and the ensemble is a two-basis one, chi otherwise; certified
-    is true iff the value lies within MATRIX_TOL of it."""
+    proved: min(chi, maassen_uffink_bound) for any two-basis ensemble where
+    the computational and marginal-eigenbasis candidates fell short of chi,
+    chi otherwise; certified is true iff the value lies within MATRIX_TOL of
+    it."""
 
     value: float
     best_povm: Povm
@@ -110,7 +116,12 @@ class AccessibleInfoResult:
 
 def holevo_chi(ens: CQEnsemble) -> float:
     """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits, with the letters' entropies from one batched call."""
-    return float(von_neumann_entropy(ens.average_state()) - ens.probs @ von_neumann_entropy(ens.states))
+    return _holevo_chi(ens, np.linalg.eigvalsh(ens.states))
+
+
+def _holevo_chi(ens: CQEnsemble, letter_spectra: np.ndarray) -> float:
+    """holevo_chi of ens, given the (n, d) eigenvalues of its letter stack."""
+    return float(von_neumann_entropy(ens.average_state()) - ens.probs @ _entropy_of_spectrum(letter_spectra))
 
 
 def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
@@ -134,11 +145,16 @@ def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
     mutually unbiased pair c = d^(-1/2) and the bound is m/2 with d = 2^m,
     which measuring in U_0 attains (DiVincenzo et al., PRL 92, 067902, 2004).
     """
-    return _two_basis_bound(ens, _letter_factors(ens)[0])
+    found = _two_basis_bound(ens, _letter_factors(ens, *np.linalg.eigh(ens.states))[0])
+    return None if found is None else found[0]
 
 
-def _two_basis_bound(ens: CQEnsemble, rows: np.ndarray) -> float | None:
-    """maassen_uffink_bound of ens, given its letter rows from _letter_factors."""
+def _two_basis_bound(ens: CQEnsemble, rows: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
+    """maassen_uffink_bound of ens and its two letter bases as d x d unitaries, given its letter rows from _letter_factors.
+
+    Each column of a unitary is the state vector of one letter of that basis,
+    so projective_povm of it measures in the basis.
+    """
     d = ens.dim_b
     # every letter keeps at least one row, so 2d rows for 2d letters means every letter is pure
     if ens.n_letters != 2 * d or len(rows) != 2 * d or np.any(np.abs(ens.probs - 0.5 / d) > PROB_TOL):
@@ -164,15 +180,17 @@ def _two_basis_bound(ens: CQEnsemble, rows: np.ndarray) -> float | None:
             fresh = nbrs[side[nbrs] == 0]
             side[fresh] = -side[a]
             queue.extend(fresh)
-    return float(np.log2(d) + np.log2(overlap.max()))
+    # row a is the conjugated state vector of letter a, up to its phase
+    bases = tuple(unit[side == colour].conj().T for colour in (1, -1))
+    return float(np.log2(d) + np.log2(overlap.max())), bases
 
 
-def _letter_factors(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _letter_factors(ens: CQEnsemble, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows K_k with sum_{k of letter a} K_k^dagger K_k = p_a sigma_a, the letter of each row, and the 0/1 row-by-letter map.
 
-    Only eigenvectors of nonzero weight are kept, so a pure letter gives one row.
+    vals and vecs are the eigendecomposition of ens.states. Only eigenvectors
+    of nonzero weight are kept, so a pure letter gives one row.
     """
-    vals, vecs = np.linalg.eigh(ens.states)
     # a unit-trace state always keeps its largest eigenvector
     owner, col = np.nonzero(vals > PROB_TOL)
     rows = np.sqrt(ens.probs[owner] * vals[owner, col])[:, None] * vecs[owner, :, col].conj()
@@ -286,34 +304,44 @@ def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int)
     return out_val, out_v, out_iters, np.sqrt(out_gg)
 
 
-def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> AccessibleInfoResult:
-    """Best measured mutual information over the stages, stopping at the first that meets the proven bound.
-
-    Stage 1 evaluates the computational basis and the eigenbasis of the B
-    marginal. Stage 2, for a two-basis ensemble only, runs the ascent with d
-    outcomes; stage 3 runs it with d^2 outcomes. The bound is chi, or for a
-    two-basis ensemble the smaller of chi and maassen_uffink_bound. Raises
-    GuardError where an ascent would run at d > MAX_DIM_B.
-    """
-    d = ens.dim_b
-    chi = holevo_chi(ens)
-
-    best_val = -1.0
-    best_povm = None
-    _, marginal_eigenbasis = np.linalg.eigh(ens.average_state())
-    for u in (np.eye(d, dtype=complex), marginal_eigenbasis):
+def _best_basis(ens: CQEnsemble, bases, best_val: float, best_povm):
+    """The larger of (best_val, best_povm) and the best projective measurement in the given bases, first one winning ties."""
+    for u in bases:
         povm = projective_povm(u)
         val = measured_mutual_information(ens, povm)
         if val > best_val:
             best_val, best_povm = val, povm
+    return best_val, best_povm
+
+
+def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> AccessibleInfoResult:
+    """Best measured mutual information over the stages, stopping at the first that meets the proven bound.
+
+    Stage 1 evaluates the computational basis and the eigenbasis of the B
+    marginal, and for a two-basis ensemble where both fall short of the
+    bound, its two letter bases. Stage 2, for a two-basis ensemble only, runs
+    the ascent with d outcomes; stage 3 runs it with d^2 outcomes. The bound
+    is chi, or for a two-basis ensemble the smaller of chi and
+    maassen_uffink_bound. Raises GuardError where an ascent would run at
+    d > MAX_DIM_B.
+    """
+    d = ens.dim_b
+    vals, vecs = np.linalg.eigh(ens.states)
+    chi = _holevo_chi(ens, vals)
+
+    _, marginal_eigenbasis = np.linalg.eigh(ens.average_state())
+    best_val, best_povm = _best_basis(ens, (np.eye(d, dtype=complex), marginal_eigenbasis), -1.0, None)
 
     bound = chi
     restart_vals = iters = grad_norms = ()
     if best_val < bound - MATRIX_TOL:
-        factors = _letter_factors(ens)
+        factors = _letter_factors(ens, vals, vecs)
         two_basis = _two_basis_bound(ens, factors[0])
         if two_basis is not None:
-            bound = min(bound, two_basis)
+            mu_bound, letter_bases = two_basis
+            bound = min(bound, mu_bound)
+            if best_val < bound - MATRIX_TOL:
+                best_val, best_povm = _best_basis(ens, letter_bases, best_val, best_povm)
         for n in (d * d,) if two_basis is None else (d, d * d):
             if best_val >= bound - MATRIX_TOL:
                 break

@@ -125,9 +125,9 @@ def optimizer_config(args) -> OptimizerConfig:
 def cmd_discord(args) -> int:
     report = quantum_discord_cq(resolve_ensemble(args), optimizer_config(args))
     print(f"quantum mutual information  {report.mutual_info_q:.4f} bits")
-    label = "certified optimum" if report.optimizer.certified else "lower bound"
-    print(f"accessible information      {report.i_acc:.4f} bits ({label})")
-    print(f"quantum discord             {report.discord:.4f} bits")
+    certified = report.optimizer.certified
+    print(f"accessible information      {report.i_acc:.4f} bits ({'certified optimum' if certified else 'lower bound'})")
+    print(f"quantum discord             {report.discord:.4f} bits ({'certified' if certified else 'upper bound'})")
     run = make_run_report("discord", _echo(args), report, args.seed)
     write_report(run, args.out, args.json)
     return EXIT_OK

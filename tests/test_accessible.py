@@ -67,6 +67,21 @@ def per_letter_chi(ens):
     return von_neumann_entropy(avg) - sum(p * von_neumann_entropy(s) for p, s in zip(ens.probs, ens.states))
 
 
+def count_stack_decompositions(monkeypatch, ens):
+    """Patch numpy's Hermitian eigensolvers to count their calls on the ensemble's (n, d, d) letter stack; returns the list of calls."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            if np.shape(a) == ens.states.shape:
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestHolevoChiPerLetterOracle:
     @pytest.mark.parametrize("purity", ["pure", "mixed"])
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
@@ -149,6 +164,18 @@ class TestAccessibleInformation:
         with pytest.raises(GuardError, match="instance too large"):
             accessible_information(ens, fast_cfg)
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_locking_state(6)[1],
+        lambda: random_cq_ensemble(32, 8, "mixed", seed=40),
+    ], ids=["locking-m6", "random-n32-d8"])
+    def test_letter_stack_decomposed_once(self, make, monkeypatch, fast_cfg):
+        # chi and the search's letter factors are read from one eigh of the stack
+        ens = make()
+        calls = count_stack_decompositions(monkeypatch, ens)
+        res = accessible_information(ens, fast_cfg)
+        assert calls == ["eigh"]
+        assert abs(res.chi - per_letter_chi(ens)) <= 1e-12
+
     def test_single_letter(self, fast_cfg):
         ens = CQEnsemble((0,), np.array([1.0]), (PLUS,))
         res = accessible_information(ens, fast_cfg)
@@ -163,13 +190,30 @@ def rotated(ens, u):
     return CQEnsemble(ens.labels, ens.probs, tuple(u @ s @ u.conj().T for s in ens.states))
 
 
+def letter_factors(ens):
+    """The search's letter factors of ens, from one eigendecomposition of its stack."""
+    return accessible._letter_factors(ens, *np.linalg.eigh(ens.states))
+
+
 def d_squared_ascent(ens, cfg):
     """The search's d^2-outcome ascent alone: final values, isometries, iterations and gradient norms per restart."""
-    return accessible._stiefel_ascent(*accessible._letter_factors(ens), cfg, ens.dim_b**2)
+    return accessible._stiefel_ascent(*letter_factors(ens), cfg, ens.dim_b**2)
+
+
+def two_basis_ensemble(u0, u1):
+    """2d uniform pure letters: the columns of u0, then those of u1."""
+    vecs = np.concatenate([u0.T, u1.T])
+    states = np.einsum("ai,aj->aij", vecs, vecs.conj())
+    return CQEnsemble(tuple(range(len(vecs))), np.full(len(vecs), 1 / len(vecs)), states)
 
 
 class TestSearchWithoutHints:
-    """The default search alone must find the optimum; no candidate basis applies after a random rotation."""
+    """The search must find the optimum with no hint from the caller.
+
+    After a random rotation neither the computational basis nor the marginal
+    eigenbasis applies; the ensemble's own letter bases, found from its
+    letters alone, certify a rotated locking ensemble in stage 1.
+    """
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_rotated_locking_reaches_half_m(self, m):
@@ -177,21 +221,42 @@ class TestSearchWithoutHints:
         u = random_unitary(2**m, np.random.default_rng(100 + m))
         res = accessible_information(rotated(ens, u))
         assert abs(res.value - m / 2) < 1e-9
-        # the d-outcome stage meets the Maassen-Uffink bound
+        # a letter basis meets the Maassen-Uffink bound, so no ascent runs
         assert res.certified
         assert res.best_povm.n_outcomes == 2**m
+        assert res.per_restart_values == res.per_restart_iterations == res.per_restart_grad_norms == ()
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_rotated_locking_beyond_the_ascent_cap(self, m, family):
+        # d = 32 and 64 exceed MAX_DIM_B, which guards only an ascent
+        _, ens = build_locking_state(m, family)
+        res = accessible_information(rotated(ens, random_unitary(2**m, np.random.default_rng(100 + m))))
+        assert res.certified
+        assert abs(res.value - m / 2) <= 1e-9
+        assert res.best_povm.n_outcomes == 2**m
+        assert res.per_restart_values == res.per_restart_iterations == res.per_restart_grad_norms == ()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_d_outcome_ascent_alone_reaches_half_m(self, m):
+        # the n = d ascent, unaided by any candidate basis, at the default config
+        _, ens = build_locking_state(m)
+        ens = rotated(ens, random_unitary(2**m, np.random.default_rng(100 + m)))
+        vals = accessible._stiefel_ascent(*letter_factors(ens), OptimizerConfig(), 2**m)[0]
+        assert abs(max(vals) - m / 2) <= 1e-9
 
     def test_stalled_d_outcome_stage_falls_back(self):
-        # on this rotation the single d-outcome start stalls near 1.9666, short of
-        # the bound 2, so the d^2-outcome ascent runs as well
-        _, ens = build_locking_state(4)
-        ens = rotated(ens, random_unitary(16, np.random.default_rng(16)))
+        # the two bases are not mutually unbiased, so the Maassen-Uffink bound
+        # 1.866 is not attained: the d-outcome stage ends near 1.4044, short of
+        # it, and the d^2-outcome ascent runs as well
+        ens = two_basis_ensemble(np.eye(4, dtype=complex), random_unitary(4, np.random.default_rng(1)))
+        assert abs(accessible.maassen_uffink_bound(ens) - 1.8659) < 1e-4
         cfg = OptimizerConfig(restarts=1)
-        stage2 = accessible._stiefel_ascent(*accessible._letter_factors(ens), cfg, 16)[0]
-        assert abs(stage2[0] - 1.9666) < 1e-4
+        stage2 = accessible._stiefel_ascent(*letter_factors(ens), cfg, 4)[0]
+        assert abs(stage2[0] - 1.4044) < 1e-4
         alone = d_squared_ascent(ens, cfg)[0]
         res = accessible_information(ens, cfg)
-        assert res.value >= max(alone)
+        assert res.value >= max(max(alone), stage2[0])
         assert res.per_restart_values == tuple(alone)
         assert not res.certified
 

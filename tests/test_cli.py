@@ -114,7 +114,7 @@ class TestDiscordCommand:
         assert "Traceback" not in err
 
     def test_d16_report_carries_povm_vectors(self, tmp_path):
-        # a Haar-rotated m=4 locking ensemble, where a restart beats every candidate basis
+        # a Haar-rotated m=4 locking ensemble, which one of its letter bases certifies
         _, ens = build_locking_state(4)
         rng = np.random.default_rng(0)
         u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
@@ -180,6 +180,28 @@ class TestDiscordCommand:
         assert abs(opt["upper_bound"] - 1.5) <= 1e-9
         assert abs(opt["chi"] - 3.0) <= 1e-9
         assert abs(opt["value"] - 1.5) <= 1e-9
+
+    def test_rotated_m5_certified_beyond_the_ascent_cap(self, tmp_path, capsys):
+        # d = 32 exceeds MAX_DIM_B, but a letter basis certifies the value, so no ascent runs
+        _, ens = build_locking_state(5)
+        u = random_unitary(32, np.random.default_rng(105))
+        path, out = tmp_path / "m5.json", tmp_path / "r.json"
+        path.write_text(json.dumps(ensemble_to_json_dict(CQEnsemble(ens.labels, ens.probs, u @ ens.states @ u.conj().T))))
+        assert run(["discord", "--ensemble", str(path), "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["optimizer"]["certified"] is True
+        assert abs(res["i_acc"] - 2.5) <= 1e-9
+        assert res["optimizer"]["per_restart_values"] == []
+        text = capsys.readouterr().out
+        assert "bits (certified optimum)" in text
+        assert "bits (certified)" in text
+
+    def test_uncertified_report_labels_discord_an_upper_bound(self, capsys):
+        # bb84pair is no two-basis ensemble and its optimum lies below chi
+        assert run(["discord", "--builtin", "bb84pair", *FAST]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith("bits (lower bound)")
+        assert lines[2].startswith("quantum discord") and lines[2].endswith("bits (upper bound)")
 
     @pytest.mark.parametrize("family", ["hadamard", "fourier"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
