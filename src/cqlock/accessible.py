@@ -26,15 +26,19 @@ direction, maps the trial point back onto the isometries with a thin QR,
 and evaluates the measured mutual information there with its gradient. The
 gradient is projected onto the tangent space at the trial point, and the
 previous direction is carried there by the same projection; a direction
-nearly orthogonal to the gradient is replaced by the gradient. The products
-sigma_a w_b come from one matrix product with the stacked eigen-factors of
-p_a sigma_a, so a pure letter costs one row. Each start keeps a trial point
-only if it raises its value, growing its step on success and shrinking it
-on failure, so the reported value is a maximum over evaluated POVMs. A
-start stops once its tangent-gradient norm falls below GRAD_TOL, once its
-step has shrunk below roundoff, or after max_iters iterations. The returned
-value is a lower bound on the accessible information, and the certified
-optimum where it meets the upper bound.
+nearly orthogonal to the gradient is replaced by the gradient. The
+objective reads the letters S_a = p_a sigma_a in one of two forms,
+whichever the stack's shape makes cheaper (_evaluator): as eigen-factor
+rows, where a pure letter costs one row and a full-rank one d, or as the
+matrices S_a themselves, where the table and the gradient are each one real
+matrix product with the outer products w_b w_b^dagger. Rows win only for
+low-rank letters at d >= 8. Each start keeps a trial point only if it
+raises its value, growing its step on success and shrinking it on failure,
+so the reported value is a maximum over evaluated POVMs. A start stops once
+its tangent-gradient norm falls below GRAD_TOL, once its step has shrunk
+below roundoff, or after max_iters iterations. The returned value is a
+lower bound on the accessible information, and the certified optimum where
+it meets the upper bound.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ STEP_TOL = np.finfo(float).eps
 # to nothing, and a start keeps its direction when a step fails, so without
 # this it can stall with its step shrinking to 0
 ASCENT_COS_MIN = 0.1
+# the ascent's objective reads the letters as eigen-factor rows where
+# ROW_COST * rows <= n_letters * d^2, the number of letter-matrix entries, and
+# as the letter matrices otherwise; timed ascents at d = 4, 8 and 16 put the
+# crossover near an average rank of d^2 / 64
+ROW_COST = 64
 
 
 class GuardError(ValueError):
@@ -185,8 +194,8 @@ def _two_basis_bound(ens: CQEnsemble, rows: np.ndarray) -> tuple[float, tuple[np
     return float(np.log2(d) + np.log2(overlap.max())), bases
 
 
-def _letter_factors(ens: CQEnsemble, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows K_k with sum_{k of letter a} K_k^dagger K_k = p_a sigma_a, the letter of each row, and the 0/1 row-by-letter map.
+def _letter_factors(ens: CQEnsemble, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows K_k with sum_{k of letter a} K_k^dagger K_k = p_a sigma_a, and the letter of each row.
 
     vals and vecs are the eigendecomposition of ens.states. Only eigenvectors
     of nonzero weight are kept, so a pure letter gives one row.
@@ -194,21 +203,15 @@ def _letter_factors(ens: CQEnsemble, vals: np.ndarray, vecs: np.ndarray) -> tupl
     # a unit-trace state always keeps its largest eigenvector
     owner, col = np.nonzero(vals > PROB_TOL)
     rows = np.sqrt(ens.probs[owner] * vals[owner, col])[:, None] * vecs[owner, :, col].conj()
-    row_to_letter = (owner[:, None] == np.arange(ens.n_letters)[None, :]).astype(float)
-    return rows, owner, row_to_letter
+    return rows, owner
 
 
-def _mi_and_gradient(factors: np.ndarray, owner: np.ndarray, row_to_letter: np.ndarray, v: np.ndarray):
-    """Measured MI of each stacked POVM and its gradient with respect to conj(v).
+def _mi_from_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measured MI of each stacked table T[r, b, a] = p_a w_b^dagger sigma_a w_b, and L = dI/dT up to a constant.
 
-    factors, owner and row_to_letter come from _letter_factors; v is (R, n, d)
-    and row b of v[r] is the measurement vector w_b. Returns values (R,) and
-    gradients (R, n, d).
+    The columns of each isometry are orthonormal, so sum_b T[r, b, a] = p_a
+    and each table sums to 1. Returns values (R,) and L (R, n, n_letters).
     """
-    kv = v @ factors.T
-    # T[r, b, a] = p_a w_b^dagger sigma_a w_b, summed over the rows of letter a;
-    # the columns of v are orthonormal, so sum_b T[r, b, a] = p_a and T sums to 1
-    table = (kv.real**2 + kv.imag**2) @ row_to_letter
     # entries at or below PROB_TOL count as 0, as in every entropy:
     # their ratio stays 1 and their log 0; there sigma_a w_b vanishes as well,
     # so they drop out of the gradient
@@ -218,12 +221,63 @@ def _mi_and_gradient(factors: np.ndarray, owner: np.ndarray, row_to_letter: np.n
         out=np.ones_like(table),
         where=table > PROB_TOL,
     )
-    log_ratio = np.log2(ratio)
-    values = np.einsum("rba,rba->r", table, log_ratio)
+    # in place here and in the evaluators: each fresh temporary of the ascent's
+    # size can cost page faults, at every one of its hundreds of evaluations
+    log_ratio = np.log2(ratio, out=ratio)
     # dI/dT_ab = log2(T_ab / (p_a q_b)) up to a constant, and a constant has
-    # no component tangent to the isometries; G_b = sum_a p_a dI/dT_ab sigma_a w_b
-    grad = (log_ratio[:, :, owner] * kv) @ factors.conj()
-    return values, grad
+    # no component tangent to the isometries
+    return np.einsum("rba,rba->r", table, log_ratio), log_ratio
+
+
+def _rows_evaluator(rows: np.ndarray, owner: np.ndarray, n_letters: int):
+    """Measured MI and its gradient G_b = sum_a L_ba p_a sigma_a w_b from the letters' eigen-factor rows.
+
+    rows and owner come from _letter_factors. The returned function takes v
+    (R, n, d), whose row b of v[r] is the measurement vector w_b, and returns
+    values (R,) and gradients with respect to conj(v), (R, n, d).
+    """
+    row_to_letter = (owner[:, None] == np.arange(n_letters)[None, :]).astype(float)
+    rows_conj = rows.conj()
+
+    def evaluate(v):
+        kv = v @ rows.T
+        table = (kv.real**2 + kv.imag**2) @ row_to_letter
+        values, log_ratio = _mi_from_table(table)
+        kv *= log_ratio[:, :, owner]
+        return values, kv @ rows_conj
+
+    return evaluate
+
+
+def _matrix_evaluator(letters: np.ndarray):
+    """_rows_evaluator's function computed from the letter matrices S_a = p_a sigma_a, an (n_letters, d, d) stack."""
+    n_letters, d, _ = letters.shape
+    # Re sum_ij x_ij conj(y_ij) of two complex arrays is the dot product of their float views
+    flat = np.ascontiguousarray(letters).reshape(n_letters, d * d).view(np.float64)
+
+    def evaluate(v):
+        r, n, _ = v.shape
+        # T_ab = w_b^dagger S_a w_b = Re sum_ij P_ij conj(S_a,ij) with P = w_b w_b^dagger, as S_a is Hermitian
+        outer = (v[..., :, None] * v[..., None, :].conj()).reshape(r * n, d * d).view(np.float64)
+        values, log_ratio = _mi_from_table((outer @ flat.T).reshape(r, n, n_letters))
+        # sum_a L_ba S_a overwrites the outer products, which are spent
+        weighted = np.matmul(log_ratio.reshape(r * n, n_letters), flat, out=outer).view(complex).reshape(r * n, d, d)
+        return values, (weighted @ v.reshape(r * n, d, 1)).reshape(r, n, d)
+
+    return evaluate
+
+
+def _evaluator(ens: CQEnsemble, rows: np.ndarray, owner: np.ndarray):
+    """The ascent's objective for ens, from its letter rows where they are few and from its letter matrices otherwise.
+
+    rows and owner come from _letter_factors. Per outcome, the rows form
+    spends its products and temporaries on the rows, one for a pure letter
+    and d for a full-rank one, and the matrix form on the n_letters x d^2
+    letter-matrix entries; see ROW_COST.
+    """
+    if ROW_COST * len(rows) <= ens.n_letters * ens.dim_b**2:
+        return _rows_evaluator(rows, owner, ens.n_letters)
+    return _matrix_evaluator(ens.probs[:, None, None] * ens.states)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,8 +304,11 @@ def _tangent(g: np.ndarray, v: np.ndarray, v_h: np.ndarray) -> np.ndarray:
     return g - v @ (0.5 * (vg + np.swapaxes(vg.conj(), 1, 2)))
 
 
-def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int):
+def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
     """Polak-Ribiere+ conjugate-gradient ascent of all restarts, advanced together.
+
+    evaluate maps a (R, n, d) stack of transposed isometries to their values
+    and Euclidean gradients, as the functions of _evaluator do.
 
     Returns the final values (R,), transposed isometries (R, n, d), iteration
     counts (R,) and final tangent-gradient norms (R,). A start stops once its
@@ -259,13 +316,12 @@ def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int)
     its direction falls below STEP_TOL, and the batch then shrinks to the
     starts still running.
     """
-    d = factors.shape[1]
     starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
         starts.append(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
     v = _retract(np.stack(starts))
-    val, egrad = _mi_and_gradient(factors, owner, row_to_letter, v)
+    val, egrad = evaluate(v)
     g = _tangent(egrad, v, np.swapaxes(v.conj(), 1, 2))
     eta, gg = g, _inner(g, g)
     ee = gg
@@ -284,7 +340,7 @@ def _stiefel_ascent(factors, owner, row_to_letter, cfg: OptimizerConfig, n: int)
                 break
             live, v, val, g, eta, gg, ee, step = (x[keep] for x in (live, v, val, g, eta, gg, ee, step))
         trial = _retract(v + step[:, None, None] * eta)
-        trial_val, trial_egrad = _mi_and_gradient(factors, owner, row_to_letter, trial)
+        trial_val, trial_egrad = evaluate(trial)
         trial_h = np.swapaxes(trial.conj(), 1, 2)
         trial_g = _tangent(trial_egrad, trial, trial_h)
         trial_gg = _inner(trial_g, trial_g)
@@ -335,8 +391,8 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     bound = chi
     restart_vals = iters = grad_norms = ()
     if best_val < bound - MATRIX_TOL:
-        factors = _letter_factors(ens, vals, vecs)
-        two_basis = _two_basis_bound(ens, factors[0])
+        rows, owner = _letter_factors(ens, vals, vecs)
+        two_basis = _two_basis_bound(ens, rows)
         if two_basis is not None:
             mu_bound, letter_bases = two_basis
             bound = min(bound, mu_bound)
@@ -347,7 +403,7 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
                 break
             if d > MAX_DIM_B:
                 raise GuardError("instance too large")
-            restart_vals, vs, iters, grad_norms = _stiefel_ascent(*factors, cfg, n)
+            restart_vals, vs, iters, grad_norms = _stiefel_ascent(_evaluator(ens, rows, owner), cfg, n, d)
             best_restart = int(np.argmax(restart_vals))
             if restart_vals[best_restart] > best_val:
                 best_val = restart_vals[best_restart]

@@ -17,7 +17,8 @@ from cqlock import (
 
 from cqlock import accessible
 from cqlock.accessible import GRAD_TOL
-from cqlock.qmath import quantum_mutual_information
+from cqlock.measurement import Povm
+from cqlock.qmath import PROB_TOL, quantum_mutual_information
 from cqlock.states import cq_to_density
 
 from conftest import random_unitary
@@ -191,13 +192,18 @@ def rotated(ens, u):
 
 
 def letter_factors(ens):
-    """The search's letter factors of ens, from one eigendecomposition of its stack."""
+    """The search's letter rows of ens and the letter of each row, from one eigendecomposition of its stack."""
     return accessible._letter_factors(ens, *np.linalg.eigh(ens.states))
+
+
+def ascent(ens, cfg, n):
+    """The search's ascent alone with n outcomes, in the form of the objective the search picks for ens."""
+    return accessible._stiefel_ascent(accessible._evaluator(ens, *letter_factors(ens)), cfg, n, ens.dim_b)
 
 
 def d_squared_ascent(ens, cfg):
     """The search's d^2-outcome ascent alone: final values, isometries, iterations and gradient norms per restart."""
-    return accessible._stiefel_ascent(*letter_factors(ens), cfg, ens.dim_b**2)
+    return ascent(ens, cfg, ens.dim_b**2)
 
 
 def two_basis_ensemble(u0, u1):
@@ -205,6 +211,79 @@ def two_basis_ensemble(u0, u1):
     vecs = np.concatenate([u0.T, u1.T])
     states = np.einsum("ai,aj->aij", vecs, vecs.conj())
     return CQEnsemble(tuple(range(len(vecs))), np.full(len(vecs), 1 / len(vecs)), states)
+
+
+def rank_ensemble(ranks, d, seed):
+    """One letter on C^d per entry of ranks, each a normalized Wishart product of that rank, with Dirichlet probabilities."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for k in ranks:
+        g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        states.append(g @ g.conj().T / np.vdot(g, g).real)
+    return CQEnsemble(tuple(range(len(ranks))), rng.dirichlet(np.ones(len(ranks))), tuple(states))
+
+
+def faint_ensemble(d, seed, faint=5e-13):
+    """Rank-2 letters on C^d, but letter 0 has the eigenvalue faint, below PROB_TOL, so its rows drop that eigenvector."""
+    ens = rank_ensemble([2] * 5, d, seed)
+    u = random_unitary(d, np.random.default_rng(seed))
+    letter0 = (1 - faint) * np.outer(u[:, 0], u[:, 0].conj()) + faint * np.outer(u[:, 1], u[:, 1].conj())
+    return CQEnsemble(ens.labels, ens.probs, (letter0, *ens.states[1:]))
+
+
+def form_picked(ens, monkeypatch):
+    """Which form of the objective the search builds for ens: "rows" or "matrices"."""
+    picked = []
+    monkeypatch.setattr(accessible, "_rows_evaluator", lambda *args: picked.append("rows"))
+    monkeypatch.setattr(accessible, "_matrix_evaluator", lambda *args: picked.append("matrices"))
+    accessible._evaluator(ens, *letter_factors(ens))
+    (form,) = picked
+    return form
+
+
+class TestObjectiveForms:
+    """The ascent's objective from the letters' eigen-factor rows and from the letter matrices p_a sigma_a."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("stack", ["pure", "rank-2", "full-rank", "mixed-rank", "faint-eigenvalue"])
+    def test_forms_agree(self, d, stack):
+        make = {
+            "pure": lambda: rank_ensemble([1] * 6, d, seed=d),
+            "rank-2": lambda: rank_ensemble([2] * 6, d, seed=d),
+            "full-rank": lambda: rank_ensemble([d] * 6, d, seed=d),
+            "mixed-rank": lambda: rank_ensemble([1, d, 2, 1, d, 2], d, seed=d),
+            "faint-eigenvalue": lambda: faint_ensemble(d, seed=d),
+        }
+        ens = make[stack]()
+        rows, owner = letter_factors(ens)
+        if stack == "faint-eigenvalue":
+            assert np.count_nonzero(owner == 0) == 1
+        rng = np.random.default_rng(d)
+        v = accessible._retract(rng.standard_normal((3, d * d, d)) + 1j * rng.standard_normal((3, d * d, d)))
+        rows_val, rows_grad = accessible._rows_evaluator(rows, owner, ens.n_letters)(v)
+        mat_val, mat_grad = accessible._matrix_evaluator(ens.probs[:, None, None] * ens.states)(v)
+        assert np.max(np.abs(rows_val - mat_val)) <= 1e-12
+        assert np.max(np.abs(rows_grad - mat_grad)) <= 1e-10
+        oracle = [measured_mutual_information(ens, Povm(x)) for x in v]
+        assert np.max(np.abs(mat_val - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_cq_ensemble(16, 8, "pure", seed=1),
+        lambda: random_cq_ensemble(32, 16, "pure", seed=1),
+        lambda: rank_ensemble([2] * 16, 16, seed=1),
+        lambda: rank_ensemble([4] * 16, 16, seed=1),
+    ], ids=["pure-d8", "pure-d16", "rank2-d16", "rank4-d16"])
+    def test_low_rank_stacks_use_rows(self, make, monkeypatch):
+        assert form_picked(make(), monkeypatch) == "rows"
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n, d=d, purity=purity: random_cq_ensemble(n, d, purity, seed=1)
+          for n, d, purity in [(128, 2, "pure"), (128, 2, "mixed"), (64, 4, "pure"), (64, 4, "mixed"), (32, 8, "mixed"), (12, 4, "mixed")]),
+        lambda: rank_ensemble([2] * 16, 8, seed=1),
+        lambda: rank_ensemble([16] * 16, 16, seed=1),
+    ], ids=["pure-n128-d2", "mixed-n128-d2", "pure-n64-d4", "mixed-n64-d4", "mixed-n32-d8", "mixed-n12-d4", "rank2-d8", "full-rank-d16"])
+    def test_other_stacks_use_matrices(self, make, monkeypatch):
+        assert form_picked(make(), monkeypatch) == "matrices"
 
 
 class TestSearchWithoutHints:
@@ -242,7 +321,7 @@ class TestSearchWithoutHints:
         # the n = d ascent, unaided by any candidate basis, at the default config
         _, ens = build_locking_state(m)
         ens = rotated(ens, random_unitary(2**m, np.random.default_rng(100 + m)))
-        vals = accessible._stiefel_ascent(*letter_factors(ens), OptimizerConfig(), 2**m)[0]
+        vals = ascent(ens, OptimizerConfig(), 2**m)[0]
         assert abs(max(vals) - m / 2) <= 1e-9
 
     def test_stalled_d_outcome_stage_falls_back(self):
@@ -252,7 +331,7 @@ class TestSearchWithoutHints:
         ens = two_basis_ensemble(np.eye(4, dtype=complex), random_unitary(4, np.random.default_rng(1)))
         assert abs(accessible.maassen_uffink_bound(ens) - 1.8659) < 1e-4
         cfg = OptimizerConfig(restarts=1)
-        stage2 = accessible._stiefel_ascent(*letter_factors(ens), cfg, 4)[0]
+        stage2 = ascent(ens, cfg, 4)[0]
         assert abs(stage2[0] - 1.4044) < 1e-4
         alone = d_squared_ascent(ens, cfg)[0]
         res = accessible_information(ens, cfg)
@@ -260,14 +339,20 @@ class TestSearchWithoutHints:
         assert res.per_restart_values == tuple(alone)
         assert not res.certified
 
-    @pytest.mark.parametrize("n, d, purity", [(128, 2, "pure"), (64, 4, "mixed"), (32, 8, "mixed")])
-    def test_other_ensembles_run_the_d_squared_ascent_alone(self, n, d, purity):
-        # shaped like the benchmark's discord-sweep inputs, none of which is a two-basis ensemble
+    @pytest.mark.parametrize("n, d, purity, value", [
+        (128, 2, "pure", 0.3535216776369502),
+        (64, 4, "mixed", 0.21374219583502727),
+        (32, 8, "mixed", 0.24857272065543856),
+    ], ids=["128-2-pure", "64-4-mixed", "32-8-mixed"])
+    def test_other_ensembles_run_the_d_squared_ascent_alone(self, n, d, purity, value):
+        # shaped like the benchmark's discord-sweep inputs, none of which is a two-basis ensemble;
+        # value pins the answer, so a form of the objective that moves it fails here
         cfg = OptimizerConfig(restarts=2, max_iters=60, seed=3)
         ens = random_cq_ensemble(n, d, purity, seed=n + d)
         assert accessible.maassen_uffink_bound(ens) is None
         res = accessible_information(ens, cfg)
         assert res.per_restart_values == tuple(float(v) for v in d_squared_ascent(ens, cfg)[0])
+        assert abs(res.value - value) <= 1e-12
 
     def test_local_unitary_invariance_d4(self):
         ens = random_cq_ensemble(6, 4, "mixed", seed=5)
