@@ -41,7 +41,6 @@ from .discord import (
 )
 from .protocol import (
     EmpiricalReport,
-    StrategySpec,
     simulate_locking_run,
 )
 

@@ -12,8 +12,9 @@ two-basis ensemble: seeded random-restart gradient ascent over rank-1 POVMs
 with n = d outcomes. Stage 3 runs the same ascent with n = d^2 outcomes,
 which suffice for the optimum (Davies 1978), on every other ensemble and
 wherever stage 2 ends short of the bound. The MAX_DIM_B guard applies only
-to the ascent. The letter stack is eigendecomposed once per search, for the
-Holevo quantity and the ascent's letter factors alike. A POVM with n
+to the ascent. The letter stack is eigendecomposed once per search, and the
+Holevo quantity, the letter factors, the two-basis test with its letter
+bases and the bound are each computed once from it. A POVM with n
 outcomes is a d x n isometry W with W W^dagger = I_d, whose column b is the
 measurement vector of outcome b. The search keeps the n x d transpose of W,
 whose columns are orthonormal; it is the `vectors` array of the returned
@@ -102,16 +103,15 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class AccessibleInfoResult:
-    """The search's best value and POVM, and for each restart of the stage that
-    answered its final value, the iterations it ran and its final
-    tangent-gradient norm (below GRAD_TOL where it stopped on the gradient; a
-    start that stopped before max_iters with a larger norm stopped on its
-    step). The restart tuples are empty when a candidate basis certified the
-    value. chi is the Holevo quantity. upper_bound is the bound the search
-    proved: min(chi, maassen_uffink_bound) for any two-basis ensemble where
-    the computational and marginal-eigenbasis candidates fell short of chi,
-    chi otherwise; certified is true iff the value lies within MATRIX_TOL of
-    it."""
+    """The search's best value and POVM, and for each restart of the ascent stage
+    whose best start is highest its final value, the iterations it ran and its
+    final tangent-gradient norm (below GRAD_TOL where it stopped on the
+    gradient; a start that stopped before max_iters with a larger norm stopped
+    on its step). The restart tuples are empty when a candidate basis
+    certified the value. chi is the Holevo quantity. upper_bound is the bound
+    the search proved: min(chi, maassen_uffink_bound) for a two-basis
+    ensemble, chi otherwise; certified is true iff the value lies within
+    MATRIX_TOL of it."""
 
     value: float
     best_povm: Povm
@@ -360,54 +360,47 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
     return out_val, out_v, out_iters, np.sqrt(out_gg)
 
 
-def _best_basis(ens: CQEnsemble, bases, best_val: float, best_povm):
-    """The larger of (best_val, best_povm) and the best projective measurement in the given bases, first one winning ties."""
-    for u in bases:
-        povm = projective_povm(u)
-        val = measured_mutual_information(ens, povm)
-        if val > best_val:
-            best_val, best_povm = val, povm
-    return best_val, best_povm
-
-
 def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> AccessibleInfoResult:
     """Best measured mutual information over the stages, stopping at the first that meets the proven bound.
 
-    Stage 1 evaluates the computational basis and the eigenbasis of the B
-    marginal, and for a two-basis ensemble where both fall short of the
-    bound, its two letter bases. Stage 2, for a two-basis ensemble only, runs
-    the ascent with d outcomes; stage 3 runs it with d^2 outcomes. The bound
-    is chi, or for a two-basis ensemble the smaller of chi and
-    maassen_uffink_bound. Raises GuardError where an ascent would run at
-    d > MAX_DIM_B.
+    The bound is chi, or for a two-basis ensemble the smaller of chi and
+    maassen_uffink_bound. Stage 1 evaluates the computational basis and the
+    eigenbasis of the B marginal, then, where both fall short of the bound,
+    the two letter bases of a two-basis ensemble. Stage 2, for a two-basis
+    ensemble only, runs the ascent with d outcomes; stage 3 runs it with d^2
+    outcomes. Raises GuardError where an ascent would run at d > MAX_DIM_B.
     """
     d = ens.dim_b
     vals, vecs = np.linalg.eigh(ens.states)
     chi = _holevo_chi(ens, vals)
+    rows, owner = _letter_factors(ens, vals, vecs)
+    two_basis = _two_basis_bound(ens, rows)
+    bound, letter_bases = (chi, ()) if two_basis is None else (min(chi, two_basis[0]), two_basis[1])
 
     _, marginal_eigenbasis = np.linalg.eigh(ens.average_state())
-    best_val, best_povm = _best_basis(ens, (np.eye(d, dtype=complex), marginal_eigenbasis), -1.0, None)
+    best_val, best_povm = -1.0, None
+    for k, u in enumerate((np.eye(d, dtype=complex), marginal_eigenbasis, *letter_bases)):
+        # the letter bases, which follow the first two candidates, run only where both fall short
+        if k == 2 and best_val >= bound - MATRIX_TOL:
+            break
+        povm = projective_povm(u)
+        val = measured_mutual_information(ens, povm)
+        if val > best_val:
+            best_val, best_povm = val, povm
 
-    bound = chi
+    # the restart tuples are those of the ascent stage whose best start is highest
     restart_vals = iters = grad_norms = ()
-    if best_val < bound - MATRIX_TOL:
-        rows, owner = _letter_factors(ens, vals, vecs)
-        two_basis = _two_basis_bound(ens, rows)
-        if two_basis is not None:
-            mu_bound, letter_bases = two_basis
-            bound = min(bound, mu_bound)
-            if best_val < bound - MATRIX_TOL:
-                best_val, best_povm = _best_basis(ens, letter_bases, best_val, best_povm)
-        for n in (d * d,) if two_basis is None else (d, d * d):
-            if best_val >= bound - MATRIX_TOL:
-                break
-            if d > MAX_DIM_B:
-                raise GuardError("instance too large")
-            restart_vals, vs, iters, grad_norms = _stiefel_ascent(_evaluator(ens, rows, owner), cfg, n, d)
-            best_restart = int(np.argmax(restart_vals))
-            if restart_vals[best_restart] > best_val:
-                best_val = restart_vals[best_restart]
-                best_povm = Povm(vs[best_restart])
+    for n in (d * d,) if two_basis is None else (d, d * d):
+        if best_val >= bound - MATRIX_TOL:
+            break
+        if d > MAX_DIM_B:
+            raise GuardError("instance too large")
+        stage_vals, vs, stage_iters, stage_norms = _stiefel_ascent(_evaluator(ens, rows, owner), cfg, n, d)
+        top = int(np.argmax(stage_vals))
+        if stage_vals[top] >= max(restart_vals, default=-np.inf):
+            restart_vals, iters, grad_norms = stage_vals, stage_iters, stage_norms
+        if stage_vals[top] > best_val:
+            best_val, best_povm = stage_vals[top], Povm(vs[top])
 
     return AccessibleInfoResult(
         value=float(best_val),

@@ -22,7 +22,7 @@ from .states import (
 from .measurement import Povm, povm_to_json_dict, projective_povm
 from .accessible import MAX_DIM_B, GuardError, OptimizerConfig, holevo_chi
 from .discord import locking_delta, quantum_discord_cq
-from .protocol import StrategySpec, simulate_locking_run
+from .protocol import simulate_locking_run
 
 SCHEMA_VERSION = "1.9"
 
@@ -149,13 +149,8 @@ def cmd_lock_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     inst = _locking_state(args.m, args.family, args.command)[0]
-    if args.strategy == "before-key":
-        strategy = StrategySpec("before_key", projective_povm(inst.basis_unitaries[0]))
-    elif args.strategy == "after-key":
-        strategy = StrategySpec("after_key")
-    else:
-        raise ValueError(f"unknown strategy: {args.strategy!r}")
-    report = simulate_locking_run(inst, strategy, args.n, args.seed)
+    povm = projective_povm(inst.basis_unitaries[0]) if args.strategy == "before-key" else None
+    report = simulate_locking_run(inst, povm, args.n, args.seed)
     print(f"empirical mutual information  {report.empirical_mi:.4f} bits")
     print(f"Miller-Madow corrected        {report.miller_madow_mi:.4f} bits")
     print(f"analytic mutual information   {report.analytic_mi:.4f} bits")

@@ -11,27 +11,12 @@ from .states import LockingInstance
 from .measurement import Povm, after_key_table, induced_table
 
 __all__ = [
-    "StrategySpec",
     "EmpiricalReport",
     "simulate_locking_run",
 ]
 
 # the largest sample count numpy's multinomial accepts (int64)
 MAX_SAMPLES = 2**63 - 1
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    """Measurement timing: a fixed POVM before the key, or the U_k basis after."""
-
-    kind: str  # "before_key" | "after_key"
-    povm: Povm | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("before_key", "after_key"):
-            raise ValueError(f"unknown strategy kind: {self.kind!r}")
-        if self.kind == "before_key" and self.povm is None:
-            raise ValueError("before_key strategy requires a POVM")
 
 
 @dataclass(frozen=True)
@@ -69,31 +54,27 @@ def _miller_madow_mi(counts: np.ndarray, n: int, plugin_mi: float) -> float:
     return float(plugin_mi + ((m_a - 1) + (m_b - 1) - (m_ab - 1)) / (2 * n * np.log(2)))
 
 
-def simulate_locking_run(
-    inst: LockingInstance, strategy: StrategySpec, n_samples: int, seed: int
-) -> EmpiricalReport:
+def simulate_locking_run(inst: LockingInstance, povm: Povm | None, n_samples: int, seed: int) -> EmpiricalReport:
     """Sample the protocol and compare plug-in and exact mutual information.
 
-    Each of the n rounds draws a letter (a, k) with its probability in the
-    instance's ensemble and an outcome from that letter's Born probabilities:
-    the joint table is the one the POVM induces on the ensemble, or for the
-    after-key strategy after_key_table, where Bob's record is the pair
-    (outcome, k). The reports depend on the rounds only through the
-    letter-by-outcome table of counts, so that table is drawn directly as one
-    multinomial over its cells; the cost does not grow with n. The report
-    gives the plug-in MI of the table, its standard error and its
-    Miller-Madow bias-corrected value, and for the after-key strategy the
-    number of decoding errors.
+    povm is the measurement Bob makes before the key is announced, or None
+    to wait for the key and measure in its basis U_k. Each of the n
+    rounds draws a letter (a, k) with its probability in the instance's
+    ensemble and an outcome from that letter's Born probabilities: the joint
+    table is the one the POVM induces on the ensemble, or without a POVM
+    after_key_table, where Bob's record is the pair (outcome, k). The reports
+    depend on the rounds only through the letter-by-outcome table of counts,
+    so that table is drawn directly as one multinomial over its cells; the
+    cost does not grow with n. The report gives the plug-in MI of the table,
+    its standard error and its Miller-Madow bias-corrected value, and after
+    the key the number of decoding errors.
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"number of samples must lie in [1, {MAX_SAMPLES}]")
-    if strategy.kind == "before_key":
-        joint = induced_table(inst.ensemble, strategy.povm)
-    else:
-        joint = after_key_table(inst)
+    joint = after_key_table(inst) if povm is None else induced_table(inst.ensemble, povm)
     counts = np.random.default_rng(seed).multinomial(n_samples, joint.ravel()).reshape(joint.shape)
     decoding_errors = None
-    if strategy.kind == "after_key":
+    if povm is None:
         # after-key records share the letters' code, so both decode through messages
         decoding_errors = int(counts[inst.messages[:, None] != inst.messages].sum())
 

@@ -13,6 +13,14 @@ def random_unitary(d, rng):
     return q
 
 
+def two_basis_ensemble(u0, u1, probs=None):
+    """2d pure letters |u_0a> then |u_1a>, the columns of the two unitaries, uniform unless probs is given."""
+    vecs = np.concatenate([u0.T, u1.T])
+    n = len(vecs)
+    probs = np.full(n, 1 / n) if probs is None else np.asarray(probs)
+    return CQEnsemble(tuple(range(n)), probs, vecs[:, :, None] * vecs[:, None, :].conj())
+
+
 def bell_state():
     """|Phi+><Phi+| on two qubits."""
     psi = np.zeros(4, dtype=complex)

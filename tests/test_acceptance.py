@@ -11,7 +11,6 @@ import pytest
 from cqlock import (
     CQEnsemble,
     OptimizerConfig,
-    StrategySpec,
     accessible_information,
     build_locking_state,
     classical_mutual_information,
@@ -168,11 +167,11 @@ def test_criterion_7_classical_baseline():
 def test_criterion_8_monte_carlo_convergence():
     for m in (1, 2):
         inst, _ = build_locking_state(m)
-        after = simulate_locking_run(inst, StrategySpec("after_key"), 100000, seed=1)
+        after = simulate_locking_run(inst, None, 100000, seed=1)
         assert abs(after.empirical_mi - after.analytic_mi) <= 0.02
         assert after.decoding_errors == 0
         povm = projective_povm(np.eye(inst.dim_b, dtype=complex))
-        before = simulate_locking_run(inst, StrategySpec("before_key", povm), 100000, seed=1)
+        before = simulate_locking_run(inst, povm, 100000, seed=1)
         assert abs(before.empirical_mi - before.analytic_mi) <= 0.02
     report(8, "Monte Carlo convergence")
 

@@ -21,7 +21,7 @@ from cqlock.measurement import Povm
 from cqlock.qmath import PROB_TOL, quantum_mutual_information
 from cqlock.states import cq_to_density
 
-from conftest import random_unitary
+from conftest import random_unitary, two_basis_ensemble
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -206,13 +206,6 @@ def d_squared_ascent(ens, cfg):
     return ascent(ens, cfg, ens.dim_b**2)
 
 
-def two_basis_ensemble(u0, u1):
-    """2d uniform pure letters: the columns of u0, then those of u1."""
-    vecs = np.concatenate([u0.T, u1.T])
-    states = np.einsum("ai,aj->aij", vecs, vecs.conj())
-    return CQEnsemble(tuple(range(len(vecs))), np.full(len(vecs), 1 / len(vecs)), states)
-
-
 def rank_ensemble(ranks, d, seed):
     """One letter on C^d per entry of ranks, each a normalized Wishart product of that rank, with Dirichlet probabilities."""
     rng = np.random.default_rng(seed)
@@ -338,6 +331,15 @@ class TestSearchWithoutHints:
         assert res.value >= max(max(alone), stage2[0])
         assert res.per_restart_values == tuple(alone)
         assert not res.certified
+
+    @pytest.mark.parametrize("d, seed", [(3, 8), (3, 11), (4, 3)])
+    def test_restart_tuples_come_from_the_stage_that_answered(self, d, seed):
+        # the d-outcome stage answers here, and its best start beats every d^2-outcome start
+        ens = two_basis_ensemble(np.eye(d), random_unitary(d, np.random.default_rng(seed)))
+        res = accessible_information(ens)
+        assert not res.certified
+        assert res.best_povm.n_outcomes == d
+        assert max(res.per_restart_values) == res.value
 
     @pytest.mark.parametrize("n, d, purity, value", [
         (128, 2, "pure", 0.3535216776369502),

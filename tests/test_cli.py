@@ -295,6 +295,11 @@ class TestSimulateCommand:
         assert run(["simulate", "--m", "6", "--strategy", "before-key", "--n", "1000000", "--out", str(out)]) == 0
         assert abs(json.loads(out.read_text())["results"]["analytic_mi"] - 3.0) < 1e-9
 
+    def test_unknown_strategy_exit_2(self, capsys):
+        # argparse's choices are the one check of the strategy
+        assert run(["simulate", "--m", "1", "--strategy", "sideways"]) == 2
+        assert "invalid choice: 'sideways'" in capsys.readouterr().err
+
     def test_m7_exit_3(self, capsys):
         assert run(["simulate", "--m", "7", "--strategy", "after-key"]) == 3
         assert "simulate supports m=1..6" in capsys.readouterr().err

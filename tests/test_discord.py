@@ -18,7 +18,7 @@ from cqlock.accessible import MAX_DIM_B
 from cqlock.qmath import quantum_mutual_information
 from cqlock.states import cq_to_density
 
-from conftest import assert_matches_bipartite_oracle, key_extended_ensemble, random_unitary
+from conftest import assert_matches_bipartite_oracle, key_extended_ensemble, random_unitary, two_basis_ensemble
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -29,11 +29,6 @@ def pure_ensemble(vecs, probs=None):
     n = len(vecs)
     probs = np.full(n, 1.0 / n) if probs is None else np.asarray(probs)
     return CQEnsemble(tuple(range(n)), probs, vecs[:, :, None] * vecs[:, None, :].conj())
-
-
-def two_basis_ensemble(u0, u1, probs=None):
-    """Letters |u_0a> then |u_1a>, the columns of the two unitaries."""
-    return pure_ensemble(np.concatenate([u0.T, u1.T]), probs)
 
 
 class TestQuantumDiscord:

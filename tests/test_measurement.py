@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -93,12 +95,23 @@ class TestPovm:
             make(bad)
 
     def test_json_round_trip(self):
-        povm = projective_povm(hadamard_tensor(1))
+        # a complex isometry with d^2 outcomes comes back through JSON text bit for bit
+        rng = np.random.default_rng(7)
+        povm = Povm(np.linalg.qr(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))[0])
         doc = povm_to_json_dict(povm)
         assert set(doc) == {"dim", "vectors"}
-        assert np.array_equal(povm_from_json_dict(doc).vectors, povm.vectors)
-        with pytest.raises(ValueError, match="dim"):
-            povm_from_json_dict({**doc, "dim": 3})
+        assert povm_from_json_dict(json.loads(json.dumps(doc))) == povm
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda doc: {**doc, "dim": 3}, "disagree with dim"),
+        (lambda doc: {**doc, "dim": True}, "integer"),
+        (lambda doc: {**doc, "vectors": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "isometry"),
+        (lambda doc: {**doc, "vectors": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}, r"\[re, im\] pairs"),
+    ], ids=["dim-mismatch", "bool-dim", "non-isometry", "ragged"])
+    def test_json_malformed_rejected(self, change, match):
+        doc = povm_to_json_dict(projective_povm(np.eye(2)))
+        with pytest.raises(ValueError, match=match):
+            povm_from_json_dict(change(doc))
 
     @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, ["1", "0"], [None, 0.0], "1"])
     def test_json_entry_not_a_pair_rejected(self, entry):

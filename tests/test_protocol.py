@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cqlock import (
-    StrategySpec,
     build_locking_state,
     classical_mutual_information,
     Povm,
@@ -21,7 +20,7 @@ from conftest import conditional_mutual_information, key_information, one_time_p
 class TestSimulateLockingRun:
     def test_after_key_converges_to_m_plus_one(self):
         inst, _ = build_locking_state(1)
-        rep = simulate_locking_run(inst, StrategySpec("after_key"), 100000, seed=1)
+        rep = simulate_locking_run(inst, None, 100000, seed=1)
         assert abs(rep.empirical_mi - 2.0) <= 0.02
         assert abs(rep.analytic_mi - 2.0) < 1e-9
         assert rep.decoding_errors == 0
@@ -29,7 +28,7 @@ class TestSimulateLockingRun:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_after_key_table_matches_key_then_measure(self, m):
         inst, _ = build_locking_state(m)
-        rep = simulate_locking_run(inst, StrategySpec("after_key"), 1000, seed=0)
+        rep = simulate_locking_run(inst, None, 1000, seed=0)
         assert abs(rep.analytic_mi - key_then_measure_info(inst)) < 1e-12
 
     @pytest.mark.parametrize("family", ["hadamard", "fourier"])
@@ -40,13 +39,13 @@ class TestSimulateLockingRun:
         rng = np.random.default_rng(m)
         g = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
         for povm in (projective_povm(inst.basis_unitaries[1]), Povm(np.linalg.qr(g)[0])):
-            rep = simulate_locking_run(inst, StrategySpec("before_key", povm), 1000, seed=0)
+            rep = simulate_locking_run(inst, povm, 1000, seed=0)
             assert abs(rep.analytic_mi - measured_mutual_information(inst.ensemble, povm)) < 1e-12
 
     def test_before_key_converges_to_half_m(self):
         inst, _ = build_locking_state(1)
         povm = projective_povm(np.eye(2, dtype=complex))
-        rep = simulate_locking_run(inst, StrategySpec("before_key", povm), 100000, seed=1)
+        rep = simulate_locking_run(inst, povm, 100000, seed=1)
         assert abs(rep.empirical_mi - 0.5) <= 0.02
         assert abs(rep.analytic_mi - 0.5) < 1e-9
 
@@ -55,50 +54,42 @@ class TestSimulateLockingRun:
     def test_empirical_analytic_convergence(self, m, kind):
         inst, _ = build_locking_state(m)
         povm = projective_povm(np.eye(inst.dim_b, dtype=complex)) if kind == "before_key" else None
-        rep = simulate_locking_run(inst, StrategySpec(kind, povm), 100000, seed=3)
+        rep = simulate_locking_run(inst, povm, 100000, seed=3)
         assert abs(rep.empirical_mi - rep.analytic_mi) <= 0.02
 
     def test_single_sample_degeneracy(self):
         inst, _ = build_locking_state(1)
-        rep = simulate_locking_run(inst, StrategySpec("after_key"), 1, seed=0)
+        rep = simulate_locking_run(inst, None, 1, seed=0)
         assert rep.empirical_mi == 0.0
 
     def test_determinism(self):
         inst, _ = build_locking_state(1)
         povm = projective_povm(np.eye(2, dtype=complex))
-        a = simulate_locking_run(inst, StrategySpec("before_key", povm), 5000, seed=9)
-        b = simulate_locking_run(inst, StrategySpec("before_key", povm), 5000, seed=9)
+        a = simulate_locking_run(inst, povm, 5000, seed=9)
+        b = simulate_locking_run(inst, povm, 5000, seed=9)
         assert a == b
 
     def test_dimension_mismatch(self):
         inst, _ = build_locking_state(2)
         povm = projective_povm(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
-            simulate_locking_run(inst, StrategySpec("before_key", povm), 100, seed=0)
+            simulate_locking_run(inst, povm, 100, seed=0)
 
     @pytest.mark.parametrize("n", [0, 2**63])
     def test_sample_count_out_of_range(self, n):
         inst, _ = build_locking_state(1)
         with pytest.raises(ValueError, match="number of samples"):
-            simulate_locking_run(inst, StrategySpec("after_key"), n, seed=0)
+            simulate_locking_run(inst, None, n, seed=0)
 
     def test_cost_independent_of_sample_count(self):
         # the count table is drawn whole, so 10**12 rounds cost what 10 do;
         # per-sample arrays would need terabytes here
         inst, _ = build_locking_state(3)
         t0 = time.perf_counter()
-        rep = simulate_locking_run(inst, StrategySpec("after_key"), 10**12, seed=2)
+        rep = simulate_locking_run(inst, None, 10**12, seed=2)
         assert time.perf_counter() - t0 < 1.0
         assert rep.decoding_errors == 0
         assert abs(rep.empirical_mi - rep.analytic_mi) < 1e-4
-
-    def test_before_key_requires_povm(self):
-        with pytest.raises(ValueError):
-            StrategySpec("before_key")
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            StrategySpec("sideways")
 
 
 class TestMillerMadow:
@@ -116,7 +107,7 @@ class TestMillerMadow:
     def test_less_biased_than_plug_in(self):
         inst, _ = build_locking_state(2)
         povm = projective_povm(np.eye(inst.dim_b, dtype=complex))
-        reps = [simulate_locking_run(inst, StrategySpec("before_key", povm), 500, seed=s) for s in range(300)]
+        reps = [simulate_locking_run(inst, povm, 500, seed=s) for s in range(300)]
         exact = reps[0].analytic_mi
         plug_in_bias = np.mean([r.empirical_mi for r in reps]) - exact
         mm_bias = np.mean([r.miller_madow_mi for r in reps]) - exact
