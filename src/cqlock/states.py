@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,25 +235,54 @@ def _complex_from_json(entries) -> np.ndarray:
     return np.ascontiguousarray(pairs).view(complex)[..., 0]
 
 
+def _complex_to_base64(arr: np.ndarray) -> str:
+    """Base64 text of the array's little-endian complex128 bytes in C order; exact, like _complex_to_json."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<c16").tobytes()).decode("ascii")
+
+
+def _complex_from_base64(text: str, shape: tuple) -> np.ndarray:
+    """Complex array of the given shape from _complex_to_base64 text; the byte count must match the shape."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error on alphabet or padding, ValueError on non-ASCII text
+        raise ValueError("states text must be ASCII base64") from None
+    expected = 16 * math.prod(shape)  # Python integers: a huge dim_b cannot overflow
+    if len(raw) != expected:
+        raise ValueError(f"states holds {len(raw)} bytes, not 16 * {shape[0]} letters * dim_b**2 = {expected}")
+    return np.frombuffer(raw, dtype="<c16").reshape(shape)
+
+
 def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
     return {
         "labels": list(ens.labels),
         "probs": [float(p) for p in ens.probs],
         "dim_b": ens.dim_b,
-        "states": _complex_to_json(ens.states),
+        "states": _complex_to_base64(ens.states),
     }
 
 
 def ensemble_from_json_dict(doc: dict) -> CQEnsemble:
+    """Ensemble of a JSON object; states may be base64 text, as written, or nested [re, im] lists."""
     if not isinstance(doc, dict):
         raise ValueError("an ensemble must be a JSON object")
+    for name in ("labels", "probs", "dim_b", "states"):
+        if name not in doc:
+            raise ValueError(f"missing field {name!r}")
     if not isinstance(doc["labels"], list):
         raise ValueError("labels must be a list")
-    if doc["states"] == []:
+    entries = doc["states"]
+    if entries in ([], ""):
         raise ValueError("the ensemble has no letters")
-    states = _complex_from_json(doc["states"])
     dim_b = _int_from_json(doc["dim_b"], "dim_b")
-    if states.shape[1:] != (dim_b, dim_b):
-        raise ValueError("state dimension disagrees with dim_b")
+    if dim_b < 1:
+        raise ValueError("dim_b must be a positive integer")
+    if isinstance(entries, str):
+        states = _complex_from_base64(entries, (len(doc["labels"]), dim_b, dim_b))
+    elif isinstance(entries, list):
+        states = _complex_from_json(entries)
+        if states.shape[1:] != (dim_b, dim_b):
+            raise ValueError("state dimension disagrees with dim_b")
+    else:
+        raise ValueError("states must be base64 text or nested lists of [re, im] pairs")
     probs = _numbers_from_json(doc["probs"], "probs must be a list of numbers")
     return CQEnsemble(labels=tuple(doc["labels"]), probs=probs, states=states)

@@ -4,7 +4,7 @@ import pytest
 from cqlock import CQEnsemble, OptimizerConfig, classical_mutual_information, shannon_entropy, von_neumann_entropy
 from cqlock.measurement import measure_b
 from cqlock.qmath import quantum_conditional_entropy, quantum_mutual_information
-from cqlock.states import cq_to_density
+from cqlock.states import _complex_to_json, cq_to_density, ensemble_to_json_dict
 
 
 def random_unitary(d, rng):
@@ -19,6 +19,11 @@ def two_basis_ensemble(u0, u1, probs=None):
     n = len(vecs)
     probs = np.full(n, 1 / n) if probs is None else np.asarray(probs)
     return CQEnsemble(tuple(range(n)), probs, vecs[:, :, None] * vecs[:, None, :].conj())
+
+
+def list_layout_json_dict(ens):
+    """ensemble_to_json_dict(ens) with states as nested [re, im] lists, the layout older files use."""
+    return {**ensemble_to_json_dict(ens), "states": _complex_to_json(ens.states)}
 
 
 def bell_state():

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import io
@@ -11,15 +12,35 @@ from hypothesis import given, settings, strategies as st
 
 from cqlock.accessible import GRAD_TOL, OptimizerConfig, accessible_information
 from cqlock.cli import build_parser, main, optimizer_config
-from cqlock.states import CQEnsemble, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
+from cqlock.states import CQEnsemble, _complex_to_base64, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
-from conftest import random_unitary
+from conftest import list_layout_json_dict, random_unitary
 
 FAST = ["--restarts", "2", "--iters", "40"]
+# the letters of random_cq_ensemble(2, 2, "pure", seed=3), which most files below hold, and their base64 text
+STACK = random_cq_ensemble(2, 2, "pure", seed=3).states
+PAYLOAD = _complex_to_base64(STACK)
+
+
+def payload_with(value):
+    """PAYLOAD with entry [1, 0, 0] of the stack replaced by value."""
+    stack = STACK.copy()
+    stack[1, 0, 0] = value
+    return _complex_to_base64(stack)
 
 
 def run(argv):
     return main(argv)
+
+
+def rejected(tmp_path, capsys, doc):
+    """stderr of discord on an ensemble file holding doc, which must exit 2 without a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["discord", "--ensemble", str(path), "--restarts", "1", "--iters", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
 
 
 class TestDiscordCommand:
@@ -66,28 +87,18 @@ class TestDiscordCommand:
 
     @pytest.mark.parametrize("field", ["probs", "states"])
     def test_nan_ensemble_file_exit_2(self, tmp_path, capsys, field):
-        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc = list_layout_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         if field == "probs":
             doc["probs"] = [float("nan"), float("nan")]
         else:
             doc["states"][1][0][0] = [float("nan"), 0.0]
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(doc))
-        assert run(["discord", "--ensemble", str(path), *FAST]) == 2
-        err = capsys.readouterr().err
-        assert "not finite" in err
-        assert "Traceback" not in err
+        assert "not finite" in rejected(tmp_path, capsys, doc)
 
     @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, ["1", "0"], [None, 0.0]])
     def test_entry_not_a_pair_exit_2(self, tmp_path, capsys, entry):
-        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc = list_layout_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         doc["states"][0][0][1] = entry
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert run(["discord", "--ensemble", str(path), *FAST]) == 2
-        err = capsys.readouterr().err
-        assert "[re, im] pairs" in err
-        assert "Traceback" not in err
+        assert "[re, im] pairs" in rejected(tmp_path, capsys, doc)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -101,17 +112,55 @@ class TestDiscordCommand:
             ("labels", {"a": 1, "b": 2}, "labels must be a list"),
             ("states", [[[[True, False], [0.0, 0.0]], [[0.0, 0.0], [False, False]]]] * 2, "[re, im] pairs"),
             ("states", [], "no letters"),
+            ("dim_b", 0, "dim_b must be a positive integer"),
+            ("dim_b", -2, "dim_b must be a positive integer"),
+            ("states", "", "no letters"),
         ],
     )
     def test_non_numeric_field_exit_2(self, tmp_path, capsys, field, value, message):
         doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         doc[field] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert run(["discord", "--ensemble", str(path), "--restarts", "1", "--iters", "5"]) == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert "Traceback" not in err
+        assert message in rejected(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("field", ["labels", "probs", "dim_b", "states"])
+    def test_missing_field_exit_2(self, tmp_path, capsys, field):
+        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        del doc[field]
+        assert f"missing field '{field}'" in rejected(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("states", "@" + PAYLOAD[1:], "ASCII base64", id="alphabet"),
+            pytest.param("states", PAYLOAD.rstrip("="), "ASCII base64", id="padding"),
+            pytest.param("states", "\u00c4" + PAYLOAD[1:], "ASCII base64", id="non-ascii"),
+            pytest.param("states", base64.b64encode(STACK.tobytes()[:-1]).decode(), "holds 127 bytes, not", id="short"),
+            pytest.param("states", base64.b64encode(STACK.tobytes() + b"\0").decode(), "holds 129 bytes, not", id="long"),
+            pytest.param("dim_b", 3, "holds 128 bytes, not 16 * 2 letters * dim_b**2 = 288", id="dim_b"),
+            pytest.param("states", payload_with(np.nan), "not finite", id="nan"),
+            pytest.param("states", payload_with(complex(0.5, np.inf)), "not finite", id="inf"),
+            pytest.param("states", 1.0, "base64 text or nested lists", id="number"),
+            pytest.param("states", True, "base64 text or nested lists", id="bool"),
+            pytest.param("states", None, "base64 text or nested lists", id="null"),
+            pytest.param("states", {"re": 1.0}, "base64 text or nested lists", id="object"),
+        ],
+    )
+    def test_bad_base64_states_exit_2(self, tmp_path, capsys, field, value, message):
+        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        assert doc["states"] == PAYLOAD
+        doc[field] = value
+        assert message in rejected(tmp_path, capsys, doc)
+
+    def test_layouts_give_identical_reports(self, tmp_path):
+        ens = random_cq_ensemble(5, 3, "mixed", seed=8)
+        reports = []
+        for layout, doc in (("base64", ensemble_to_json_dict(ens)), ("lists", list_layout_json_dict(ens))):
+            path, out = tmp_path / f"{layout}.json", tmp_path / f"r-{layout}.json"
+            path.write_text(json.dumps(doc))
+            assert run(["discord", "--ensemble", str(path), *FAST, "--out", str(out)]) == 0
+            reports.append(out.read_text().replace(json.dumps(str(path)), '"ENSEMBLE"'))
+        assert '"ensemble": "ENSEMBLE"' in reports[0]
+        assert reports[0] == reports[1]
 
     def test_d16_report_carries_povm_vectors(self, tmp_path):
         # a Haar-rotated m=4 locking ensemble, which one of its letter bases certifies
@@ -346,7 +395,9 @@ class TestSelftestCommand:
         assert {"group", "passed", "detail"} <= set(results[0])
 
 
-FUZZ_BASE = ensemble_to_json_dict(random_cq_ensemble(2, 2, "mixed", seed=3))
+FUZZ_ENSEMBLE = random_cq_ensemble(2, 2, "mixed", seed=3)
+# one base per layout of states: base64 text, as written, and the nested [re, im] lists of older files
+FUZZ_BASES = {"base64": ensemble_to_json_dict(FUZZ_ENSEMBLE), "lists": list_layout_json_dict(FUZZ_ENSEMBLE)}
 
 
 def _node_paths(node, prefix=()):
@@ -357,24 +408,25 @@ def _node_paths(node, prefix=()):
         yield from _node_paths(child, prefix + (key,))
 
 
-FUZZ_PATHS = list(_node_paths(FUZZ_BASE))
+FUZZ_PATHS = {layout: list(_node_paths(base)) for layout, base in FUZZ_BASES.items()}
 BAD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"), "0.5", "x", True, False, None, [[0.5, 0.5]]])
 WRONG_LENGTH = st.integers(0, 5).map(lambda k: [0.5] * k)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_ensemble_file(data):
     """A mutated ensemble file gives exit 0, 2 or 3 and never a traceback; only a changed label can still be valid."""
+    layout = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
     kind = data.draw(st.sampled_from(["replace", "drop", "top-level"]))
-    doc, path = copy.deepcopy(FUZZ_BASE), ()
+    doc, path = copy.deepcopy(FUZZ_BASES[layout]), ()
     if kind == "top-level":
         doc = data.draw(BAD_VALUES | WRONG_LENGTH | st.integers())
     elif kind == "drop":
         path = (data.draw(st.sampled_from(sorted(doc))),)
         del doc[path[0]]
     else:
-        path = data.draw(st.sampled_from(FUZZ_PATHS))
+        path = data.draw(st.sampled_from(FUZZ_PATHS[layout]))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]

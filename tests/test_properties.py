@@ -6,9 +6,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cqlock import CQEnsemble, Povm, holevo_chi, measured_mutual_information, random_cq_ensemble, shannon_entropy
-from cqlock.states import ensemble_from_json_dict, ensemble_to_json_dict
+from cqlock.states import (
+    _complex_from_base64,
+    _complex_from_json,
+    _complex_to_base64,
+    _complex_to_json,
+    ensemble_from_json_dict,
+    ensemble_to_json_dict,
+)
 
-from conftest import random_unitary
+from conftest import list_layout_json_dict, random_unitary
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 ENSEMBLES = dict(
@@ -66,7 +73,20 @@ def test_local_unitary_invariance(n, d, purity, seed, rng_seed):
 @given(**ENSEMBLES)
 def test_json_round_trip_is_exact(n, d, purity, seed):
     ens = random_cq_ensemble(n, d, purity, seed=seed)
-    back = ensemble_from_json_dict(json.loads(json.dumps(ensemble_to_json_dict(ens))))
-    assert back.labels == ens.labels
-    assert np.array_equal(back.probs, ens.probs)
-    assert np.array_equal(back.states, ens.states)
+    # the writer's base64 layout, and the list layout of older files
+    for doc in (ensemble_to_json_dict(ens), list_layout_json_dict(ens)):
+        back = ensemble_from_json_dict(json.loads(json.dumps(doc)))
+        assert back.labels == ens.labels
+        assert np.array_equal(back.probs, ens.probs)
+        assert np.array_equal(back.states, ens.states)
+        assert back.states.tobytes() == ens.states.tobytes()
+
+
+def test_json_layouts_keep_every_bit():
+    """Signed zeros, subnormals and +-1e300 survive JSON text in both layouts; bytes, unlike ==, tell -0.0 from 0.0."""
+    parts = [-0.0, 0.0, 5e-324, -0.0, 1e300, -1e300, 0.5, -5e-324, -1e300, 2.2e-310, 0.0, -0.0, 1.0, 1e300, -0.0, -0.0]
+    stack = np.array(parts).view(complex).reshape(2, 2, 2)
+    from_base64 = _complex_from_base64(json.loads(json.dumps(_complex_to_base64(stack))), stack.shape)
+    from_lists = _complex_from_json(json.loads(json.dumps(_complex_to_json(stack))))
+    assert from_base64.tobytes() == stack.tobytes()
+    assert from_lists.tobytes() == stack.tobytes()

@@ -15,6 +15,8 @@ from cqlock import (
 from cqlock.qmath import partial_trace, quantum_mutual_information
 from cqlock.states import cq_to_density, ensemble_from_json_dict, ensemble_to_json_dict
 
+from conftest import list_layout_json_dict
+
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -231,28 +233,34 @@ class TestSerialization:
         doc = ensemble_to_json_dict(ens)
         assert set(doc) == {"labels", "probs", "dim_b", "states"}
         assert doc["dim_b"] == 2
-        # complex entries serialize as [re, im]
-        assert doc["states"][1][0][1] == pytest.approx([0.5, 0.0])
+        # in the list layout, complex entries serialize as [re, im]
+        assert list_layout_json_dict(ens)["states"][1][0][1] == pytest.approx([0.5, 0.0])
 
     def test_json_text_is_exact(self):
         ens = CQEnsemble((0, 1), np.array([0.25, 0.75]), (np.diag([1.0, 0.0]), np.array([[0.5, -0.5j], [0.5j, 0.5]])))
-        assert json.dumps(ensemble_to_json_dict(ens)) == (
+        assert json.dumps(list_layout_json_dict(ens)) == (
             '{"labels": [0, 1], "probs": [0.25, 0.75], "dim_b": 2, "states": '
             '[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], '
             '[[[0.5, 0.0], [-0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]]]}'
         )
+        # the writer's layout: the little-endian complex128 bytes of the stack in C order
+        assert json.dumps(ensemble_to_json_dict(ens)) == (
+            '{"labels": [0, 1], "probs": [0.25, 0.75], "dim_b": 2, "states": '
+            '"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAOA/'
+            'AAAAAAAAAAAAAAAAAAAAgAAAAAAAAOC/AAAAAAAAAAAAAAAAAADgPwAAAAAAAOA/AAAAAAAAAAA="}'
+        )
         # the per-entry encoder as the reference
         ens = random_cq_ensemble(5, 4, "mixed", seed=2)
         reference = [[[[float(x.real), float(x.imag)] for x in row] for row in s] for s in ens.states]
-        assert json.dumps(ensemble_to_json_dict(ens)["states"]) == json.dumps(reference)
+        assert json.dumps(list_layout_json_dict(ens)["states"]) == json.dumps(reference)
 
     @pytest.mark.parametrize("damage", ["ragged row", "unequal letters"])
     def test_unequal_shapes_rejected(self, damage):
-        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=0))
+        doc = list_layout_json_dict(random_cq_ensemble(2, 2, "pure", seed=0))
         if damage == "ragged row":
             doc["states"][0][1].pop()
         else:
-            doc["states"][1] = ensemble_to_json_dict(random_cq_ensemble(1, 3, "pure", seed=0))["states"][0]
+            doc["states"][1] = list_layout_json_dict(random_cq_ensemble(1, 3, "pure", seed=0))["states"][0]
         with pytest.raises(ValueError, match=r"\[re, im\] pairs of numbers, in matrices of one shape"):
             ensemble_from_json_dict(doc)
 
