@@ -2,6 +2,7 @@
 
 from .qmath import (
     DimensionError,
+    GuardError,
     classical_conditional_entropy,
     classical_mutual_information,
     shannon_entropy,
@@ -26,7 +27,6 @@ from .measurement import (
 )
 from .accessible import (
     AccessibleInfoResult,
-    GuardError,
     OptimizerConfig,
     accessible_information,
     holevo_chi,

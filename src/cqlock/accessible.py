@@ -48,14 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import MATRIX_TOL, PROB_TOL, _entropy_of_spectrum, von_neumann_entropy
+from .qmath import MATRIX_TOL, PROB_TOL, GuardError, _entropy_of_spectrum, von_neumann_entropy
 from .states import CQEnsemble
 from .measurement import Povm, measured_mutual_information, projective_povm
 
 __all__ = [
     "OptimizerConfig",
     "AccessibleInfoResult",
-    "GuardError",
     "holevo_chi",
     "maassen_uffink_bound",
     "accessible_information",
@@ -84,10 +83,6 @@ ASCENT_COS_MIN = 0.1
 ROW_COST = 64
 
 
-class GuardError(ValueError):
-    """Instance exceeds the desk-scale dimension guard."""
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 10
@@ -99,6 +94,8 @@ class OptimizerConfig:
             raise ValueError("need at least one restart")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

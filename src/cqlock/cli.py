@@ -10,17 +10,10 @@ import sys
 import numpy as np
 
 from . import qmath
-from .qmath import validate_density
-from .states import (
-    MAX_MESSAGE_BITS,
-    CQEnsemble,
-    _complex_to_json,
-    build_locking_state,
-    ensemble_from_json_dict,
-    random_cq_ensemble,
-)
+from .qmath import GuardError, validate_density
+from .states import MAX_MESSAGE_BITS, CQEnsemble, build_locking_state, ensemble_from_json_dict, random_cq_ensemble
 from .measurement import Povm, povm_to_json_dict, projective_povm
-from .accessible import MAX_DIM_B, GuardError, OptimizerConfig, holevo_chi
+from .accessible import MAX_DIM_B, OptimizerConfig, holevo_chi
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import simulate_locking_run
 
@@ -33,32 +26,24 @@ EXIT_GUARD = 3
 
 
 def _jsonable(obj):
-    """Recursive conversion to JSON types; complex entries become [re, im]."""
+    """A report value as json writes it: a Povm as povm_to_json_dict, any other dataclass as the dict of its fields."""
     if isinstance(obj, Povm):
         return povm_to_json_dict(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if dataclasses.is_dataclass(obj):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return _complex_to_json(obj) if np.iscomplexobj(obj) else obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     return obj
 
 
-def make_run_report(command: str, config_echo: dict, results, seed: int) -> dict:
+def make_run_report(args, results) -> dict:
+    """The run report of a command: its parsed flags, its results and the seed."""
+    # output routing flags do not affect the computation and are left out so
+    # that identical runs produce identical reports regardless of destination
+    echo = {k: v for k, v in vars(args).items() if k not in ("func", "out", "json")}
     return {
-        "command": command,
-        "config_echo": _jsonable(config_echo),
+        "command": args.command,
+        "config_echo": echo,
         "results": _jsonable(results),
-        "seed": seed,
+        "seed": args.seed,
         "schema_version": SCHEMA_VERSION,
     }
 
@@ -82,14 +67,12 @@ def resolve_ensemble(args):
         except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ValueError(f"cannot load ensemble file: {exc}")
     name = args.builtin
-    if name is None:
-        raise ValueError("either --builtin or --ensemble is required")
     if name.startswith("locking:m="):
         try:
             m = int(name.split("=", 1)[1])
         except ValueError:
             raise ValueError(f"bad builtin spec: {name!r}")
-        return _locking_state(m, args.family, "locking builtin")[1]
+        return build_locking_state(m, args.family)[1]
     if name == "bb84pair":
         zero = np.array([[1, 0], [0, 0]], dtype=complex)
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -107,34 +90,18 @@ def resolve_ensemble(args):
     raise ValueError(f"unknown builtin: {name!r}")
 
 
-def _locking_state(m: int, family: str, what: str):
-    """build_locking_state(m, family), after the one m guard of every command that takes a locking instance."""
-    if not 1 <= m <= MAX_MESSAGE_BITS:
-        raise GuardError(f"{what} supports m=1..{MAX_MESSAGE_BITS}")
-    return build_locking_state(m, family)
-
-
-def optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts,
-        max_iters=args.iters,
-        seed=args.seed,
-    )
-
-
 def cmd_discord(args) -> int:
-    report = quantum_discord_cq(resolve_ensemble(args), optimizer_config(args))
+    report = quantum_discord_cq(resolve_ensemble(args), OptimizerConfig(args.restarts, args.iters, args.seed))
     print(f"quantum mutual information  {report.mutual_info_q:.4f} bits")
     certified = report.optimizer.certified
     print(f"accessible information      {report.i_acc:.4f} bits ({'certified optimum' if certified else 'lower bound'})")
     print(f"quantum discord             {report.discord:.4f} bits ({'certified' if certified else 'upper bound'})")
-    run = make_run_report("discord", _echo(args), report, args.seed)
-    write_report(run, args.out, args.json)
+    write_report(make_run_report(args, report), args.out, args.json)
     return EXIT_OK
 
 
 def cmd_lock_analyze(args) -> int:
-    report = locking_delta(_locking_state(args.m, args.family, args.command)[0])
+    report = locking_delta(build_locking_state(args.m, args.family)[0])
     print("m  I_q     I_acc(no key)  I_acc(key)  delta   discord")
     print(
         f"{report.m}  {report.i_q_without_key:.4f}  {report.i_acc_without_key:.4f}"
@@ -142,13 +109,12 @@ def cmd_lock_analyze(args) -> int:
     )
     print(f"|delta - discord| = {report.delta_equals_discord_residual:.2e}")
     print(f"Maassen-Uffink bound on I_acc(no key) = {report.i_acc_upper_bound:.4f}")
-    run = make_run_report("lock-analyze", _echo(args), report, args.seed)
-    write_report(run, args.out, args.json)
+    write_report(make_run_report(args, report), args.out, args.json)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    inst = _locking_state(args.m, args.family, args.command)[0]
+    inst = build_locking_state(args.m, args.family)[0]
     povm = projective_povm(inst.basis_unitaries[0]) if args.strategy == "before-key" else None
     report = simulate_locking_run(inst, povm, args.n, args.seed)
     print(f"empirical mutual information  {report.empirical_mi:.4f} bits")
@@ -157,8 +123,7 @@ def cmd_simulate(args) -> int:
     print(f"standard error estimate       {report.std_error_estimate:.4f} bits")
     if report.decoding_errors is not None:
         print(f"decoding errors               {report.decoding_errors}")
-    run = make_run_report("simulate", _echo(args), report, args.seed)
-    write_report(run, args.out, args.json)
+    write_report(make_run_report(args, report), args.out, args.json)
     return EXIT_OK
 
 
@@ -243,13 +208,6 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_SELFTEST
 
 
-def _echo(args) -> dict:
-    # output routing flags do not affect the computation and are left out so
-    # that identical runs produce identical reports regardless of destination
-    skip = {"func", "out", "json"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cqlock", description="Correlation measures and quantum locking for CQ states")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,12 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int, default=defaults.max_iters)
 
     p = sub.add_parser("discord", help="quantum discord of a CQ ensemble")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "--builtin",
-        default=None,
         help=f"locking:m=N (N=1..{MAX_MESSAGE_BITS}) | bb84pair | orthogonal:n (n=2..{MAX_DIM_B})",
     )
-    p.add_argument("--ensemble", metavar="FILE", default=None)
+    source.add_argument("--ensemble", metavar="FILE")
     p.add_argument("--family", choices=("hadamard", "fourier"), default="hadamard")
     add_optimizer(p)
     add_common(p)

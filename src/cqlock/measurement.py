@@ -14,7 +14,7 @@ from .qmath import (
     validate_density,
     validate_isometry,
 )
-from .states import CQEnsemble, LockingInstance, _complex_from_json, _complex_to_json, _int_from_json
+from .states import CQEnsemble, LockingInstance, _complex_from_json, _complex_to_json, _fields_from_json, _int_from_json
 
 __all__ = [
     "Povm",
@@ -132,7 +132,8 @@ def povm_to_json_dict(povm: Povm) -> dict:
 
 
 def povm_from_json_dict(doc: dict) -> Povm:
-    povm = Povm(_complex_from_json(doc["vectors"]))
-    if povm.dim != _int_from_json(doc["dim"], "POVM dim"):
+    dim, vectors = _fields_from_json(doc, ("dim", "vectors"), "a POVM")
+    povm = Povm(_complex_from_json(vectors))
+    if povm.dim != _int_from_json(dim, "POVM dim"):
         raise ValueError("POVM vectors disagree with dim")
     return povm

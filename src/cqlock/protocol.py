@@ -71,6 +71,8 @@ def simulate_locking_run(inst: LockingInstance, povm: Povm | None, n_samples: in
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"number of samples must lie in [1, {MAX_SAMPLES}]")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     joint = after_key_table(inst) if povm is None else induced_table(inst.ensemble, povm)
     counts = np.random.default_rng(seed).multinomial(n_samples, joint.ravel()).reshape(joint.shape)
     decoding_errors = None

@@ -22,6 +22,7 @@ __all__ = [
     "MATRIX_TOL",
     "PROB_TOL",
     "DimensionError",
+    "GuardError",
     "validate_density",
     "validate_probs",
     "validate_isometry",
@@ -34,6 +35,10 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Subsystem dimensions do not factorize or match the operator."""
+
+
+class GuardError(ValueError):
+    """Instance exceeds the desk-scale dimension guard."""
 
 
 def validate_probs(p) -> np.ndarray:

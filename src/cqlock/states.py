@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import MATRIX_TOL, DimensionError, validate_density, validate_isometry, validate_probs
+from .qmath import MATRIX_TOL, DimensionError, GuardError, validate_density, validate_isometry, validate_probs
 
 __all__ = [
     "CQEnsemble",
@@ -164,7 +164,7 @@ def build_locking_state(m: int, family: str = "hadamard"):
     d-dimensional Fourier matrix. The ensemble returned is inst.ensemble.
     """
     if not 1 <= m <= MAX_MESSAGE_BITS:
-        raise ValueError(f"message size out of range (1..{MAX_MESSAGE_BITS})")
+        raise GuardError(f"locking states support m=1..{MAX_MESSAGE_BITS}")
     d = 2**m
     if family == "hadamard":
         u1 = hadamard_tensor(m)
@@ -180,25 +180,28 @@ def random_cq_ensemble(n_letters: int, dim_b: int, purity: str = "pure", seed: i
     """Seeded random ensemble for property sweeps.
 
     Probabilities come from a flat Dirichlet; pure letters are normalized
-    complex Gaussian vectors, mixed letters normalized Wishart products.
+    complex Gaussian vectors, mixed letters normalized Wishart products. Each
+    letter's real parts are drawn before its imaginary parts, letter by letter.
     """
     if n_letters < 1 or dim_b < 2:
         raise ValueError("need at least one letter and dimension 2")
+    if purity not in ("pure", "mixed"):
+        raise ValueError(f"unknown purity: {purity!r}")
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(n_letters))
-    states = []
-    for _ in range(n_letters):
-        if purity == "pure":
-            v = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
-            v /= np.linalg.norm(v)
-            states.append(np.outer(v, v.conj()))
-        elif purity == "mixed":
-            g = rng.standard_normal((dim_b, dim_b)) + 1j * rng.standard_normal((dim_b, dim_b))
-            w = g @ g.conj().T
-            states.append(w / np.trace(w).real)
-        else:
-            raise ValueError(f"unknown purity: {purity!r}")
-    return CQEnsemble(labels=tuple(range(n_letters)), probs=probs, states=tuple(states))
+    if purity == "pure":
+        draws = rng.standard_normal((n_letters, 2, dim_b))
+        v = draws[:, 0] + 1j * draws[:, 1]
+        # |v|^2 summed as np.linalg.norm sums it, re.re + im.im, so each letter keeps the bits of a per-letter norm
+        re, im = v.real[:, None, :], v.imag[:, None, :]
+        v /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+        states = v[:, :, None] * v[:, None, :].conj()
+    else:
+        draws = rng.standard_normal((n_letters, 2, dim_b, dim_b))
+        g = draws[:, 0] + 1j * draws[:, 1]
+        w = g @ g.conj().swapaxes(1, 2)
+        states = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
+    return CQEnsemble(labels=tuple(range(n_letters)), probs=probs, states=states)
 
 
 def _complex_to_json(arr: np.ndarray) -> list:
@@ -218,6 +221,16 @@ def _numbers_from_json(x, message: str) -> np.ndarray:
     except (ValueError, OverflowError):  # nesting numpy cannot place; an integer beyond float range
         pass
     raise ValueError(message)
+
+
+def _fields_from_json(doc, names: tuple, what: str) -> list:
+    """The values of the named fields of doc, which must be a JSON object holding each of them."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"missing field {name!r}")
+    return [doc[name] for name in names]
 
 
 def _int_from_json(x, name: str) -> int:
@@ -263,26 +276,21 @@ def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
 
 def ensemble_from_json_dict(doc: dict) -> CQEnsemble:
     """Ensemble of a JSON object; states may be base64 text, as written, or nested [re, im] lists."""
-    if not isinstance(doc, dict):
-        raise ValueError("an ensemble must be a JSON object")
-    for name in ("labels", "probs", "dim_b", "states"):
-        if name not in doc:
-            raise ValueError(f"missing field {name!r}")
-    if not isinstance(doc["labels"], list):
+    labels, probs, dim_b, entries = _fields_from_json(doc, ("labels", "probs", "dim_b", "states"), "an ensemble")
+    if not isinstance(labels, list):
         raise ValueError("labels must be a list")
-    entries = doc["states"]
     if entries in ([], ""):
         raise ValueError("the ensemble has no letters")
-    dim_b = _int_from_json(doc["dim_b"], "dim_b")
+    dim_b = _int_from_json(dim_b, "dim_b")
     if dim_b < 1:
         raise ValueError("dim_b must be a positive integer")
     if isinstance(entries, str):
-        states = _complex_from_base64(entries, (len(doc["labels"]), dim_b, dim_b))
+        states = _complex_from_base64(entries, (len(labels), dim_b, dim_b))
     elif isinstance(entries, list):
         states = _complex_from_json(entries)
         if states.shape[1:] != (dim_b, dim_b):
             raise ValueError("state dimension disagrees with dim_b")
     else:
         raise ValueError("states must be base64 text or nested lists of [re, im] pairs")
-    probs = _numbers_from_json(doc["probs"], "probs must be a list of numbers")
-    return CQEnsemble(labels=tuple(doc["labels"]), probs=probs, states=states)
+    probs = _numbers_from_json(probs, "probs must be a list of numbers")
+    return CQEnsemble(labels=tuple(labels), probs=probs, states=states)

@@ -428,3 +428,7 @@ class TestOptimizerConfig:
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            OptimizerConfig(seed=-1)

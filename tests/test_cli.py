@@ -1,3 +1,4 @@
+import argparse
 import base64
 import contextlib
 import copy
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqlock.accessible import GRAD_TOL, OptimizerConfig, accessible_information
-from cqlock.cli import build_parser, main, optimizer_config
+from cqlock.accessible import GRAD_TOL, AccessibleInfoResult, OptimizerConfig, accessible_information
+from cqlock.cli import build_parser, main, make_run_report, write_report
+from cqlock.measurement import projective_povm
+from cqlock.protocol import EmpiricalReport
 from cqlock.states import CQEnsemble, _complex_to_base64, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
 from conftest import list_layout_json_dict, random_unitary
@@ -196,6 +199,14 @@ class TestDiscordCommand:
 
     def test_missing_input_exit_2(self, capsys):
         assert run(["discord", *FAST]) == 2
+        assert "one of the arguments --builtin --ensemble is required" in capsys.readouterr().err
+
+    def test_builtin_and_ensemble_exclusive_exit_2(self, tmp_path, capsys):
+        # a report of the file would echo a builtin it never read
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))))
+        assert run(["discord", "--ensemble", str(path), "--builtin", "locking:m=2", *FAST]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_guard_exit_3(self, capsys):
         assert run(["discord", "--builtin", "orthogonal:99", *FAST]) == 3
@@ -267,7 +278,133 @@ class TestDiscordCommand:
 
 @pytest.mark.parametrize("argv", [["discord", "--builtin", "bb84pair"]])
 def test_parser_defaults_match_optimizer_config(argv):
-    assert optimizer_config(build_parser().parse_args(argv)) == OptimizerConfig()
+    args = build_parser().parse_args(argv)
+    assert OptimizerConfig(args.restarts, args.iters, args.seed) == OptimizerConfig()
+
+
+@pytest.mark.parametrize("m", [0, 7, 9])
+@pytest.mark.parametrize("argv", [
+    ["lock-analyze", "--m", "{m}"],
+    ["simulate", "--m", "{m}", "--strategy", "after-key"],
+    ["discord", "--builtin", "locking:m={m}"],
+], ids=["lock-analyze", "simulate", "discord"])
+def test_locking_m_out_of_range_exit_3(argv, m, capsys):
+    # build_locking_state is the one check of m for every command
+    assert run([a.format(m=m) for a in argv]) == 3
+    assert "locking states support m=1..6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["discord", "--builtin", "bb84pair", *FAST],
+    # stage 1 certifies this one before any random number is drawn
+    ["discord", "--builtin", "locking:m=2"],
+    ["simulate", "--m", "1", "--strategy", "after-key", "--n", "100"],
+], ids=["discord-search", "discord-certified", "simulate"])
+def test_negative_seed_exit_2(argv, capsys):
+    assert run([*argv, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer" in err
+    assert "Traceback" not in err
+
+
+SIMULATE_REPORT = """{
+  "command": "simulate",
+  "config_echo": {
+    "command": "simulate",
+    "family": "hadamard",
+    "m": 1,
+    "n": 4,
+    "seed": 3,
+    "strategy": "after-key"
+  },
+  "results": {
+    "analytic_mi": 1.0,
+    "decoding_errors": null,
+    "empirical_mi": 0.5,
+    "miller_madow_mi": 0.625,
+    "n_samples": 4,
+    "seed": 3,
+    "std_error_estimate": 0.25
+  },
+  "schema_version": "1.9",
+  "seed": 3
+}
+"""
+SEARCH_REPORT = """{
+  "command": "discord",
+  "config_echo": {
+    "builtin": "bb84pair",
+    "command": "discord",
+    "ensemble": null,
+    "family": "hadamard",
+    "iters": 5,
+    "restarts": 2,
+    "seed": 0
+  },
+  "results": {
+    "best_povm": {
+      "dim": 2,
+      "vectors": [
+        [
+          [
+            1.0,
+            0.0
+          ],
+          [
+            0.0,
+            0.0
+          ]
+        ],
+        [
+          [
+            0.0,
+            0.0
+          ],
+          [
+            1.0,
+            0.0
+          ]
+        ]
+      ]
+    },
+    "certified": false,
+    "chi": 1.0,
+    "per_restart_grad_norms": [
+      0.125,
+      0.0625
+    ],
+    "per_restart_iterations": [
+      3,
+      5
+    ],
+    "per_restart_values": [
+      0.5,
+      0.25
+    ],
+    "upper_bound": 0.75,
+    "value": 0.5
+  },
+  "schema_version": "1.9",
+  "seed": 0
+}
+"""
+
+
+@pytest.mark.parametrize("flags, results, text", [
+    (dict(command="simulate", m=1, family="hadamard", strategy="after-key", n=4, seed=3),
+     EmpiricalReport(4, 0.5, 0.625, 1.0, 0.25, 3), SIMULATE_REPORT),
+    (dict(command="discord", builtin="bb84pair", ensemble=None, family="hadamard", restarts=2, iters=5, seed=0),
+     AccessibleInfoResult(0.5, projective_povm(np.eye(2)), 1.0, 0.75, False, (0.5, 0.25), (3, 5), (0.125, 0.0625)),
+     SEARCH_REPORT),
+], ids=["empirical", "search"])
+def test_report_encoding_is_exact(flags, results, text, tmp_path, capsys):
+    # tuples become lists, a Povm its {dim, vectors}, None null; keys sorted, indent 2, one trailing newline;
+    # the routing flags func, out and json stay out of the echo
+    out = tmp_path / "r.json"
+    args = argparse.Namespace(**flags, func=print, out=str(out), json=True)
+    write_report(make_run_report(args, results), args.out, args.json)
+    assert out.read_text() == text
+    assert capsys.readouterr().out == text
 
 
 class TestLockAnalyzeCommand:
@@ -284,7 +421,7 @@ class TestLockAnalyzeCommand:
     def test_m_out_of_range_exit_3(self, capsys):
         for m in ("0", "7", "9"):
             assert run(["lock-analyze", "--m", m]) == 3
-            assert "lock-analyze supports m=1..6" in capsys.readouterr().err
+            assert "locking states support m=1..6" in capsys.readouterr().err
 
     def test_fourier_family(self, tmp_path):
         out = tmp_path / "r.json"
@@ -351,7 +488,7 @@ class TestSimulateCommand:
 
     def test_m7_exit_3(self, capsys):
         assert run(["simulate", "--m", "7", "--strategy", "after-key"]) == 3
-        assert "simulate supports m=1..6" in capsys.readouterr().err
+        assert "locking states support m=1..6" in capsys.readouterr().err
 
     def test_huge_n(self, tmp_path):
         out = tmp_path / "r.json"

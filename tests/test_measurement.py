@@ -113,6 +113,17 @@ class TestPovm:
         with pytest.raises(ValueError, match=match):
             povm_from_json_dict(change(doc))
 
+    @pytest.mark.parametrize("change, match", [
+        (lambda doc: {"vectors": doc["vectors"]}, "missing field 'dim'"),
+        (lambda doc: {"dim": doc["dim"]}, "missing field 'vectors'"),
+        (lambda doc: [doc["dim"], doc["vectors"]], "a POVM must be a JSON object"),
+        (lambda doc: None, "a POVM must be a JSON object"),
+    ], ids=["no-dim", "no-vectors", "list", "null"])
+    def test_json_not_a_povm_object_rejected(self, change, match):
+        doc = povm_to_json_dict(projective_povm(np.eye(2)))
+        with pytest.raises(ValueError, match=match):
+            povm_from_json_dict(change(doc))
+
     @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, ["1", "0"], [None, 0.0], "1"])
     def test_json_entry_not_a_pair_rejected(self, entry):
         doc = povm_to_json_dict(projective_povm(hadamard_tensor(1)))

@@ -62,6 +62,12 @@ class TestSimulateLockingRun:
         rep = simulate_locking_run(inst, None, 1, seed=0)
         assert rep.empirical_mi == 0.0
 
+    @pytest.mark.parametrize("povm", [None, projective_povm(np.eye(2))], ids=["after-key", "before-key"])
+    def test_rejects_negative_seed(self, povm):
+        inst, _ = build_locking_state(1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            simulate_locking_run(inst, povm, 10, seed=-1)
+
     def test_determinism(self):
         inst, _ = build_locking_state(1)
         povm = projective_povm(np.eye(2, dtype=complex))

@@ -5,6 +5,7 @@ import pytest
 
 from cqlock import (
     CQEnsemble,
+    GuardError,
     LockingInstance,
     build_locking_state,
     fourier_matrix,
@@ -153,6 +154,11 @@ class TestBuildLockingState:
         with pytest.raises(ValueError):
             build_locking_state(7)
 
+    @pytest.mark.parametrize("m", [0, 7, 9])
+    def test_m_out_of_range_is_a_guard_error(self, m):
+        with pytest.raises(GuardError, match=r"locking states support m=1\.\.6"):
+            build_locking_state(m)
+
 
 class TestMubCheck:
     def test_identity_vs_hadamard(self):
@@ -195,7 +201,37 @@ class TestFourierMatrix:
             fourier_matrix(1)
 
 
+def looped_random_cq_ensemble(n_letters, dim_b, purity, seed):
+    """Probabilities and letters of random_cq_ensemble as it was once written, one letter per loop pass."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(n_letters))
+    states = []
+    for _ in range(n_letters):
+        if purity == "pure":
+            v = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+            v /= np.linalg.norm(v)
+            states.append(np.outer(v, v.conj()))
+        else:
+            g = rng.standard_normal((dim_b, dim_b)) + 1j * rng.standard_normal((dim_b, dim_b))
+            w = g @ g.conj().T
+            states.append(w / np.trace(w).real)
+    return probs, np.array(states)
+
+
 class TestRandomCqEnsemble:
+    @pytest.mark.parametrize("purity", ["pure", "mixed"])
+    @pytest.mark.parametrize("n_letters, dim_b", [(1, 2), (2, 3), (5, 4), (3, 7), (17, 8), (4, 16), (2, 33)])
+    def test_batched_draws_match_the_letter_loop(self, n_letters, dim_b, purity):
+        for seed in range(3):
+            ens = random_cq_ensemble(n_letters, dim_b, purity, seed=seed)
+            probs, states = looped_random_cq_ensemble(n_letters, dim_b, purity, seed)
+            assert np.array_equal(ens.probs, probs)
+            assert np.array_equal(ens.states, states)
+
+    def test_unknown_purity_rejected(self):
+        with pytest.raises(ValueError, match="unknown purity: 'partial'"):
+            random_cq_ensemble(2, 2, "partial")
+
     def test_deterministic(self):
         a = random_cq_ensemble(4, 2, "pure", seed=7)
         b = random_cq_ensemble(4, 2, "pure", seed=7)
