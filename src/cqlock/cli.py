@@ -1,4 +1,5 @@
-"""Command-line interface: discord, lock-analyze, simulate and selftest."""
+"""Command-line interface: discord, lock-analyze and simulate. Each command returns its
+results and text lines; main prints the lines, or with --json the report alone, and writes the report."""
 
 from __future__ import annotations
 
@@ -9,18 +10,16 @@ import sys
 
 import numpy as np
 
-from . import qmath
-from .qmath import GuardError, validate_density
-from .states import MAX_MESSAGE_BITS, CQEnsemble, build_locking_state, ensemble_from_json_dict, random_cq_ensemble
+from .qmath import GuardError
+from .states import MAX_MESSAGE_BITS, CQEnsemble, build_locking_state, ensemble_from_json_dict
 from .measurement import Povm, povm_to_json_dict, projective_povm
-from .accessible import MAX_DIM_B, OptimizerConfig, holevo_chi
+from .accessible import MAX_DIM_B, OptimizerConfig
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import simulate_locking_run
 
 SCHEMA_VERSION = "1.9"
 
 EXIT_OK = 0
-EXIT_SELFTEST = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 
@@ -90,122 +89,40 @@ def resolve_ensemble(args):
     raise ValueError(f"unknown builtin: {name!r}")
 
 
-def cmd_discord(args) -> int:
+def cmd_discord(args):
     report = quantum_discord_cq(resolve_ensemble(args), OptimizerConfig(args.restarts, args.iters, args.seed))
-    print(f"quantum mutual information  {report.mutual_info_q:.4f} bits")
     certified = report.optimizer.certified
-    print(f"accessible information      {report.i_acc:.4f} bits ({'certified optimum' if certified else 'lower bound'})")
-    print(f"quantum discord             {report.discord:.4f} bits ({'certified' if certified else 'upper bound'})")
-    write_report(make_run_report(args, report), args.out, args.json)
-    return EXIT_OK
-
-
-def cmd_lock_analyze(args) -> int:
-    report = locking_delta(build_locking_state(args.m, args.family)[0])
-    print("m  I_q     I_acc(no key)  I_acc(key)  delta   discord")
-    print(
-        f"{report.m}  {report.i_q_without_key:.4f}  {report.i_acc_without_key:.4f}"
-        f"         {report.i_acc_with_key:.4f}      {report.delta:.4f}  {report.discord:.4f}"
-    )
-    print(f"|delta - discord| = {report.delta_equals_discord_residual:.2e}")
-    print(f"Maassen-Uffink bound on I_acc(no key) = {report.i_acc_upper_bound:.4f}")
-    write_report(make_run_report(args, report), args.out, args.json)
-    return EXIT_OK
-
-
-def cmd_simulate(args) -> int:
-    inst = build_locking_state(args.m, args.family)[0]
-    povm = projective_povm(inst.basis_unitaries[0]) if args.strategy == "before-key" else None
-    report = simulate_locking_run(inst, povm, args.n, args.seed)
-    print(f"empirical mutual information  {report.empirical_mi:.4f} bits")
-    print(f"Miller-Madow corrected        {report.miller_madow_mi:.4f} bits")
-    print(f"analytic mutual information   {report.analytic_mi:.4f} bits")
-    print(f"standard error estimate       {report.std_error_estimate:.4f} bits")
-    if report.decoding_errors is not None:
-        print(f"decoding errors               {report.decoding_errors}")
-    write_report(make_run_report(args, report), args.out, args.json)
-    return EXIT_OK
-
-
-def _selftest_groups():
-    """Invariant suite; yields (group name, check callable)."""
-
-    def entropy_identities():
-        # a stack gives one entropy per matrix
-        pure = np.zeros((8, 8), dtype=complex)
-        pure[0, 0] = 1.0
-        mixed_s, pure_s = qmath.von_neumann_entropy(np.stack([np.eye(8) / 8, pure]))
-        assert abs(mixed_s - 3.0) <= 1e-9
-        assert pure_s <= 1e-9
-        assert abs(qmath.shannon_entropy([0.5, 0.25, 0.25]) - 1.5) <= 1e-12
-        # n orthogonal letters are perfectly distinguishable: chi = H(A) = log2 n
-        for n in (2, 3, 16):
-            ens = resolve_ensemble(argparse.Namespace(ensemble=None, builtin=f"orthogonal:{n}"))
-            assert abs(holevo_chi(ens) - np.log2(n)) <= 1e-9
-
-    def state_validation():
-        rng = np.random.default_rng(17)
-        for m in (1, 2):
-            for family in ("hadamard", "fourier"):
-                _, ens = build_locking_state(m, family)
-                validate_density(ens.states)
-                # conjugation leaves roundoff-scale Hermiticity error, which
-                # MATRIX_TOL must absorb
-                d = ens.dim_b
-                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                u, _ = np.linalg.qr(g)
-                validate_density(u @ ens.states @ u.conj().T)
-
-    def povm_completeness():
-        rng = np.random.default_rng(5)
-        for d in (2, 3, 4):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            u, _ = np.linalg.qr(g)
-            v = projective_povm(u).vectors
-            # V^T conj(V) = sum_b |v_b><v_b|
-            assert np.max(np.abs(v.T @ v.conj() - np.eye(d))) <= 1e-9
-
-    def discord_bounds():
-        cfg = OptimizerConfig(restarts=2, max_iters=60, seed=3)
-        for seed in range(5):
-            ens = random_cq_ensemble(3, 2, "pure", seed=seed)
-            rep = quantum_discord_cq(ens, cfg)
-            assert rep.discord >= -1e-6
-            assert rep.discord <= holevo_chi(ens) + 1e-6
-
-    def delta_equals_discord():
-        for m in (1, 2, 3):
-            for family in ("hadamard", "fourier"):
-                inst, _ = build_locking_state(m, family)
-                rep = locking_delta(inst)
-                assert abs(rep.delta - rep.discord) <= 1e-12
-                assert abs(rep.delta - m / 2) <= 1e-12
-
-    return [
-        ("entropy_identities", entropy_identities),
-        ("state_validation", state_validation),
-        ("povm_completeness", povm_completeness),
-        ("discord_bounds", discord_bounds),
-        ("delta_equals_discord", delta_equals_discord),
+    return report, [
+        f"quantum mutual information  {report.mutual_info_q:.4f} bits",
+        f"accessible information      {report.i_acc:.4f} bits ({'certified optimum' if certified else 'lower bound'})",
+        f"quantum discord             {report.discord:.4f} bits ({'certified' if certified else 'upper bound'})",
     ]
 
 
-def cmd_selftest(args) -> int:
-    results = []
-    for name, check in _selftest_groups():
-        try:
-            check()
-            results.append({"group": name, "passed": True, "detail": ""})
-        except (AssertionError, ValueError) as exc:
-            results.append({"group": name, "passed": False, "detail": str(exc) or "assertion failed"})
-    if args.json:
-        sys.stdout.write(json.dumps(results, sort_keys=True, indent=2) + "\n")
-    else:
-        for r in results:
-            status = "PASS" if r["passed"] else "FAIL"
-            suffix = f"  ({r['detail']})" if r["detail"] else ""
-            print(f"{status} {r['group']}{suffix}")
-    return EXIT_OK if all(r["passed"] for r in results) else EXIT_SELFTEST
+def cmd_lock_analyze(args):
+    report = locking_delta(build_locking_state(args.m, args.family)[0])
+    return report, [
+        "m  I_q     I_acc(no key)  I_acc(key)  delta   discord",
+        f"{report.m}  {report.i_q_without_key:.4f}  {report.i_acc_without_key:.4f}"
+        f"         {report.i_acc_with_key:.4f}      {report.delta:.4f}  {report.discord:.4f}",
+        f"|delta - discord| = {report.delta_equals_discord_residual:.2e}",
+        f"Maassen-Uffink bound on I_acc(no key) = {report.i_acc_upper_bound:.4f}",
+    ]
+
+
+def cmd_simulate(args):
+    inst = build_locking_state(args.m, args.family)[0]
+    povm = projective_povm(inst.basis_unitaries[0]) if args.strategy == "before-key" else None
+    report = simulate_locking_run(inst, povm, args.n, args.seed)
+    lines = [
+        f"empirical mutual information  {report.empirical_mi:.4f} bits",
+        f"Miller-Madow corrected        {report.miller_madow_mi:.4f} bits",
+        f"analytic mutual information   {report.analytic_mi:.4f} bits",
+        f"standard error estimate       {report.std_error_estimate:.4f} bits",
+    ]
+    if report.decoding_errors is not None:
+        lines.append(f"decoding errors               {report.decoding_errors}")
+    return report, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selftest)
-
     return parser
 
 
@@ -262,13 +175,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        results, lines = args.func(args)
+        if not args.json:
+            print("\n".join(lines))
+        write_report(make_run_report(args, results), args.out, args.json)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -72,13 +72,14 @@ def test_criterion_1_headline_table(m, family):
     report(1, f"headline table m={m} {family}")
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_criterion_2_delta_equals_discord(m):
-    inst, _ = build_locking_state(m)
-    rep = locking_delta(inst)
-    assert abs(rep.delta - rep.discord) <= 1e-9
-    assert abs(rep.delta - m / 2) <= 1e-9
-    assert abs(rep.discord - m / 2) <= 1e-9
+    for family in ("hadamard", "fourier"):
+        inst, _ = build_locking_state(m, family)
+        rep = locking_delta(inst)
+        assert abs(rep.delta - rep.discord) <= 1e-12
+        assert abs(rep.delta - m / 2) <= 1e-12
+        assert abs(rep.discord - m / 2) <= 1e-12
     report(2, f"delta equals discord m={m}")
 
 

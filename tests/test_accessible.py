@@ -287,7 +287,7 @@ class TestSearchWithoutHints:
     letters alone, certify a rotated locking ensemble in stage 1.
     """
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_rotated_locking_reaches_half_m(self, m):
         _, ens = build_locking_state(m)
         u = random_unitary(2**m, np.random.default_rng(100 + m))

@@ -282,6 +282,33 @@ def test_parser_defaults_match_optimizer_config(argv):
     assert OptimizerConfig(args.restarts, args.iters, args.seed) == OptimizerConfig()
 
 
+@pytest.mark.parametrize("argv", [
+    ["discord", "--builtin", "bb84pair", *FAST],
+    ["lock-analyze", "--m", "2"],
+    ["simulate", "--m", "1", "--strategy", "before-key", "--n", "100"],
+], ids=["discord", "lock-analyze", "simulate"])
+def test_json_stdout_is_the_report_alone(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run([*argv, "--out", str(out), "--json"]) == 0
+    stdout = capsys.readouterr().out
+    json.loads(stdout)
+    assert stdout.encode() == out.read_bytes()
+
+
+def test_selftest_command_removed(capsys):
+    assert run(["selftest"]) == 2
+    assert run(["--help"]) == 0
+    assert "{discord,lock-analyze,simulate}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_orthogonal_builtin_mutual_information_is_log2_n(n, tmp_path):
+    # n orthogonal letters are perfectly distinguishable: I(A:B) = H(A) = log2 n
+    out = tmp_path / "r.json"
+    assert run(["discord", "--builtin", f"orthogonal:{n}", *FAST, "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["results"]["mutual_info_q"] - np.log2(n)) <= 1e-9
+
+
 @pytest.mark.parametrize("m", [0, 7, 9])
 @pytest.mark.parametrize("argv", [
     ["lock-analyze", "--m", "{m}"],
@@ -517,19 +544,6 @@ class TestSimulateCommand:
         text = out.read_text()
         doc = json.loads(text)
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
-
-
-class TestSelftestCommand:
-    def test_passes(self, capsys):
-        assert run(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-
-    def test_json_mode(self, capsys):
-        assert run(["selftest", "--json"]) == 0
-        results = json.loads(capsys.readouterr().out)
-        assert all(r["passed"] for r in results)
-        assert {"group", "passed", "detail"} <= set(results[0])
 
 
 FUZZ_ENSEMBLE = random_cq_ensemble(2, 2, "mixed", seed=3)

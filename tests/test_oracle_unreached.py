@@ -63,16 +63,13 @@ def test_oracle_names_are_not_exported():
         ["lock-analyze", "--m", "2"],
         ["simulate", "--m", "2", "--strategy", "before-key", "--n", "1000"],
         ["simulate", "--m", "2", "--strategy", "after-key", "--n", "1000"],
-        ["selftest"],
     ],
 )
 def test_command_runs_without_the_oracle(argv, tmp_path, oracle_raises, capsys):
     path = tmp_path / "ens.json"
     path.write_text(json.dumps(ensemble_to_json_dict(random_cq_ensemble(5, 3, "mixed", seed=8))))
     argv = [str(path) if a == "ENSEMBLE" else a for a in argv]
-    # selftest writes no report
-    out = [] if argv == ["selftest"] else ["--out", str(tmp_path / "r.json")]
-    assert main([*argv, *out]) == 0
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_the_guard_catches_a_call(oracle_raises):
