@@ -12,9 +12,10 @@ two-basis ensemble: seeded random-restart gradient ascent over rank-1 POVMs
 with n = d outcomes. Stage 3 runs the same ascent with n = d^2 outcomes,
 which suffice for the optimum (Davies 1978), on every other ensemble and
 wherever stage 2 ends short of the bound. The MAX_DIM_B guard applies only
-to the ascent. The letter stack is eigendecomposed once per search, and the
-Holevo quantity, the letter factors, the two-basis test with its letter
-bases and the bound are each computed once from it. A POVM with n
+to the ascent. A stack of pure letters is read from its state vectors with
+no decomposition, and any other stack is eigendecomposed once per search;
+the Holevo quantity, the letter factors, the two-basis test with its letter
+bases and the bound are each computed once from that. A POVM with n
 outcomes is a d x n isometry W with W W^dagger = I_d, whose column b is the
 measurement vector of outcome b. The search keeps the n x d transpose of W,
 whose columns are orthonormal; it is the `vectors` array of the returned
@@ -121,13 +122,31 @@ class AccessibleInfoResult:
 
 
 def holevo_chi(ens: CQEnsemble) -> float:
-    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits, with the letters' entropies from one batched call."""
-    return _holevo_chi(ens, np.linalg.eigvalsh(ens.states))
+    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits.
+
+    The letters' entropies come from their state vectors when every letter is
+    pure, and from one batched eigh of the stack otherwise.
+    """
+    return _holevo_chi(ens, _letters(ens)[0])
 
 
 def _holevo_chi(ens: CQEnsemble, letter_spectra: np.ndarray) -> float:
-    """holevo_chi of ens, given the (n, d) eigenvalues of its letter stack."""
+    """holevo_chi of ens, given the eigenvalues of its letters, one row per letter, from _letters."""
     return float(von_neumann_entropy(ens.average_state()) - ens.probs @ _entropy_of_spectrum(letter_spectra))
+
+
+def _letters(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The letters' spectra, one row per letter, and their rows and owners from _letter_factors.
+
+    Pure letters are read from ens.vectors with no decomposition: letter a has
+    the one eigenvalue |psi_a|^2 and the one row sqrt(p_a) psi_a^*. Any other
+    stack runs one eigh, whose eigenvalues are the spectra.
+    """
+    if ens.vectors is not None:
+        psi = ens.vectors
+        return np.linalg.norm(psi, axis=1)[:, None] ** 2, np.sqrt(ens.probs)[:, None] * psi.conj(), np.arange(len(psi))
+    vals, vecs = np.linalg.eigh(ens.states)
+    return (vals, *_letter_factors(ens, vals, vecs))
 
 
 def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
@@ -151,12 +170,12 @@ def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
     mutually unbiased pair c = d^(-1/2) and the bound is m/2 with d = 2^m,
     which measuring in U_0 attains (DiVincenzo et al., PRL 92, 067902, 2004).
     """
-    found = _two_basis_bound(ens, _letter_factors(ens, *np.linalg.eigh(ens.states))[0])
+    found = _two_basis_bound(ens, _letters(ens)[1])
     return None if found is None else found[0]
 
 
 def _two_basis_bound(ens: CQEnsemble, rows: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
-    """maassen_uffink_bound of ens and its two letter bases as d x d unitaries, given its letter rows from _letter_factors.
+    """maassen_uffink_bound of ens and its two letter bases as d x d unitaries, given its letter rows from _letters.
 
     Each column of a unitary is the state vector of one letter of that basis,
     so projective_povm of it measures in the basis.
@@ -229,7 +248,7 @@ def _mi_from_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rows_evaluator(rows: np.ndarray, owner: np.ndarray, n_letters: int):
     """Measured MI and its gradient G_b = sum_a L_ba p_a sigma_a w_b from the letters' eigen-factor rows.
 
-    rows and owner come from _letter_factors. The returned function takes v
+    rows and owner come from _letters. The returned function takes v
     (R, n, d), whose row b of v[r] is the measurement vector w_b, and returns
     values (R,) and gradients with respect to conj(v), (R, n, d).
     """
@@ -267,7 +286,7 @@ def _matrix_evaluator(letters: np.ndarray):
 def _evaluator(ens: CQEnsemble, rows: np.ndarray, owner: np.ndarray):
     """The ascent's objective for ens, from its letter rows where they are few and from its letter matrices otherwise.
 
-    rows and owner come from _letter_factors. Per outcome, the rows form
+    rows and owner come from _letters. Per outcome, the rows form
     spends its products and temporaries on the rows, one for a pure letter
     and d for a full-rank one, and the matrix form on the n_letters x d^2
     letter-matrix entries; see ROW_COST.
@@ -368,9 +387,8 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     outcomes. Raises GuardError where an ascent would run at d > MAX_DIM_B.
     """
     d = ens.dim_b
-    vals, vecs = np.linalg.eigh(ens.states)
-    chi = _holevo_chi(ens, vals)
-    rows, owner = _letter_factors(ens, vals, vecs)
+    spectra, rows, owner = _letters(ens)
+    chi = _holevo_chi(ens, spectra)
     two_basis = _two_basis_bound(ens, rows)
     bound, letter_bases = (chi, ()) if two_basis is None else (min(chi, two_basis[0]), two_basis[1])
 

@@ -17,7 +17,7 @@ from .accessible import MAX_DIM_B, OptimizerConfig
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import simulate_locking_run
 
-SCHEMA_VERSION = "1.9"
+SCHEMA_VERSION = "1.10"
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -14,7 +14,15 @@ from .qmath import (
     validate_density,
     validate_isometry,
 )
-from .states import CQEnsemble, LockingInstance, _complex_from_json, _complex_to_json, _fields_from_json, _int_from_json
+from .states import (
+    CQEnsemble,
+    LockingInstance,
+    _base64_bytes,
+    _complex_from_json,
+    _complex_to_base64,
+    _fields_from_json,
+    _int_from_json,
+)
 
 __all__ = [
     "Povm",
@@ -128,12 +136,30 @@ def measured_conditional_entropy(ens: CQEnsemble, povm: Povm) -> float:
 
 
 def povm_to_json_dict(povm: Povm) -> dict:
-    return {"dim": povm.dim, "vectors": _complex_to_json(povm.vectors)}
+    """{dim, vectors}, vectors being base64 text of the n x dim isometry's little-endian complex128 bytes, C order."""
+    return {"dim": povm.dim, "vectors": _complex_to_base64(povm.vectors)}
 
 
 def povm_from_json_dict(doc: dict) -> Povm:
+    """Povm of a JSON object; vectors may be base64 text, as written, or nested [re, im] lists.
+
+    The outcome count of base64 text is its byte count over 16 * dim, which
+    must be a positive whole number.
+    """
     dim, vectors = _fields_from_json(doc, ("dim", "vectors"), "a POVM")
-    povm = Povm(_complex_from_json(vectors))
-    if povm.dim != _int_from_json(dim, "POVM dim"):
+    dim = _int_from_json(dim, "POVM dim")
+    if dim < 1:
+        raise ValueError("POVM dim must be a positive integer")
+    if isinstance(vectors, str):
+        raw = _base64_bytes(vectors, "vectors")
+        if not raw or len(raw) % (16 * dim):
+            raise ValueError(f"vectors holds {len(raw)} bytes, not a positive multiple of 16 * dim = {16 * dim}")
+        vectors = np.frombuffer(raw, dtype="<c16").reshape(-1, dim)
+    elif isinstance(vectors, list):
+        vectors = _complex_from_json(vectors)
+    else:
+        raise ValueError("vectors must be base64 text or nested lists of [re, im] pairs")
+    povm = Povm(vectors)
+    if povm.dim != dim:
         raise ValueError("POVM vectors disagree with dim")
     return povm

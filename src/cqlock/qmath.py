@@ -24,6 +24,7 @@ __all__ = [
     "DimensionError",
     "GuardError",
     "validate_density",
+    "pure_state_vectors",
     "validate_probs",
     "validate_isometry",
     "von_neumann_entropy",
@@ -63,12 +64,42 @@ def validate_density(mat) -> np.ndarray:
         raise ValueError("density matrix entries are not finite")
     if np.max(np.abs(mat - np.swapaxes(mat.conj(), -2, -1))) > MATRIX_TOL:
         raise ValueError("matrix is not Hermitian")
-    trace = np.trace(mat, axis1=-2, axis2=-1)
-    if np.max(np.abs(trace.real - 1.0)) > MATRIX_TOL or np.max(np.abs(trace.imag)) > MATRIX_TOL:
+    if not _unit_trace(mat):
         raise ValueError("trace is not 1")
     if np.min(np.linalg.eigvalsh(mat)[..., 0]) < -MATRIX_TOL:
         raise ValueError("matrix is not positive semidefinite")
     return mat
+
+
+def _unit_trace(mat: np.ndarray) -> bool:
+    trace = np.trace(mat, axis1=-2, axis2=-1)
+    return bool(np.max(np.abs(trace.real - 1.0)) <= MATRIX_TOL and np.max(np.abs(trace.imag)) <= MATRIX_TOL)
+
+
+def pure_state_vectors(stack: np.ndarray) -> np.ndarray | None:
+    """State vectors psi_a, an (n, d) array, of a complex (n, d, d) stack of pure states, or None.
+
+    psi_a is column j of matrix a over sqrt(stack[a, j, j]), j being its
+    largest diagonal entry. The stack is pure when its entries are finite,
+    each trace is 1 as validate_density requires, and each matrix lies within
+    PROB_TOL of psi_a psi_a^dagger in Frobenius norm. That bounds every
+    eigenvalue but the largest within PROB_TOL of 0, at or below the cutoff
+    of every entropy, so validate_density accepts the stack, and would reach
+    the same answer with its eigendecomposition. None means some matrix is
+    not such a projector, or not a state; validate_density then decides.
+    """
+    if not (np.all(np.isfinite(stack)) and _unit_trace(stack)):
+        return None
+    n = len(stack)
+    letters = np.arange(n)
+    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    # a unit trace leaves each largest diagonal entry positive
+    col = np.argmax(diag, axis=1)
+    psi = stack[letters, :, col] / np.sqrt(diag[letters, col])[:, None]
+    resid = (stack - psi[:, :, None] * psi[:, None, :].conj()).reshape(n, -1).view(np.float64)
+    if np.max(np.einsum("ak,ak->a", resid, resid)) > PROB_TOL**2:
+        return None
+    return psi
 
 
 def validate_isometry(v) -> np.ndarray:

@@ -8,7 +8,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import MATRIX_TOL, DimensionError, GuardError, validate_density, validate_isometry, validate_probs
+from .qmath import (
+    MATRIX_TOL,
+    DimensionError,
+    GuardError,
+    pure_state_vectors,
+    validate_density,
+    validate_isometry,
+    validate_probs,
+)
 
 __all__ = [
     "CQEnsemble",
@@ -34,12 +42,17 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 class CQEnsemble:
     """Labeled distribution {p_a} with one Bob-side state per letter, stacked so that states[a] is sigma_a.
 
-    states is a read-only complex (n, d, d) array. Ensembles compare by identity.
+    states is a read-only complex (n, d, d) array. When every letter is a pure
+    state, vectors is the read-only (n, d) array of their state vectors from
+    qmath.pure_state_vectors, with states[a] = |psi_a><psi_a| within PROB_TOL,
+    and no letter is eigendecomposed; otherwise it is None. Ensembles compare
+    by identity.
     """
 
     labels: tuple
     probs: np.ndarray
     states: np.ndarray
+    vectors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = validate_probs(self.probs)
@@ -51,13 +64,18 @@ class CQEnsemble:
             states = None
         if states is None or states.ndim != 3 or states.shape[1] != states.shape[2]:
             raise ValueError("all states must share one dimension")
-        validate_density(states)
+        vectors = pure_state_vectors(states)
+        if vectors is None:
+            validate_density(states)
+        else:
+            vectors.setflags(write=False)
         probs = probs.copy()
         probs.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def n_letters(self) -> int:
@@ -204,11 +222,6 @@ def random_cq_ensemble(n_letters: int, dim_b: int, purity: str = "pure", seed: i
     return CQEnsemble(labels=tuple(range(n_letters)), probs=probs, states=states)
 
 
-def _complex_to_json(arr: np.ndarray) -> list:
-    """Nested lists of the array's entries, each a two-element [re, im] list."""
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
 def _numbers_from_json(x, message: str) -> np.ndarray:
     """Float array of a JSON number or of nested lists of numbers in one shape; anything else raises ValueError(message).
 
@@ -240,7 +253,7 @@ def _int_from_json(x, name: str) -> int:
 
 
 def _complex_from_json(entries) -> np.ndarray:
-    """Complex array from nested lists of [re, im] pairs of numbers, the inverse of _complex_to_json."""
+    """Complex array from nested lists of [re, im] pairs of numbers, the layout earlier versions wrote."""
     message = "matrix entries must be [re, im] pairs of numbers, in matrices of one shape"
     pairs = _numbers_from_json(entries, message)
     if pairs.ndim == 0 or pairs.shape[-1] != 2:
@@ -249,16 +262,21 @@ def _complex_from_json(entries) -> np.ndarray:
 
 
 def _complex_to_base64(arr: np.ndarray) -> str:
-    """Base64 text of the array's little-endian complex128 bytes in C order; exact, like _complex_to_json."""
+    """Base64 text of the array's little-endian complex128 bytes in C order; every float64 comes back bit for bit."""
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<c16").tobytes()).decode("ascii")
 
 
-def _complex_from_base64(text: str, shape: tuple) -> np.ndarray:
-    """Complex array of the given shape from _complex_to_base64 text; the byte count must match the shape."""
+def _base64_bytes(text: str, name: str) -> bytes:
+    """The bytes of the base64 text held in the JSON field name."""
     try:
-        raw = base64.b64decode(text, validate=True)
+        return base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error on alphabet or padding, ValueError on non-ASCII text
-        raise ValueError("states text must be ASCII base64") from None
+        raise ValueError(f"{name} text must be ASCII base64") from None
+
+
+def _complex_from_base64(text: str, shape: tuple) -> np.ndarray:
+    """Complex stack of the given shape from states text of _complex_to_base64; the byte count must match the shape."""
+    raw = _base64_bytes(text, "states")
     expected = 16 * math.prod(shape)  # Python integers: a huge dim_b cannot overflow
     if len(raw) != expected:
         raise ValueError(f"states holds {len(raw)} bytes, not 16 * {shape[0]} letters * dim_b**2 = {expected}")

@@ -4,7 +4,7 @@ import pytest
 from cqlock import CQEnsemble, OptimizerConfig, classical_mutual_information, shannon_entropy, von_neumann_entropy
 from cqlock.measurement import measure_b
 from cqlock.qmath import quantum_conditional_entropy, quantum_mutual_information
-from cqlock.states import _complex_to_json, cq_to_density, ensemble_to_json_dict
+from cqlock.states import cq_to_density, ensemble_to_json_dict
 
 
 def random_unitary(d, rng):
@@ -21,9 +21,14 @@ def two_basis_ensemble(u0, u1, probs=None):
     return CQEnsemble(tuple(range(n)), probs, vecs[:, :, None] * vecs[:, None, :].conj())
 
 
+def complex_to_json(arr):
+    """Nested lists of the array's entries, each a two-element [re, im] list: the layout older files and reports use."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
 def list_layout_json_dict(ens):
     """ensemble_to_json_dict(ens) with states as nested [re, im] lists, the layout older files use."""
-    return {**ensemble_to_json_dict(ens), "states": _complex_to_json(ens.states)}
+    return {**ensemble_to_json_dict(ens), "states": complex_to_json(ens.states)}
 
 
 def bell_state():

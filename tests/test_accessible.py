@@ -8,6 +8,8 @@ from cqlock import (
     accessible_information,
     build_locking_state,
     holevo_chi,
+    locking_delta,
+    maassen_uffink_bound,
     measured_mutual_information,
     projective_povm,
     random_cq_ensemble,
@@ -15,10 +17,10 @@ from cqlock import (
     von_neumann_entropy,
 )
 
-from cqlock import accessible
+from cqlock import accessible, states
 from cqlock.accessible import GRAD_TOL
 from cqlock.measurement import Povm
-from cqlock.qmath import PROB_TOL, quantum_mutual_information
+from cqlock.qmath import PROB_TOL, quantum_mutual_information, validate_density
 from cqlock.states import cq_to_density
 
 from conftest import random_unitary, two_basis_ensemble
@@ -111,6 +113,129 @@ class TestHolevoChiPerLetterOracle:
         assert abs(holevo_chi(ens) - per_letter_chi(ens)) <= 1e-12
 
 
+def pure_letters(n, d, seed):
+    """n random unit vectors in C^d and, for each, a random unit vector orthogonal to it."""
+    rng = np.random.default_rng(seed)
+    v, g = rng.standard_normal((2, n, d)) + 1j * rng.standard_normal((2, n, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    w = g - np.einsum("ai,ai->a", v.conj(), g)[:, None] * v
+    return v, w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def outer(v):
+    return v[:, :, None] * v[:, None, :].conj()
+
+
+def letter_stack(case):
+    """A (3, 4, 4) stack for the validation parity cases, built from pure_letters(3, 4, seed=2)."""
+    v, w = pure_letters(3, 4, seed=2)
+    stack = outer(v)
+    kind, _, size = case.partition(":")
+    eps = float(size or 0)
+    if kind == "admixture":
+        # rank 2 with eigenvalues 1 - eps and eps
+        stack = (1 - eps) * stack + eps * outer(w)
+    elif kind == "non-hermitian":
+        stack[1, 0, 1] += eps * 1j
+    elif kind == "trace":
+        stack[0] *= 1 + eps
+    elif kind == "negative":
+        # eigenvalues 1 + eps and -eps, unit trace
+        stack[2] = (1 + eps) * stack[2] - eps * outer(w)[2]
+    elif kind in ("nan", "inf"):
+        stack[1, 0, 1] = float(kind)
+    return stack
+
+
+def eigh_route(ens, monkeypatch):
+    """ens rebuilt with pure-letter detection off, so that validation, chi and the search decompose its stack."""
+    with monkeypatch.context() as patch:
+        patch.setattr(states, "pure_state_vectors", lambda stack: None)
+        return CQEnsemble(ens.labels, ens.probs, ens.states)
+
+
+class TestPureLetters:
+    """A stack of pure letters keeps its state vectors and runs no eigendecomposition, with every answer unchanged."""
+
+    @pytest.mark.parametrize("case, pure", [
+        ("projectors", True),
+        ("admixture:1e-13", True),
+        ("admixture:1e-11", False),
+        ("admixture:1e-9", False),
+        ("admixture:1e-6", False),
+        ("non-hermitian:1e-11", False),
+        ("non-hermitian:1e-6", False),
+        ("trace:2e-9", False),
+        ("negative:1e-6", False),
+        ("nan", False),
+        ("inf", False),
+    ])
+    def test_validation_matches_validate_density(self, case, pure):
+        stack = letter_stack(case)
+        try:
+            validate_density(stack)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        probs = np.array([0.5, 0.3, 0.2])
+        if message is not None:
+            with pytest.raises(ValueError) as exc:
+                CQEnsemble((0, 1, 2), probs, stack)
+            assert str(exc.value) == message
+            return
+        ens = CQEnsemble((0, 1, 2), probs, stack)
+        assert (ens.vectors is not None) == pure
+        # the per-letter oracle drops each eigenvalue at or below PROB_TOL, as the pure route drops all but one
+        assert abs(holevo_chi(ens) - per_letter_chi(ens)) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    def test_pure_stack_never_decomposed(self, family, monkeypatch, fast_cfg):
+        calls = count_stack_decompositions(monkeypatch, build_locking_state(4, family)[1])
+        inst, ens = build_locking_state(4, family)
+        rot = rotated(ens, random_unitary(16, np.random.default_rng(4)))
+        assert ens.vectors is not None and rot.vectors is not None
+        for e in (ens, rot):
+            accessible_information(e, fast_cfg)
+            holevo_chi(e)
+            maassen_uffink_bound(e)
+        locking_delta(inst)
+        # and a pure stack that is not two bases, where the d^2-outcome ascent runs on its rows
+        letters = random_cq_ensemble(6, 4, "pure", seed=3)
+        letter_calls = count_stack_decompositions(monkeypatch, letters)
+        assert letters.vectors is not None
+        assert accessible_information(letters, fast_cfg).per_restart_values
+        holevo_chi(letters)
+        assert calls == letter_calls == []
+
+    @pytest.mark.parametrize("run, expected", [
+        (lambda ens, cfg: CQEnsemble(ens.labels, ens.probs, ens.states), ["eigvalsh"]),
+        (accessible_information, ["eigh"]),
+        (lambda ens, cfg: holevo_chi(ens), ["eigh"]),
+        (lambda ens, cfg: maassen_uffink_bound(ens), ["eigh"]),
+    ], ids=["construction", "search", "holevo_chi", "maassen_uffink_bound"])
+    def test_mixed_stack_decomposed_once(self, run, expected, monkeypatch, fast_cfg):
+        ens = random_cq_ensemble(6, 4, "mixed", seed=3)
+        assert ens.vectors is None
+        calls = count_stack_decompositions(monkeypatch, ens)
+        run(ens, fast_cfg)
+        assert calls == expected
+
+    @pytest.mark.parametrize("make", [
+        *(lambda m=m, f=f: build_locking_state(m, f)[1] for f in ("hadamard", "fourier") for m in range(1, 7)),
+        *(lambda m=m: rotated(build_locking_state(m)[1], random_unitary(2**m, np.random.default_rng(m)))
+          for m in (3, 4, 5)),
+        bb84_pair,
+    ], ids=[*(f"locking-{f}-m{m}" for f in ("hadamard", "fourier") for m in range(1, 7)),
+            "rotated-m3", "rotated-m4", "rotated-m5", "bb84pair"])
+    def test_search_agrees_with_the_eigh_route(self, make, monkeypatch):
+        ens, decomposed = make(), eigh_route(make(), monkeypatch)
+        assert ens.vectors is not None and decomposed.vectors is None
+        pure, full = accessible_information(ens), accessible_information(decomposed)
+        for name in ("value", "chi", "upper_bound"):
+            assert abs(getattr(pure, name) - getattr(full, name)) <= 1e-12, name
+        assert pure.certified == full.certified
+
+
 class TestAccessibleInformation:
     def test_orthogonal_attains_ha(self, fast_cfg):
         ens = CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
@@ -165,16 +290,17 @@ class TestAccessibleInformation:
         with pytest.raises(GuardError, match="instance too large"):
             accessible_information(ens, fast_cfg)
 
-    @pytest.mark.parametrize("make", [
-        lambda: build_locking_state(6)[1],
-        lambda: random_cq_ensemble(32, 8, "mixed", seed=40),
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: build_locking_state(6)[1], []),
+        (lambda: random_cq_ensemble(32, 8, "mixed", seed=40), ["eigh"]),
     ], ids=["locking-m6", "random-n32-d8"])
-    def test_letter_stack_decomposed_once(self, make, monkeypatch, fast_cfg):
-        # chi and the search's letter factors are read from one eigh of the stack
+    def test_letter_stack_decomposed_once(self, make, expected, monkeypatch, fast_cfg):
+        # chi and the search's letter factors are read from at most one eigh of the stack,
+        # and from none where every letter is pure
         ens = make()
         calls = count_stack_decompositions(monkeypatch, ens)
         res = accessible_information(ens, fast_cfg)
-        assert calls == ["eigh"]
+        assert calls == expected
         assert abs(res.chi - per_letter_chi(ens)) <= 1e-12
 
     def test_single_letter(self, fast_cfg):
@@ -192,8 +318,8 @@ def rotated(ens, u):
 
 
 def letter_factors(ens):
-    """The search's letter rows of ens and the letter of each row, from one eigendecomposition of its stack."""
-    return accessible._letter_factors(ens, *np.linalg.eigh(ens.states))
+    """The search's letter rows of ens and the letter of each row, as the search reads them."""
+    return accessible._letters(ens)[1:]
 
 
 def ascent(ens, cfg, n):

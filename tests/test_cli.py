@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cqlock.accessible import GRAD_TOL, AccessibleInfoResult, OptimizerConfig, accessible_information
 from cqlock.cli import build_parser, main, make_run_report, write_report
-from cqlock.measurement import projective_povm
+from cqlock.measurement import povm_from_json_dict, projective_povm
 from cqlock.protocol import EmpiricalReport
 from cqlock.states import CQEnsemble, _complex_to_base64, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
@@ -52,7 +52,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.9"
+        assert doc["schema_version"] == "1.10"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -174,12 +174,13 @@ class TestDiscordCommand:
         path, out = tmp_path / "m4.json", tmp_path / "r.json"
         path.write_text(json.dumps(ensemble_to_json_dict(rotated)))
         assert run(["discord", "--ensemble", str(path), "--restarts", "1", "--out", str(out)]) == 0
-        povm = json.loads(out.read_text())["results"]["optimizer"]["best_povm"]
-        n_outcomes = accessible_information(rotated, OptimizerConfig(restarts=1)).best_povm.n_outcomes
-        assert set(povm) == {"dim", "vectors"}
-        assert povm["dim"] == 16
-        assert len(povm["vectors"]) == n_outcomes
-        assert all(len(row) == 16 and all(len(entry) == 2 for entry in row) for row in povm["vectors"])
+        doc = json.loads(out.read_text())["results"]["optimizer"]["best_povm"]
+        best = accessible_information(rotated, OptimizerConfig(restarts=1)).best_povm
+        assert set(doc) == {"dim", "vectors"}
+        assert doc["dim"] == 16
+        # vectors is the base64 text of the n x 16 isometry's complex128 bytes
+        assert len(base64.b64decode(doc["vectors"])) == 16 * 16 * best.n_outcomes
+        assert povm_from_json_dict(doc) == best
 
     def test_report_carries_convergence_evidence(self, tmp_path):
         out = tmp_path / "r.json"
@@ -353,7 +354,7 @@ SIMULATE_REPORT = """{
     "seed": 3,
     "std_error_estimate": 0.25
   },
-  "schema_version": "1.9",
+  "schema_version": "1.10",
   "seed": 3
 }
 """
@@ -371,28 +372,7 @@ SEARCH_REPORT = """{
   "results": {
     "best_povm": {
       "dim": 2,
-      "vectors": [
-        [
-          [
-            1.0,
-            0.0
-          ],
-          [
-            0.0,
-            0.0
-          ]
-        ],
-        [
-          [
-            0.0,
-            0.0
-          ],
-          [
-            1.0,
-            0.0
-          ]
-        ]
-      ]
+      "vectors": "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAAAA=="
     },
     "certified": false,
     "chi": 1.0,
@@ -411,7 +391,7 @@ SEARCH_REPORT = """{
     "upper_bound": 0.75,
     "value": 0.5
   },
-  "schema_version": "1.9",
+  "schema_version": "1.10",
   "seed": 0
 }
 """
@@ -425,8 +405,8 @@ SEARCH_REPORT = """{
      SEARCH_REPORT),
 ], ids=["empirical", "search"])
 def test_report_encoding_is_exact(flags, results, text, tmp_path, capsys):
-    # tuples become lists, a Povm its {dim, vectors}, None null; keys sorted, indent 2, one trailing newline;
-    # the routing flags func, out and json stay out of the echo
+    # tuples become lists, a Povm its {dim, vectors} with base64 vectors, None null; keys sorted, indent 2,
+    # one trailing newline; the routing flags func, out and json stay out of the echo
     out = tmp_path / "r.json"
     args = argparse.Namespace(**flags, func=print, out=str(out), json=True)
     write_report(make_run_report(args, results), args.out, args.json)
@@ -462,7 +442,7 @@ class TestLockAnalyzeCommand:
         assert run(["lock-analyze", "--m", str(m), "--family", family, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         res = doc["results"]
-        assert doc["schema_version"] == "1.9"
+        assert doc["schema_version"] == "1.10"
         assert "optimizer" not in res
         assert abs(res["delta"] - m / 2) <= 1e-9
         assert abs(res["discord"] - m / 2) <= 1e-9
@@ -487,7 +467,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.9"
+        assert doc["schema_version"] == "1.10"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from cqlock.measurement import measure_b, povm_from_json_dict, povm_to_json_dict
 from cqlock.qmath import partial_trace
 from cqlock.states import cq_to_density, hadamard_tensor
 
-from conftest import random_unitary
+from conftest import complex_to_json, random_unitary
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -30,6 +31,16 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 def orthogonal_ensemble():
     return CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
+
+
+# base64 text of the identity's complex128 bytes, the vectors of projective_povm(np.eye(2))
+IDENTITY_TEXT = base64.b64encode(np.eye(2, dtype=complex).tobytes()).decode()
+
+
+def complex_isometry_povm():
+    """A 9 x 3 complex isometry, d^2 outcomes at d = 3."""
+    rng = np.random.default_rng(7)
+    return Povm(np.linalg.qr(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))[0])
 
 
 def elements(povm):
@@ -95,23 +106,55 @@ class TestPovm:
             make(bad)
 
     def test_json_round_trip(self):
-        # a complex isometry with d^2 outcomes comes back through JSON text bit for bit
-        rng = np.random.default_rng(7)
-        povm = Povm(np.linalg.qr(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))[0])
+        # a complex isometry with d^2 outcomes comes back through JSON text bit for bit, from base64 vectors
+        povm = complex_isometry_povm()
         doc = povm_to_json_dict(povm)
         assert set(doc) == {"dim", "vectors"}
-        assert povm_from_json_dict(json.loads(json.dumps(doc))) == povm
+        assert isinstance(doc["vectors"], str)
+        assert len(base64.b64decode(doc["vectors"])) == 16 * 9 * 3
+        back = povm_from_json_dict(json.loads(json.dumps(doc)))
+        assert back == povm
+        assert back.vectors.tobytes() == povm.vectors.tobytes()
+
+    def test_reads_nested_list_report(self):
+        # reports before schema 1.10 wrote each entry as an [re, im] list; they read to the same bits
+        povm = complex_isometry_povm()
+        old = {"schema_version": "1.9", "results": {"best_povm": {"dim": 3, "vectors": complex_to_json(povm.vectors)}}}
+        back = povm_from_json_dict(json.loads(json.dumps(old, indent=2))["results"]["best_povm"])
+        assert back.vectors.tobytes() == povm.vectors.tobytes()
 
     @pytest.mark.parametrize("change, match", [
-        (lambda doc: {**doc, "dim": 3}, "disagree with dim"),
+        (lambda doc: {**doc, "dim": 3}, "not a positive multiple of 16 \\* dim = 48"),
+        (lambda doc: {**doc, "dim": 3, "vectors": complex_to_json(np.eye(2))}, "disagree with dim"),
         (lambda doc: {**doc, "dim": True}, "integer"),
+        (lambda doc: {**doc, "dim": 0}, "dim must be a positive integer"),
         (lambda doc: {**doc, "vectors": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "isometry"),
         (lambda doc: {**doc, "vectors": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}, r"\[re, im\] pairs"),
-    ], ids=["dim-mismatch", "bool-dim", "non-isometry", "ragged"])
+    ], ids=["dim-mismatch", "dim-mismatch-lists", "bool-dim", "zero-dim", "non-isometry", "ragged"])
     def test_json_malformed_rejected(self, change, match):
         doc = povm_to_json_dict(projective_povm(np.eye(2)))
         with pytest.raises(ValueError, match=match):
             povm_from_json_dict(change(doc))
+
+    @pytest.mark.parametrize("vectors, match", [
+        ("@" + IDENTITY_TEXT[1:], "ASCII base64"),
+        (IDENTITY_TEXT.rstrip("="), "ASCII base64"),
+        ("\u00c4" + IDENTITY_TEXT[1:], "ASCII base64"),
+        ("", "holds 0 bytes, not a positive multiple of 16 \\* dim = 32"),
+        (base64.b64encode(np.eye(2, dtype=complex).tobytes()[:-16]).decode(), "holds 48 bytes, not a positive multiple"),
+        (base64.b64encode(np.eye(2, dtype=complex).tobytes() + b"\0").decode(), "holds 65 bytes, not a positive multiple"),
+        (1.0, "base64 text or nested lists"),
+        (None, "base64 text or nested lists"),
+        ({"re": 1.0}, "base64 text or nested lists"),
+    ], ids=["alphabet", "padding", "non-ascii", "empty", "short", "long", "number", "null", "object"])
+    def test_json_bad_base64_vectors_rejected(self, vectors, match):
+        with pytest.raises(ValueError, match=match):
+            povm_from_json_dict({"dim": 2, "vectors": vectors})
+
+    def test_json_base64_rows_fix_the_outcome_count(self):
+        # 48 bytes at dim = 1 are three outcomes; the one-column isometry (1, 0, 0) is a valid POVM
+        text = base64.b64encode(np.array([1, 0, 0], dtype="<c16").tobytes()).decode()
+        assert povm_from_json_dict({"dim": 1, "vectors": text}).n_outcomes == 3
 
     @pytest.mark.parametrize("change, match", [
         (lambda doc: {"vectors": doc["vectors"]}, "missing field 'dim'"),
@@ -126,7 +169,7 @@ class TestPovm:
 
     @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, ["1", "0"], [None, 0.0], "1"])
     def test_json_entry_not_a_pair_rejected(self, entry):
-        doc = povm_to_json_dict(projective_povm(hadamard_tensor(1)))
+        doc = {"dim": 2, "vectors": complex_to_json(projective_povm(hadamard_tensor(1)).vectors)}
         doc["vectors"][1][0] = entry
         with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
             povm_from_json_dict(doc)

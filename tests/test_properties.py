@@ -10,12 +10,11 @@ from cqlock.states import (
     _complex_from_base64,
     _complex_from_json,
     _complex_to_base64,
-    _complex_to_json,
     ensemble_from_json_dict,
     ensemble_to_json_dict,
 )
 
-from conftest import list_layout_json_dict, random_unitary
+from conftest import complex_to_json, list_layout_json_dict, random_unitary
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 ENSEMBLES = dict(
@@ -87,6 +86,6 @@ def test_json_layouts_keep_every_bit():
     parts = [-0.0, 0.0, 5e-324, -0.0, 1e300, -1e300, 0.5, -5e-324, -1e300, 2.2e-310, 0.0, -0.0, 1.0, 1e300, -0.0, -0.0]
     stack = np.array(parts).view(complex).reshape(2, 2, 2)
     from_base64 = _complex_from_base64(json.loads(json.dumps(_complex_to_base64(stack))), stack.shape)
-    from_lists = _complex_from_json(json.loads(json.dumps(_complex_to_json(stack))))
+    from_lists = _complex_from_json(json.loads(json.dumps(complex_to_json(stack))))
     assert from_base64.tobytes() == stack.tobytes()
     assert from_lists.tobytes() == stack.tobytes()
