@@ -12,14 +12,13 @@ two-basis ensemble: seeded random-restart gradient ascent over rank-1 POVMs
 with n = d outcomes. Stage 3 runs the same ascent with n = d^2 outcomes,
 which suffice for the optimum (Davies 1978), on every other ensemble and
 wherever stage 2 ends short of the bound. The MAX_DIM_B guard applies only
-to the ascent. A stack of pure letters is read from its state vectors with
-no decomposition, and any other stack is eigendecomposed once per search;
-the Holevo quantity, the letter factors, the two-basis test with its letter
-bases and the bound are each computed once from that. A POVM with n
-outcomes is a d x n isometry W with W W^dagger = I_d, whose column b is the
-measurement vector of outcome b. The search keeps the n x d transpose of W,
-whose columns are orthonormal; it is the `vectors` array of the returned
-Povm.
+to the ascent. The search decomposes no letter: the Holevo quantity, the
+two-basis test with its letter bases, the bound and the rows form of the
+objective read the letter spectra and rows that CQEnsemble computes once,
+at construction. A POVM with n outcomes is a d x n isometry W with
+W W^dagger = I_d, whose column b is the measurement vector of outcome b.
+The search keeps the n x d transpose of W, whose columns are orthonormal;
+it is the `vectors` array of the returned Povm.
 
 All restarts are stacked into one (restarts, n, d) array and advance
 together by Riemannian conjugate gradient (Polak-Ribiere+, Absil, Mahony &
@@ -51,7 +50,7 @@ import numpy as np
 
 from .qmath import MATRIX_TOL, PROB_TOL, GuardError, _entropy_of_spectrum, von_neumann_entropy
 from .states import CQEnsemble
-from .measurement import Povm, measured_mutual_information, projective_povm
+from .measurement import Povm, _row_table, measured_mutual_information, projective_povm
 
 __all__ = [
     "OptimizerConfig",
@@ -122,31 +121,8 @@ class AccessibleInfoResult:
 
 
 def holevo_chi(ens: CQEnsemble) -> float:
-    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits.
-
-    The letters' entropies come from their state vectors when every letter is
-    pure, and from one batched eigh of the stack otherwise.
-    """
-    return _holevo_chi(ens, _letters(ens)[0])
-
-
-def _holevo_chi(ens: CQEnsemble, letter_spectra: np.ndarray) -> float:
-    """holevo_chi of ens, given the eigenvalues of its letters, one row per letter, from _letters."""
-    return float(von_neumann_entropy(ens.average_state()) - ens.probs @ _entropy_of_spectrum(letter_spectra))
-
-
-def _letters(ens: CQEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The letters' spectra, one row per letter, and their rows and owners from _letter_factors.
-
-    Pure letters are read from ens.vectors with no decomposition: letter a has
-    the one eigenvalue |psi_a|^2 and the one row sqrt(p_a) psi_a^*. Any other
-    stack runs one eigh, whose eigenvalues are the spectra.
-    """
-    if ens.vectors is not None:
-        psi = ens.vectors
-        return np.linalg.norm(psi, axis=1)[:, None] ** 2, np.sqrt(ens.probs)[:, None] * psi.conj(), np.arange(len(psi))
-    vals, vecs = np.linalg.eigh(ens.states)
-    return (vals, *_letter_factors(ens, vals, vecs))
+    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits, with the letters' entropies read from ens.spectra."""
+    return float(von_neumann_entropy(ens.average_state()) - ens.probs @ _entropy_of_spectrum(ens.spectra))
 
 
 def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
@@ -170,17 +146,17 @@ def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
     mutually unbiased pair c = d^(-1/2) and the bound is m/2 with d = 2^m,
     which measuring in U_0 attains (DiVincenzo et al., PRL 92, 067902, 2004).
     """
-    found = _two_basis_bound(ens, _letters(ens)[1])
+    found = _two_basis_bound(ens)
     return None if found is None else found[0]
 
 
-def _two_basis_bound(ens: CQEnsemble, rows: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
-    """maassen_uffink_bound of ens and its two letter bases as d x d unitaries, given its letter rows from _letters.
+def _two_basis_bound(ens: CQEnsemble) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
+    """maassen_uffink_bound of ens and its two letter bases as d x d unitaries, from its letter rows.
 
     Each column of a unitary is the state vector of one letter of that basis,
     so projective_povm of it measures in the basis.
     """
-    d = ens.dim_b
+    d, rows = ens.dim_b, ens.rows
     # every letter keeps at least one row, so 2d rows for 2d letters means every letter is pure
     if ens.n_letters != 2 * d or len(rows) != 2 * d or np.any(np.abs(ens.probs - 0.5 / d) > PROB_TOL):
         return None
@@ -210,18 +186,6 @@ def _two_basis_bound(ens: CQEnsemble, rows: np.ndarray) -> tuple[float, tuple[np
     return float(np.log2(d) + np.log2(overlap.max())), bases
 
 
-def _letter_factors(ens: CQEnsemble, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows K_k with sum_{k of letter a} K_k^dagger K_k = p_a sigma_a, and the letter of each row.
-
-    vals and vecs are the eigendecomposition of ens.states. Only eigenvectors
-    of nonzero weight are kept, so a pure letter gives one row.
-    """
-    # a unit-trace state always keeps its largest eigenvector
-    owner, col = np.nonzero(vals > PROB_TOL)
-    rows = np.sqrt(ens.probs[owner] * vals[owner, col])[:, None] * vecs[owner, :, col].conj()
-    return rows, owner
-
-
 def _mi_from_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measured MI of each stacked table T[r, b, a] = p_a w_b^dagger sigma_a w_b, and L = dI/dT up to a constant.
 
@@ -245,21 +209,19 @@ def _mi_from_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("rba,rba->r", table, log_ratio), log_ratio
 
 
-def _rows_evaluator(rows: np.ndarray, owner: np.ndarray, n_letters: int):
-    """Measured MI and its gradient G_b = sum_a L_ba p_a sigma_a w_b from the letters' eigen-factor rows.
+def _rows_evaluator(ens: CQEnsemble):
+    """Measured MI and its gradient G_b = sum_a L_ba p_a sigma_a w_b from the letters' eigen-factor rows ens.rows.
 
-    rows and owner come from _letters. The returned function takes v
-    (R, n, d), whose row b of v[r] is the measurement vector w_b, and returns
-    values (R,) and gradients with respect to conj(v), (R, n, d).
+    The returned function takes v (R, n, d), whose row b of v[r] is the
+    measurement vector w_b, and returns values (R,) and gradients with
+    respect to conj(v), (R, n, d).
     """
-    row_to_letter = (owner[:, None] == np.arange(n_letters)[None, :]).astype(float)
-    rows_conj = rows.conj()
+    rows_conj = ens.rows.conj()
 
     def evaluate(v):
-        kv = v @ rows.T
-        table = (kv.real**2 + kv.imag**2) @ row_to_letter
+        kv, table = _row_table(ens, v)
         values, log_ratio = _mi_from_table(table)
-        kv *= log_ratio[:, :, owner]
+        kv *= log_ratio[:, :, ens.owner]
         return values, kv @ rows_conj
 
     return evaluate
@@ -283,16 +245,15 @@ def _matrix_evaluator(letters: np.ndarray):
     return evaluate
 
 
-def _evaluator(ens: CQEnsemble, rows: np.ndarray, owner: np.ndarray):
+def _evaluator(ens: CQEnsemble):
     """The ascent's objective for ens, from its letter rows where they are few and from its letter matrices otherwise.
 
-    rows and owner come from _letters. Per outcome, the rows form
-    spends its products and temporaries on the rows, one for a pure letter
-    and d for a full-rank one, and the matrix form on the n_letters x d^2
-    letter-matrix entries; see ROW_COST.
+    Per outcome, the rows form spends its products and temporaries on the
+    rows, one for a pure letter and d for a full-rank one, and the matrix
+    form on the n_letters x d^2 letter-matrix entries; see ROW_COST.
     """
-    if ROW_COST * len(rows) <= ens.n_letters * ens.dim_b**2:
-        return _rows_evaluator(rows, owner, ens.n_letters)
+    if ROW_COST * len(ens.rows) <= ens.n_letters * ens.dim_b**2:
+        return _rows_evaluator(ens)
     return _matrix_evaluator(ens.probs[:, None, None] * ens.states)
 
 
@@ -387,9 +348,8 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     outcomes. Raises GuardError where an ascent would run at d > MAX_DIM_B.
     """
     d = ens.dim_b
-    spectra, rows, owner = _letters(ens)
-    chi = _holevo_chi(ens, spectra)
-    two_basis = _two_basis_bound(ens, rows)
+    chi = holevo_chi(ens)
+    two_basis = _two_basis_bound(ens)
     bound, letter_bases = (chi, ()) if two_basis is None else (min(chi, two_basis[0]), two_basis[1])
 
     _, marginal_eigenbasis = np.linalg.eigh(ens.average_state())
@@ -410,7 +370,7 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
             break
         if d > MAX_DIM_B:
             raise GuardError("instance too large")
-        stage_vals, vs, stage_iters, stage_norms = _stiefel_ascent(_evaluator(ens, rows, owner), cfg, n, d)
+        stage_vals, vs, stage_iters, stage_norms = _stiefel_ascent(_evaluator(ens), cfg, n, d)
         top = int(np.argmax(stage_vals))
         if stage_vals[top] >= max(restart_vals, default=-np.inf):
             restart_vals, iters, grad_norms = stage_vals, stage_iters, stage_norms

@@ -94,14 +94,19 @@ def measure_b(rho_ab, dim_a: int, dim_b: int, povm: Povm):
     return p[kept] / p[kept].sum(), validate_density(blocks[kept] / p[kept, None, None])
 
 
+def _row_table(ens: CQEnsemble, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products kv[..., b, k] = K_k . v_b of the letter rows K_k (ens.rows) with measurement vectors v (..., n, d),
+    and the table T[..., b, a] = sum_{k of a} |kv[..., b, k]|^2 = p_a v_b^dagger sigma_a v_b."""
+    kv = v @ ens.rows.T
+    row_to_letter = (ens.owner[:, None] == np.arange(ens.n_letters)[None, :]).astype(float)
+    return kv, (kv.real**2 + kv.imag**2) @ row_to_letter
+
+
 def induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:
-    """Classical joint table p(a, b) = p_a <v_b| sigma_a |v_b> that the POVM induces on the ensemble."""
+    """Classical joint table p(a, b) = p_a <v_b| sigma_a |v_b> that the POVM induces on the ensemble, from its letter rows."""
     if povm.dim != ens.dim_b:
         raise DimensionError("POVM dimension does not match ensemble")
-    # p_a^-1 T[a, b] = v_b^dagger sigma_a v_b
-    v = povm.vectors
-    table = np.einsum("aib,bi->ab", ens.states @ v.T, v.conj()).real
-    table = np.clip(table, 0.0, None) * ens.probs[:, None]
+    table = _row_table(ens, povm.vectors)[1].T
     return table / table.sum()
 
 

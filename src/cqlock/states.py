@@ -10,6 +10,7 @@ import numpy as np
 
 from .qmath import (
     MATRIX_TOL,
+    PROB_TOL,
     DimensionError,
     GuardError,
     pure_state_vectors,
@@ -42,17 +43,23 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 class CQEnsemble:
     """Labeled distribution {p_a} with one Bob-side state per letter, stacked so that states[a] is sigma_a.
 
-    states is a read-only complex (n, d, d) array. When every letter is a pure
-    state, vectors is the read-only (n, d) array of their state vectors from
-    qmath.pure_state_vectors, with states[a] = |psi_a><psi_a| within PROB_TOL,
-    and no letter is eigendecomposed; otherwise it is None. Ensembles compare
-    by identity.
+    states is a read-only complex (n, d, d) array. Construction factors the
+    letters once for every reader, into read-only arrays: spectra[a] holds the
+    eigenvalues of sigma_a, and rows the rows K_k, owner[k] being the letter
+    of row k, with sum_{k of a} K_k^dagger K_k = p_a sigma_a. A stack of pure
+    letters (qmath.pure_state_vectors) is factored with no decomposition:
+    letter a has the one eigenvalue |psi_a|^2 and the one row sqrt(p_a)
+    psi_a^*. Any other stack is validated by validate_density, then
+    decomposed by one eigh, whose eigenvectors of eigenvalue above PROB_TOL
+    give the rows. Ensembles compare by identity.
     """
 
     labels: tuple
     probs: np.ndarray
     states: np.ndarray
-    vectors: np.ndarray | None = field(init=False, repr=False)
+    spectra: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = validate_probs(self.probs)
@@ -64,18 +71,20 @@ class CQEnsemble:
             states = None
         if states is None or states.ndim != 3 or states.shape[1] != states.shape[2]:
             raise ValueError("all states must share one dimension")
-        vectors = pure_state_vectors(states)
-        if vectors is None:
-            validate_density(states)
+        psi = pure_state_vectors(states)
+        if psi is None:
+            spectra, vecs = np.linalg.eigh(validate_density(states))
+            # a unit-trace state always keeps its largest eigenvector
+            owner, col = np.nonzero(spectra > PROB_TOL)
+            rows = np.sqrt(probs[owner] * spectra[owner, col])[:, None] * vecs[owner, :, col].conj()
         else:
-            vectors.setflags(write=False)
-        probs = probs.copy()
-        probs.setflags(write=False)
-        states.setflags(write=False)
+            spectra, owner = np.linalg.norm(psi, axis=1)[:, None] ** 2, np.arange(len(psi))
+            rows = np.sqrt(probs)[:, None] * psi.conj()
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "vectors", vectors)
+        arrays = {"probs": probs.copy(), "states": states, "spectra": spectra, "rows": rows, "owner": owner}
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_letters(self) -> int:

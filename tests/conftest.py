@@ -21,6 +21,41 @@ def two_basis_ensemble(u0, u1, probs=None):
     return CQEnsemble(tuple(range(n)), probs, vecs[:, :, None] * vecs[:, None, :].conj())
 
 
+def rank_ensemble(ranks, d, seed):
+    """One letter on C^d per entry of ranks, each a normalized Wishart product of that rank, with Dirichlet probabilities."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for k in ranks:
+        g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        states.append(g @ g.conj().T / np.vdot(g, g).real)
+    return CQEnsemble(tuple(range(len(ranks))), rng.dirichlet(np.ones(len(ranks))), tuple(states))
+
+
+def faint_ensemble(d, seed, faint=5e-13):
+    """Rank-2 letters on C^d, but letter 0 has the eigenvalue faint, below PROB_TOL, so its rows drop that eigenvector."""
+    ens = rank_ensemble([2] * 5, d, seed)
+    u = random_unitary(d, np.random.default_rng(seed))
+    letter0 = (1 - faint) * np.outer(u[:, 0], u[:, 0].conj()) + faint * np.outer(u[:, 1], u[:, 1].conj())
+    return CQEnsemble(ens.labels, ens.probs, (letter0, *ens.states[1:]))
+
+
+STACK_KINDS = ("pure", "rank-2", "full-rank", "mixed-rank", "faint-eigenvalue")
+
+
+def ranked_ensemble(kind, d):
+    """Letters on C^d of one of the STACK_KINDS, seeded by d: six of rank 1, 2 or d, six of mixed ranks, or faint_ensemble."""
+    ranks = {"pure": [1] * 6, "rank-2": [2] * 6, "full-rank": [d] * 6, "mixed-rank": [1, d, 2, 1, d, 2]}
+    return faint_ensemble(d, seed=d) if kind == "faint-eigenvalue" else rank_ensemble(ranks[kind], d, seed=d)
+
+
+def states_form_table(ens, povm):
+    """Oracle of induced_table from the letter matrices: p_a v_b^dagger sigma_a v_b, negative roundoff clipped to 0, normalized."""
+    v = povm.vectors
+    table = np.einsum("aib,bi->ab", ens.states @ v.T, v.conj()).real
+    table = np.clip(table, 0.0, None) * ens.probs[:, None]
+    return table / table.sum()
+
+
 def complex_to_json(arr):
     """Nested lists of the array's entries, each a two-element [re, im] list: the layout older files and reports use."""
     return np.stack([arr.real, arr.imag], axis=-1).tolist()

@@ -6,14 +6,18 @@ from cqlock import (
     GuardError,
     OptimizerConfig,
     accessible_information,
+    after_key_table,
     build_locking_state,
+    hadamard_tensor,
     holevo_chi,
+    induced_table,
     locking_delta,
     maassen_uffink_bound,
     measured_mutual_information,
     projective_povm,
     random_cq_ensemble,
     shannon_entropy,
+    simulate_locking_run,
     von_neumann_entropy,
 )
 
@@ -23,7 +27,7 @@ from cqlock.measurement import Povm
 from cqlock.qmath import PROB_TOL, quantum_mutual_information, validate_density
 from cqlock.states import cq_to_density
 
-from conftest import random_unitary, two_basis_ensemble
+from conftest import STACK_KINDS, rank_ensemble, ranked_ensemble, random_unitary, two_basis_ensemble
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -70,14 +74,14 @@ def per_letter_chi(ens):
     return von_neumann_entropy(avg) - sum(p * von_neumann_entropy(s) for p, s in zip(ens.probs, ens.states))
 
 
-def count_stack_decompositions(monkeypatch, ens):
-    """Patch numpy's Hermitian eigensolvers to count their calls on the ensemble's (n, d, d) letter stack; returns the list of calls."""
+def count_stack_decompositions(monkeypatch, shape):
+    """Patch numpy's Hermitian eigensolvers to count their calls on an (n, d, d) letter stack of the given shape; returns the list of calls."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, _name=name, **kwargs):
-            if np.shape(a) == ens.states.shape:
+            if np.shape(a) == shape:
                 calls.append(_name)
             return _original(a, *args, **kwargs)
 
@@ -148,14 +152,14 @@ def letter_stack(case):
 
 
 def eigh_route(ens, monkeypatch):
-    """ens rebuilt with pure-letter detection off, so that validation, chi and the search decompose its stack."""
+    """ens rebuilt with pure-letter detection off, so that construction validates and decomposes its stack."""
     with monkeypatch.context() as patch:
         patch.setattr(states, "pure_state_vectors", lambda stack: None)
         return CQEnsemble(ens.labels, ens.probs, ens.states)
 
 
 class TestPureLetters:
-    """A stack of pure letters keeps its state vectors and runs no eigendecomposition, with every answer unchanged."""
+    """A stack of pure letters is factored from its state vectors and never decomposed, with every answer unchanged."""
 
     @pytest.mark.parametrize("case, pure", [
         ("projectors", True),
@@ -170,7 +174,7 @@ class TestPureLetters:
         ("nan", False),
         ("inf", False),
     ])
-    def test_validation_matches_validate_density(self, case, pure):
+    def test_validation_matches_validate_density(self, case, pure, monkeypatch):
         stack = letter_stack(case)
         try:
             validate_density(stack)
@@ -178,45 +182,51 @@ class TestPureLetters:
         except ValueError as exc:
             message = str(exc)
         probs = np.array([0.5, 0.3, 0.2])
+        calls = count_stack_decompositions(monkeypatch, stack.shape)
         if message is not None:
             with pytest.raises(ValueError) as exc:
                 CQEnsemble((0, 1, 2), probs, stack)
             assert str(exc.value) == message
             return
         ens = CQEnsemble((0, 1, 2), probs, stack)
-        assert (ens.vectors is not None) == pure
         # the per-letter oracle drops each eigenvalue at or below PROB_TOL, as the pure route drops all but one
         assert abs(holevo_chi(ens) - per_letter_chi(ens)) <= 1e-12
+        assert calls == ([] if pure else ["eigvalsh", "eigh"])
 
     @pytest.mark.parametrize("family", ["hadamard", "fourier"])
     def test_pure_stack_never_decomposed(self, family, monkeypatch, fast_cfg):
-        calls = count_stack_decompositions(monkeypatch, build_locking_state(4, family)[1])
+        # counted from before construction, which factors the letters
+        calls = count_stack_decompositions(monkeypatch, (32, 16, 16))
         inst, ens = build_locking_state(4, family)
         rot = rotated(ens, random_unitary(16, np.random.default_rng(4)))
-        assert ens.vectors is not None and rot.vectors is not None
+        hadamard = projective_povm(hadamard_tensor(4))
         for e in (ens, rot):
             accessible_information(e, fast_cfg)
             holevo_chi(e)
             maassen_uffink_bound(e)
+            induced_table(e, hadamard)
         locking_delta(inst)
+        after_key_table(inst)
+        simulate_locking_run(inst, None, 1000, seed=1)
+        simulate_locking_run(inst, hadamard, 1000, seed=1)
         # and a pure stack that is not two bases, where the d^2-outcome ascent runs on its rows
+        letter_calls = count_stack_decompositions(monkeypatch, (6, 4, 4))
         letters = random_cq_ensemble(6, 4, "pure", seed=3)
-        letter_calls = count_stack_decompositions(monkeypatch, letters)
-        assert letters.vectors is not None
         assert accessible_information(letters, fast_cfg).per_restart_values
         holevo_chi(letters)
         assert calls == letter_calls == []
 
     @pytest.mark.parametrize("run, expected", [
-        (lambda ens, cfg: CQEnsemble(ens.labels, ens.probs, ens.states), ["eigvalsh"]),
-        (accessible_information, ["eigh"]),
-        (lambda ens, cfg: holevo_chi(ens), ["eigh"]),
-        (lambda ens, cfg: maassen_uffink_bound(ens), ["eigh"]),
-    ], ids=["construction", "search", "holevo_chi", "maassen_uffink_bound"])
+        (lambda ens, cfg: CQEnsemble(ens.labels, ens.probs, ens.states), ["eigvalsh", "eigh"]),
+        (accessible_information, []),
+        (lambda ens, cfg: holevo_chi(ens), []),
+        (lambda ens, cfg: maassen_uffink_bound(ens), []),
+        (lambda ens, cfg: induced_table(ens, projective_povm(np.eye(4))), []),
+    ], ids=["construction", "search", "holevo_chi", "maassen_uffink_bound", "induced_table"])
     def test_mixed_stack_decomposed_once(self, run, expected, monkeypatch, fast_cfg):
+        # construction validates the stack with one eigvalsh and factors it with one eigh; no reader decomposes it again
         ens = random_cq_ensemble(6, 4, "mixed", seed=3)
-        assert ens.vectors is None
-        calls = count_stack_decompositions(monkeypatch, ens)
+        calls = count_stack_decompositions(monkeypatch, ens.states.shape)
         run(ens, fast_cfg)
         assert calls == expected
 
@@ -228,8 +238,11 @@ class TestPureLetters:
     ], ids=[*(f"locking-{f}-m{m}" for f in ("hadamard", "fourier") for m in range(1, 7)),
             "rotated-m3", "rotated-m4", "rotated-m5", "bb84pair"])
     def test_search_agrees_with_the_eigh_route(self, make, monkeypatch):
-        ens, decomposed = make(), eigh_route(make(), monkeypatch)
-        assert ens.vectors is not None and decomposed.vectors is None
+        calls = count_stack_decompositions(monkeypatch, make().states.shape)
+        ens = make()
+        assert calls == []
+        decomposed = eigh_route(ens, monkeypatch)
+        assert calls == ["eigvalsh", "eigh"]
         pure, full = accessible_information(ens), accessible_information(decomposed)
         for name in ("value", "chi", "upper_bound"):
             assert abs(getattr(pure, name) - getattr(full, name)) <= 1e-12, name
@@ -292,13 +305,13 @@ class TestAccessibleInformation:
 
     @pytest.mark.parametrize("make, expected", [
         (lambda: build_locking_state(6)[1], []),
-        (lambda: random_cq_ensemble(32, 8, "mixed", seed=40), ["eigh"]),
+        (lambda: random_cq_ensemble(32, 8, "mixed", seed=40), ["eigvalsh", "eigh"]),
     ], ids=["locking-m6", "random-n32-d8"])
     def test_letter_stack_decomposed_once(self, make, expected, monkeypatch, fast_cfg):
-        # chi and the search's letter factors are read from at most one eigh of the stack,
-        # and from none where every letter is pure
+        # chi and the search's letter factors are read from the one eigh that construction runs
+        # after validation, and from none where every letter is pure; counted from before construction
+        calls = count_stack_decompositions(monkeypatch, make().states.shape)
         ens = make()
-        calls = count_stack_decompositions(monkeypatch, ens)
         res = accessible_information(ens, fast_cfg)
         assert calls == expected
         assert abs(res.chi - per_letter_chi(ens)) <= 1e-12
@@ -317,14 +330,9 @@ def rotated(ens, u):
     return CQEnsemble(ens.labels, ens.probs, tuple(u @ s @ u.conj().T for s in ens.states))
 
 
-def letter_factors(ens):
-    """The search's letter rows of ens and the letter of each row, as the search reads them."""
-    return accessible._letters(ens)[1:]
-
-
 def ascent(ens, cfg, n):
     """The search's ascent alone with n outcomes, in the form of the objective the search picks for ens."""
-    return accessible._stiefel_ascent(accessible._evaluator(ens, *letter_factors(ens)), cfg, n, ens.dim_b)
+    return accessible._stiefel_ascent(accessible._evaluator(ens), cfg, n, ens.dim_b)
 
 
 def d_squared_ascent(ens, cfg):
@@ -332,30 +340,12 @@ def d_squared_ascent(ens, cfg):
     return ascent(ens, cfg, ens.dim_b**2)
 
 
-def rank_ensemble(ranks, d, seed):
-    """One letter on C^d per entry of ranks, each a normalized Wishart product of that rank, with Dirichlet probabilities."""
-    rng = np.random.default_rng(seed)
-    states = []
-    for k in ranks:
-        g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-        states.append(g @ g.conj().T / np.vdot(g, g).real)
-    return CQEnsemble(tuple(range(len(ranks))), rng.dirichlet(np.ones(len(ranks))), tuple(states))
-
-
-def faint_ensemble(d, seed, faint=5e-13):
-    """Rank-2 letters on C^d, but letter 0 has the eigenvalue faint, below PROB_TOL, so its rows drop that eigenvector."""
-    ens = rank_ensemble([2] * 5, d, seed)
-    u = random_unitary(d, np.random.default_rng(seed))
-    letter0 = (1 - faint) * np.outer(u[:, 0], u[:, 0].conj()) + faint * np.outer(u[:, 1], u[:, 1].conj())
-    return CQEnsemble(ens.labels, ens.probs, (letter0, *ens.states[1:]))
-
-
 def form_picked(ens, monkeypatch):
     """Which form of the objective the search builds for ens: "rows" or "matrices"."""
     picked = []
     monkeypatch.setattr(accessible, "_rows_evaluator", lambda *args: picked.append("rows"))
     monkeypatch.setattr(accessible, "_matrix_evaluator", lambda *args: picked.append("matrices"))
-    accessible._evaluator(ens, *letter_factors(ens))
+    accessible._evaluator(ens)
     (form,) = picked
     return form
 
@@ -364,22 +354,14 @@ class TestObjectiveForms:
     """The ascent's objective from the letters' eigen-factor rows and from the letter matrices p_a sigma_a."""
 
     @pytest.mark.parametrize("d", [2, 4, 8])
-    @pytest.mark.parametrize("stack", ["pure", "rank-2", "full-rank", "mixed-rank", "faint-eigenvalue"])
+    @pytest.mark.parametrize("stack", STACK_KINDS)
     def test_forms_agree(self, d, stack):
-        make = {
-            "pure": lambda: rank_ensemble([1] * 6, d, seed=d),
-            "rank-2": lambda: rank_ensemble([2] * 6, d, seed=d),
-            "full-rank": lambda: rank_ensemble([d] * 6, d, seed=d),
-            "mixed-rank": lambda: rank_ensemble([1, d, 2, 1, d, 2], d, seed=d),
-            "faint-eigenvalue": lambda: faint_ensemble(d, seed=d),
-        }
-        ens = make[stack]()
-        rows, owner = letter_factors(ens)
+        ens = ranked_ensemble(stack, d)
         if stack == "faint-eigenvalue":
-            assert np.count_nonzero(owner == 0) == 1
+            assert np.count_nonzero(ens.owner == 0) == 1
         rng = np.random.default_rng(d)
         v = accessible._retract(rng.standard_normal((3, d * d, d)) + 1j * rng.standard_normal((3, d * d, d)))
-        rows_val, rows_grad = accessible._rows_evaluator(rows, owner, ens.n_letters)(v)
+        rows_val, rows_grad = accessible._rows_evaluator(ens)(v)
         mat_val, mat_grad = accessible._matrix_evaluator(ens.probs[:, None, None] * ens.states)(v)
         assert np.max(np.abs(rows_val - mat_val)) <= 1e-12
         assert np.max(np.abs(rows_grad - mat_grad)) <= 1e-10

@@ -22,7 +22,7 @@ from cqlock.measurement import measure_b, povm_from_json_dict, povm_to_json_dict
 from cqlock.qmath import partial_trace
 from cqlock.states import cq_to_density, hadamard_tensor
 
-from conftest import complex_to_json, random_unitary
+from conftest import STACK_KINDS, complex_to_json, random_unitary, ranked_ensemble, states_form_table
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -301,6 +301,30 @@ class TestMeasuredQuantities:
             mi = measured_mutual_information(ens, povm)
             assert mi >= classical_mutual_information(pairs) - 1e-12
             assert classical_mutual_information(pairs) >= classical_mutual_information(fine.sum(axis=1, keepdims=True)) - 1e-12
+
+
+class TestInducedTableOracle:
+    """induced_table reads the letter rows K_k; states_form_table reads the letter matrices sigma_a."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("stack", STACK_KINDS)
+    def test_matches_states_form(self, d, stack):
+        ens = ranked_ensemble(stack, d)
+        rng = np.random.default_rng(d)
+        povms = [projective_povm(np.eye(d)), projective_povm(random_unitary(d, rng))]
+        povms += [Povm(np.linalg.qr(rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d)))[0])]
+        for povm in povms:
+            assert np.max(np.abs(induced_table(ens, povm) - states_form_table(ens, povm))) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_after_key_table_matches_states_form(self, m, family):
+        inst, ens = build_locking_state(m, family)
+        oracle = np.zeros((ens.n_letters, ens.n_letters))
+        for k, u in enumerate(inst.basis_unitaries):
+            mine = inst.keys == k
+            oracle[mine, k::2] = states_form_table(ens, projective_povm(u))[mine]
+        assert np.max(np.abs(after_key_table(inst) - oracle)) <= 1e-12
 
 
 class TestAfterKeyTable:
