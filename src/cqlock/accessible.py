@@ -22,12 +22,15 @@ it is the `vectors` array of the returned Povm.
 
 All restarts are stacked into one (restarts, n, d) array and advance
 together by Riemannian conjugate gradient (Polak-Ribiere+, Absil, Mahony &
-Sepulchre 2008, ch. 8). Each iteration steps every start along its search
-direction, maps the trial point back onto the isometries with a thin QR,
-and evaluates the measured mutual information there with its gradient. The
-gradient is projected onto the tangent space at the trial point, and the
-previous direction is carried there by the same projection; a direction
-nearly orthogonal to the gradient is replaced by the gradient. The
+Sepulchre 2008, ch. 8). The Gaussian starts are mapped onto the isometries
+by a Householder thin QR. Each iteration steps every start along its search
+direction, maps the trial point back onto the isometries by the same thin
+QR computed from a Cholesky factor (ch. 4), and evaluates the measured
+mutual information there with its gradient. Where no start's value rises,
+the iteration only shrinks the steps. Otherwise the gradient is projected
+onto the tangent space at the trial point, and the previous direction is
+carried there by the same projection, in one call; a direction nearly
+orthogonal to the gradient is replaced by the gradient. The
 objective reads the letters S_a = p_a sigma_a in one of two forms,
 whichever the stack's shape makes cheaper (_evaluator): as eigen-factor
 rows, where a pure letter costs one row and a full-rank one d, or as the
@@ -206,7 +209,8 @@ def _mi_from_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_ratio = np.log2(ratio, out=ratio)
     # dI/dT_ab = log2(T_ab / (p_a q_b)) up to a constant, and a constant has
     # no component tangent to the isometries
-    return np.einsum("rba,rba->r", table, log_ratio), log_ratio
+    r = len(table)
+    return (table.reshape(r, 1, -1) @ log_ratio.reshape(r, -1, 1)).reshape(r), log_ratio
 
 
 def _rows_evaluator(ens: CQEnsemble):
@@ -258,27 +262,43 @@ def _evaluator(ens: CQEnsemble):
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re tr(a_r^dagger b_r) of each stacked pair of (R, n, d) arrays, over the float64 views."""
-    return np.einsum("rj,rj->r", a.view(np.float64).reshape(len(a), -1), b.view(np.float64).reshape(len(b), -1))
+    """Re tr(a_r^dagger b_r) of each stacked pair of (R, n, d) arrays, as one batched product of the float64 views."""
+    r = len(a)
+    return (a.view(np.float64).reshape(r, 1, -1) @ b.view(np.float64).reshape(r, -1, 1)).reshape(r)
 
 
 def _retract(y: np.ndarray) -> np.ndarray:
-    """Map each n x d matrix of the stack to orthonormal columns by a thin QR."""
+    """Map each n x d matrix of the stack to orthonormal columns by a Householder thin QR, for the Gaussian starts."""
     q, r = np.linalg.qr(y)
     diag = np.diagonal(r, axis1=1, axis2=2)
     # fix the phase convention so the map is deterministic; r is invertible, as
-    # a Gaussian start has full rank with probability 1 and a step y = v + s * eta
-    # with eta tangent at v has y^dagger y = I + s^2 eta^dagger eta
+    # a Gaussian start has full rank with probability 1
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def _tangent(g: np.ndarray, v: np.ndarray, v_h: np.ndarray) -> np.ndarray:
+def _cholesky_retract(y: np.ndarray) -> np.ndarray:
+    """_retract of trial points y = v + s eta, with eta tangent at v, by Cholesky QR.
+
+    y^dagger y = L L^dagger with L lower triangular and a positive real
+    diagonal, so y = Q L^dagger is the thin QR that _retract's phase fix
+    picks, and Q = y (L^-1)^dagger (Absil, Mahony & Sepulchre 2008, ch. 4).
+    Cholesky QR departs from orthonormal columns by about the condition
+    number of y^dagger y times roundoff, and here y^dagger y = I + s^2
+    eta^dagger eta, whose condition number is at most 1 + s^2 |eta|_F^2;
+    the ascent's steps keep that below a few tens.
+    """
+    low = np.linalg.cholesky(y.conj().swapaxes(1, 2) @ y)
+    return y @ np.linalg.inv(low).conj().swapaxes(1, 2)
+
+
+def _tangent(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Projection of g onto the tangent space at v of the n x d matrices with orthonormal columns.
 
-    v_h is v^dagger, passed in so that two projections at one point share it.
+    g is one (R, n, d) stack, or several stacked as (k, R, n, d), each
+    projected at v; stacked, the result equals k separate calls bitwise.
     """
-    vg = v_h @ g
-    return g - v @ (0.5 * (vg + np.swapaxes(vg.conj(), 1, 2)))
+    vg = v.conj().swapaxes(1, 2) @ g
+    return g - v @ (0.5 * (vg + vg.conj().swapaxes(-1, -2)))
 
 
 def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
@@ -299,7 +319,7 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
         starts.append(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
     v = _retract(np.stack(starts))
     val, egrad = evaluate(v)
-    g = _tangent(egrad, v, np.swapaxes(v.conj(), 1, 2))
+    g = _tangent(egrad, v)
     eta, gg = g, _inner(g, g)
     ee = gg
     step = np.full(cfg.restarts, STEP_INIT)
@@ -316,23 +336,30 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
             if not keep.any():
                 break
             live, v, val, g, eta, gg, ee, step = (x[keep] for x in (live, v, val, g, eta, gg, ee, step))
-        trial = _retract(v + step[:, None, None] * eta)
+        trial = _cholesky_retract(v + step[:, None, None] * eta)
         trial_val, trial_egrad = evaluate(trial)
-        trial_h = np.swapaxes(trial.conj(), 1, 2)
-        trial_g = _tangent(trial_egrad, trial, trial_h)
+        up = trial_val > val
+        # where every start rejects its trial point, only the steps change
+        if not up.any():
+            step = step * STEP_SHRINK
+            continue
+        # the gradient and the carried direction, projected at the trial point in one call
+        trial_g, moved_eta = _tangent(np.stack((trial_egrad, eta)), trial)
         trial_gg = _inner(trial_g, trial_g)
         # trial_g is tangent, so its inner product with P(g) equals that with g
         beta = np.maximum(0.0, (trial_gg - _inner(trial_g, g)) / gg)
-        trial_eta = trial_g + beta[:, None, None] * _tangent(eta, trial, trial_h)
+        trial_eta = trial_g + beta[:, None, None] * moved_eta
         # fall back to the gradient where the direction is too close to orthogonal to it
         trial_ee = _inner(trial_eta, trial_eta)
         steep = _inner(trial_eta, trial_g) <= ASCENT_COS_MIN * np.sqrt(trial_gg * trial_ee)
         trial_eta = np.where(steep[:, None, None], trial_g, trial_eta)
         trial_ee = np.where(steep, trial_gg, trial_ee)
-        up = trial_val > val
-        up3 = up[:, None, None]
-        v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
-        val, gg, ee = np.where(up, trial_val, val), np.where(up, trial_gg, gg), np.where(up, trial_ee, ee)
+        if up.all():
+            v, g, eta, val, gg, ee = trial, trial_g, trial_eta, trial_val, trial_gg, trial_ee
+        else:
+            up3 = up[:, None, None]
+            v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
+            val, gg, ee = np.where(up, trial_val, val), np.where(up, trial_gg, gg), np.where(up, trial_ee, ee)
         step = step * np.where(up, STEP_GROW, STEP_SHRINK)
     return out_val, out_v, out_iters, np.sqrt(out_gg)
 

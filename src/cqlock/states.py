@@ -95,7 +95,12 @@ class CQEnsemble:
         return self.states.shape[1]
 
     def average_state(self) -> np.ndarray:
-        return (self.probs[:, None, None] * self.states).sum(axis=0)
+        """The B marginal sum_a p_a sigma_a, formed on the first call and kept read-only for every later reader."""
+        if "_average" not in self.__dict__:
+            rho = (self.probs[:, None, None] * self.states).sum(axis=0)
+            rho.setflags(write=False)
+            object.__setattr__(self, "_average", rho)
+        return self._average
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from cqlock import (
 from cqlock import accessible, states
 from cqlock.accessible import GRAD_TOL
 from cqlock.measurement import Povm
-from cqlock.qmath import PROB_TOL, quantum_mutual_information, validate_density
+from cqlock.qmath import MATRIX_TOL, PROB_TOL, quantum_mutual_information, validate_density
 from cqlock.states import cq_to_density
 
 from conftest import STACK_KINDS, rank_ensemble, ranked_ensemble, random_unitary, two_basis_ensemble
@@ -387,6 +387,32 @@ class TestObjectiveForms:
         assert form_picked(make(), monkeypatch) == "matrices"
 
 
+class TestRetraction:
+    """Trial points v + s eta, with eta tangent at v, retracted by Cholesky QR as _retract does by Householder QR."""
+
+    @pytest.mark.parametrize("n, d", [(4, 2), (16, 4), (64, 8), (256, 16), (3, 3)])
+    @pytest.mark.parametrize("size", [1e-12, 1e-8, 1e-4, 1.0, 1e2, 1e4])
+    def test_cholesky_qr_agrees_with_householder(self, n, d, size):
+        # size is s^2 |eta|_F^2, so y^dagger y = I + s^2 eta^dagger eta has condition number at most 1 + size
+        rng = np.random.default_rng(n + d)
+        v = accessible._retract(rng.standard_normal((3, n, d)) + 1j * rng.standard_normal((3, n, d)))
+        eta = accessible._tangent(rng.standard_normal((3, n, d)) + 1j * rng.standard_normal((3, n, d)), v)
+        s = np.sqrt(size / np.sum(np.abs(eta) ** 2, axis=(1, 2)))
+        y = v + s[:, None, None] * eta
+        q = accessible._cholesky_retract(y)
+        assert np.max(np.abs(q - accessible._retract(y))) <= 1e-13
+        assert np.max(np.abs(q.conj().swapaxes(1, 2) @ q - np.eye(d))) <= MATRIX_TOL
+
+    @pytest.mark.parametrize("r, n, d", [(2, 4, 2), (2, 16, 4), (2, 64, 8), (10, 256, 16), (1, 9, 3)])
+    def test_stacked_projection_equals_separate_calls(self, r, n, d):
+        rng = np.random.default_rng(n)
+        v = accessible._retract(rng.standard_normal((r, n, d)) + 1j * rng.standard_normal((r, n, d)))
+        g, eta = rng.standard_normal((2, r, n, d)) + 1j * rng.standard_normal((2, r, n, d))
+        stacked = accessible._tangent(np.stack((g, eta)), v)
+        assert np.array_equal(stacked[0], accessible._tangent(g, v))
+        assert np.array_equal(stacked[1], accessible._tangent(eta, v))
+
+
 class TestSearchWithoutHints:
     """The search must find the optimum with no hint from the caller.
 
@@ -463,6 +489,12 @@ class TestSearchWithoutHints:
         res = accessible_information(ens, cfg)
         assert res.per_restart_values == tuple(float(v) for v in d_squared_ascent(ens, cfg)[0])
         assert abs(res.value - value) <= 1e-12
+
+    def test_default_search_reaches_the_pinned_optimum(self):
+        # 0.2479186539 is the best value of 10 restarts x 3,000 iterations, every start stopped on GRAD_TOL
+        res = accessible_information(random_cq_ensemble(12, 4, "mixed", seed=1))
+        assert res.value >= 0.2479186539 - 1e-9
+        assert res.value <= res.upper_bound + 1e-9
 
     def test_local_unitary_invariance_d4(self):
         ens = random_cq_ensemble(6, 4, "mixed", seed=5)
