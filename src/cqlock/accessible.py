@@ -3,19 +3,23 @@
 The search answers in stages and stops at the first whose best value lies
 within MATRIX_TOL of a proven upper bound: the Holevo quantity, or for a
 two-basis ensemble the smaller Maassen-Uffink bound (maassen_uffink_bound).
-Stage 1 evaluates candidate projective bases at any dimension: the
-computational basis and the eigenbasis of the B marginal, then, for a
-two-basis ensemble where those fall short of the bound, the ensemble's own
-two letter bases. Measuring in either letter basis attains the bound when
-the two are mutually unbiased, in any frame. Stage 2 runs only for a
-two-basis ensemble: seeded random-restart gradient ascent over rank-1 POVMs
-with n = d outcomes. Stage 3 runs the same ascent with n = d^2 outcomes,
-which suffice for the optimum (Davies 1978), on every other ensemble and
-wherever stage 2 ends short of the bound. The MAX_DIM_B guard applies only
-to the ascent. The search decomposes no letter: the Holevo quantity, the
-two-basis test with its letter bases, the bound and the rows form of the
-objective read the letter spectra and rows that CQEnsemble computes once,
-at construction. A POVM with n outcomes is a d x n isometry W with
+Stage 1 scores candidate projective bases at any dimension, in one pass
+(one stacked induced table, one mutual-information call), and keeps the
+first of the highest: the computational basis; the eigenbasis of the
+generic combination sum_a c_a p_a sigma_a with fixed weights c_a =
+cos(a (sqrt 5 - 1) pi), which commuting letters share, so that measuring in
+it attains chi (Ollivier & Zurek 2001) even where the B marginal, the c_a = 1
+case, is degenerate; and for a two-basis ensemble its own two letter
+bases, either of which attains the bound when the two are mutually
+unbiased, in any frame. Stage 2 runs only for a two-basis ensemble: seeded
+random-restart gradient ascent over rank-1 POVMs with n = d outcomes.
+Stage 3 runs the same ascent with n = d^2 outcomes, which suffice for the
+optimum (Davies 1978), on every other ensemble and wherever stage 2 ends
+short of the bound. The MAX_DIM_B guard applies only to the ascent. The
+search decomposes no letter: the Holevo quantity, the two-basis test with
+its letter bases, the bound, the generic combination and the rows form of
+the objective read the letter spectra and rows that CQEnsemble computes
+once, at construction. A POVM with n outcomes is a d x n isometry W with
 W W^dagger = I_d, whose column b is the measurement vector of outcome b.
 The search keeps the n x d transpose of W, whose columns are orthonormal;
 it is the `vectors` array of the returned Povm.
@@ -51,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import MATRIX_TOL, PROB_TOL, GuardError, _entropy_of_spectrum, von_neumann_entropy
+from .qmath import MATRIX_TOL, PROB_TOL, GuardError, _entropy_of_spectrum, _mi_from_table, von_neumann_entropy
 from .states import CQEnsemble
-from .measurement import Povm, _row_table, measured_mutual_information, projective_povm
+from .measurement import Povm, _row_table
 
 __all__ = [
     "OptimizerConfig",
@@ -189,30 +193,6 @@ def _two_basis_bound(ens: CQEnsemble) -> tuple[float, tuple[np.ndarray, np.ndarr
     return float(np.log2(d) + np.log2(overlap.max())), bases
 
 
-def _mi_from_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Measured MI of each stacked table T[r, b, a] = p_a w_b^dagger sigma_a w_b, and L = dI/dT up to a constant.
-
-    The columns of each isometry are orthonormal, so sum_b T[r, b, a] = p_a
-    and each table sums to 1. Returns values (R,) and L (R, n, n_letters).
-    """
-    # entries at or below PROB_TOL count as 0, as in every entropy:
-    # their ratio stays 1 and their log 0; there sigma_a w_b vanishes as well,
-    # so they drop out of the gradient
-    ratio = np.divide(
-        table,
-        table.sum(axis=2, keepdims=True) * table.sum(axis=1, keepdims=True),
-        out=np.ones_like(table),
-        where=table > PROB_TOL,
-    )
-    # in place here and in the evaluators: each fresh temporary of the ascent's
-    # size can cost page faults, at every one of its hundreds of evaluations
-    log_ratio = np.log2(ratio, out=ratio)
-    # dI/dT_ab = log2(T_ab / (p_a q_b)) up to a constant, and a constant has
-    # no component tangent to the isometries
-    r = len(table)
-    return (table.reshape(r, 1, -1) @ log_ratio.reshape(r, -1, 1)).reshape(r), log_ratio
-
-
 def _rows_evaluator(ens: CQEnsemble):
     """Measured MI and its gradient G_b = sum_a L_ba p_a sigma_a w_b from the letters' eigen-factor rows ens.rows.
 
@@ -222,6 +202,8 @@ def _rows_evaluator(ens: CQEnsemble):
     """
     rows_conj = ens.rows.conj()
 
+    # an entry of the table at or below PROB_TOL has L = 0; there sigma_a w_b
+    # vanishes as well, so it drops out of the gradient
     def evaluate(v):
         kv, table = _row_table(ens, v)
         values, log_ratio = _mi_from_table(table)
@@ -368,27 +350,26 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     """Best measured mutual information over the stages, stopping at the first that meets the proven bound.
 
     The bound is chi, or for a two-basis ensemble the smaller of chi and
-    maassen_uffink_bound. Stage 1 evaluates the computational basis and the
-    eigenbasis of the B marginal, then, where both fall short of the bound,
-    the two letter bases of a two-basis ensemble. Stage 2, for a two-basis
-    ensemble only, runs the ascent with d outcomes; stage 3 runs it with d^2
-    outcomes. Raises GuardError where an ascent would run at d > MAX_DIM_B.
+    maassen_uffink_bound. Stage 1 scores, in one pass, the computational
+    basis, the eigenbasis of the generic combination sum_a c_a p_a sigma_a
+    and the two letter bases of a two-basis ensemble, and keeps the first of
+    the highest. Stage 2, for a two-basis ensemble only, runs the ascent with
+    d outcomes; stage 3 runs it with d^2 outcomes. Raises GuardError where an
+    ascent would run at d > MAX_DIM_B.
     """
     d = ens.dim_b
     chi = holevo_chi(ens)
     two_basis = _two_basis_bound(ens)
     bound, letter_bases = (chi, ()) if two_basis is None else (min(chi, two_basis[0]), two_basis[1])
 
-    _, marginal_eigenbasis = np.linalg.eigh(ens.average_state())
-    best_val, best_povm = -1.0, None
-    for k, u in enumerate((np.eye(d, dtype=complex), marginal_eigenbasis, *letter_bases)):
-        # the letter bases, which follow the first two candidates, run only where both fall short
-        if k == 2 and best_val >= bound - MATRIX_TOL:
-            break
-        povm = projective_povm(u)
-        val = measured_mutual_information(ens, povm)
-        if val > best_val:
-            best_val, best_povm = val, povm
+    # sum_a c_a p_a sigma_a = sum_k c_(owner k) K_k^dagger K_k; c = 1 would give the B marginal
+    weights = np.cos(np.arange(1, ens.n_letters + 1) * (np.sqrt(5) - 1) * np.pi)
+    _, generic_basis = np.linalg.eigh((ens.rows.conj().T * weights[ens.owner]) @ ens.rows)
+    # each basis as its transposed unitary, whose row b is the measurement vector of outcome b
+    candidates = np.stack((np.eye(d, dtype=complex), generic_basis, *letter_bases)).swapaxes(1, 2)
+    values = _mi_from_table(_row_table(ens, candidates)[1])[0]
+    top = int(np.argmax(values))
+    best_val, best_povm = values[top], Povm(candidates[top])
 
     # the restart tuples are those of the ascent stage whose best start is highest
     restart_vals = iters = grad_norms = ()

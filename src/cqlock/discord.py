@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .qmath import classical_mutual_information, shannon_entropy
 from .states import KEY_BITS, CQEnsemble, LockingInstance
-from .measurement import after_key_table, measured_conditional_entropy
+from .measurement import after_key_table
 from .accessible import AccessibleInfoResult, OptimizerConfig, accessible_information
 
 __all__ = [
@@ -47,16 +47,17 @@ def quantum_discord_cq(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()
     """Discord = quantum mutual information minus best-found accessible information.
 
     A is classical, so I(A:B) is the Holevo quantity chi that the search
-    reports and S(A|B) = H(A) - chi; the measured conditional entropy is
-    H(A|B) of the table the best POVM induces.
+    reports and S(A|B) = H(A) - chi. Likewise the measured conditional
+    entropy H(A|B) of the table the best POVM induces is H(A) - I_acc.
     """
     acc = accessible_information(ens, cfg)
+    h_a = shannon_entropy(ens.probs)
     return DiscordReport(
         mutual_info_q=acc.chi,
         i_acc=acc.value,
         discord=acc.chi - acc.value,
-        cond_entropy_q=shannon_entropy(ens.probs) - acc.chi,
-        min_measured_cond_entropy=measured_conditional_entropy(ens, acc.best_povm),
+        cond_entropy_q=h_a - acc.chi,
+        min_measured_cond_entropy=h_a - acc.value,
         optimizer=acc,
     )
 

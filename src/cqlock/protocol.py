@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import classical_mutual_information
+from .qmath import _mi_from_table, classical_mutual_information
 from .states import LockingInstance
 from .measurement import Povm, after_key_table, induced_table
 
@@ -31,16 +31,11 @@ class EmpiricalReport:
 
 
 def _plugin_mi_and_stderr(counts: np.ndarray, n: int):
+    """Plug-in MI of the table of counts and its normal-approximation standard error, from one _mi_from_table call."""
     p = counts / n
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    mi = classical_mutual_information(p)
-    # normal-approximation standard error of the plug-in estimate
-    mask = p > 0
-    dens = np.zeros_like(p)
-    dens[mask] = np.log2(p[mask] / (pa[:, None] * pb[None, :])[mask])
-    var = float((p * (dens - mi) ** 2).sum())
-    return float(mi), float(np.sqrt(max(var, 0.0) / n))
+    mi, log_ratio = _mi_from_table(p[None])
+    var = float((p * (log_ratio[0] - mi[0]) ** 2).sum())
+    return float(mi[0]), float(np.sqrt(max(var, 0.0) / n))
 
 
 def _miller_madow_mi(counts: np.ndarray, n: int, plugin_mi: float) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqlock import (
     CQEnsemble,
@@ -325,6 +326,51 @@ class TestAccessibleInformation:
         assert res.per_restart_values == res.per_restart_iterations == res.per_restart_grad_norms == ()
 
 
+def commuting_ensemble(d, kind, seed):
+    """Letters U diag(lambda_a) U^dagger in one Haar frame U, with random spectra lambda_a.
+
+    kind "uniform": d equiprobable letters whose spectra are the cyclic shifts
+    of one random spectrum, so that rho = I/d; kind "dirichlet":
+    Dirichlet-weighted letters with independent random spectra, so that rho
+    is non-degenerate.
+    """
+    rng = np.random.default_rng(seed)
+    u = random_unitary(d, rng)
+    if kind == "uniform":
+        spectrum = rng.dirichlet(np.ones(d))
+        spectra = np.stack([np.roll(spectrum, a) for a in range(d)])
+        probs = np.full(d, 1.0 / d)
+    else:
+        n = int(rng.integers(1, 2 * d + 1))
+        spectra, probs = rng.dirichlet(np.ones(d), size=n), rng.dirichlet(np.ones(n))
+    return CQEnsemble(tuple(range(len(probs))), probs, (u[None] * spectra[:, None, :]) @ u.conj().T)
+
+
+class TestCommutingLetters:
+    """Commuting letters share the eigenbasis of the generic combination sum_a c_a p_a sigma_a,
+    where measuring attains chi, also where the B marginal is degenerate."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 8), kind=st.sampled_from(["uniform", "dirichlet"]), seed=st.integers(0, 2**31))
+    def test_certified_in_stage_one(self, d, kind, seed):
+        ens = commuting_ensemble(d, kind, seed)
+        res = accessible_information(ens)
+        assert res.certified
+        assert abs(res.value - res.chi) <= 1e-9
+        assert res.per_restart_values == res.per_restart_iterations == res.per_restart_grad_norms == ()
+
+    @pytest.mark.parametrize("d", [4, 16, 32, 64])
+    def test_degenerate_marginal_at_any_dimension(self, d):
+        # rho = I/d: a Haar-rotated orthogonal ensemble, and cyclic spectra; d = 32 and 64 exceed MAX_DIM_B
+        u = random_unitary(d, np.random.default_rng(d))
+        orthogonal = CQEnsemble(tuple(range(d)), np.full(d, 1.0 / d), u.T[:, :, None] * u.T[:, None, :].conj())
+        for ens in (orthogonal, commuting_ensemble(d, "uniform", d)):
+            res = accessible_information(ens)
+            assert res.certified
+            assert abs(res.value - res.chi) <= 1e-9
+            assert res.per_restart_values == ()
+
+
 def rotated(ens, u):
     """The ensemble with every letter conjugated by the unitary u on B."""
     return CQEnsemble(ens.labels, ens.probs, tuple(u @ s @ u.conj().T for s in ens.states))
@@ -416,9 +462,9 @@ class TestRetraction:
 class TestSearchWithoutHints:
     """The search must find the optimum with no hint from the caller.
 
-    After a random rotation neither the computational basis nor the marginal
-    eigenbasis applies; the ensemble's own letter bases, found from its
-    letters alone, certify a rotated locking ensemble in stage 1.
+    After a random rotation neither the computational basis nor the
+    generic-combination basis applies; the ensemble's own letter bases, found
+    from its letters alone, certify a rotated locking ensemble in stage 1.
     """
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -11,6 +11,7 @@ from cqlock import (
     key_then_measure_info,
     locking_delta,
     maassen_uffink_bound,
+    measured_conditional_entropy,
     quantum_discord_cq,
     random_cq_ensemble,
 )
@@ -67,6 +68,22 @@ class TestQuantumDiscord:
         rep = quantum_discord_cq(ens, OptimizerConfig(restarts=2, max_iters=60, seed=0))
         assert_matches_bipartite_oracle(ens, rep)
         assert -1e-9 <= rep.discord <= rep.mutual_info_q + 1e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_cq_ensemble(3, 2, "pure", seed=6),
+        lambda: random_cq_ensemble(5, 3, "mixed", seed=15),
+        lambda: random_cq_ensemble(12, 4, "mixed", seed=48),
+        lambda: random_cq_ensemble(6, 4, "pure", seed=24),
+        lambda: build_locking_state(1)[1],
+        lambda: build_locking_state(2)[1],
+        lambda: build_locking_state(3)[1],
+    ], ids=["random-3-2-pure", "random-5-3-mixed", "random-12-4-mixed", "random-6-4-pure",
+            "locking-m1", "locking-m2", "locking-m3"])
+    def test_min_measured_cond_entropy_is_that_of_the_best_povm(self, make, fast_cfg):
+        # the report gives H(A) - I_acc; the best POVM's induced table gives H(A|B) directly
+        ens = make()
+        rep = quantum_discord_cq(ens, fast_cfg)
+        assert abs(rep.min_measured_cond_entropy - measured_conditional_entropy(ens, rep.optimizer.best_povm)) <= 1e-12
 
     def test_nonnegativity_and_holevo_ceiling(self):
         cfg = OptimizerConfig(restarts=2, max_iters=60, seed=0)

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from cqlock import (
+    after_key_table,
     build_locking_state,
     classical_mutual_information,
+    induced_table,
     Povm,
     key_then_measure_info,
     measured_mutual_information,
     projective_povm,
+    shannon_entropy,
     simulate_locking_run,
 )
-from cqlock.protocol import _miller_madow_mi
+from cqlock.protocol import _miller_madow_mi, _plugin_mi_and_stderr
 
 from conftest import conditional_mutual_information, key_information, one_time_pad_table
 
@@ -96,6 +99,32 @@ class TestSimulateLockingRun:
         assert time.perf_counter() - t0 < 1.0
         assert rep.decoding_errors == 0
         assert abs(rep.empirical_mi - rep.analytic_mi) < 1e-4
+
+
+def entropy_plugin_mi_and_stderr(counts, n):
+    """The plug-in MI from three entropies and its standard error from log-ratios masked on p > 0."""
+    p = counts / n
+    pa, pb = p.sum(axis=1), p.sum(axis=0)
+    mi = shannon_entropy(pa) + shannon_entropy(pb) - shannon_entropy(p)
+    mask = p > 0
+    dens = np.zeros_like(p)
+    dens[mask] = np.log2(p[mask] / np.outer(pa, pb)[mask])
+    return mi, np.sqrt(max(float((p * (dens - mi) ** 2).sum()), 0.0) / n)
+
+
+class TestPluginEstimate:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_the_entropy_formula(self, m):
+        # the tables simulate samples, at the benchmark's n = 10^6
+        inst, ens = build_locking_state(m)
+        n = 1_000_000
+        for joint in (after_key_table(inst), induced_table(ens, projective_povm(np.eye(2**m, dtype=complex)))):
+            for seed in range(3):
+                counts = np.random.default_rng(seed).multinomial(n, joint.ravel()).reshape(joint.shape)
+                mi, stderr = _plugin_mi_and_stderr(counts, n)
+                ref_mi, ref_stderr = entropy_plugin_mi_and_stderr(counts, n)
+                assert abs(mi - ref_mi) <= 1e-12
+                assert abs(stderr - ref_stderr) <= 1e-12
 
 
 class TestMillerMadow:

@@ -9,6 +9,7 @@ from cqlock import (
     von_neumann_entropy,
 )
 from cqlock.qmath import (
+    PROB_TOL,
     partial_trace,
     quantum_conditional_entropy,
     quantum_mutual_information,
@@ -156,6 +157,48 @@ class TestClassicalInformation:
             pb = t.sum(axis=0)
             by_average = sum(pb[b] * shannon_entropy(t[:, b] / pb[b]) for b in range(3))
             assert abs(by_average - classical_conditional_entropy(t)) < 1e-12
+
+
+class TestMutualInformationKernel:
+    """classical_mutual_information is sum T log2(T / (p q)) and keeps the entropies' cutoff on each cell."""
+
+    def random_table(self, rng, tiny_values):
+        r, c = rng.integers(2, 7, size=2)
+        t = rng.random((r, c))
+        t[rng.integers(r)] = 0.0
+        t[:, rng.integers(c)] = 0.0
+        t[rng.random((r, c)) < 0.2] = 0.0
+        if not t.any():
+            t[0, 0] = 1.0
+        # cells set at or below PROB_TOL, each in a row and a column that keep their largest entry
+        tiny = (rng.random((r, c)) < 0.3) & (t > 0)
+        tiny[np.arange(r), t.argmax(axis=1)] = False
+        tiny[t.argmax(axis=0), np.arange(c)] = False
+        vals = rng.choice(tiny_values, size=tiny.sum())
+        t[tiny] = 0.0
+        t *= (1.0 - vals.sum()) / t.sum()
+        t[tiny] = vals
+        return t
+
+    def entropies(self, t):
+        return shannon_entropy(t.sum(axis=1)) + shannon_entropy(t.sum(axis=0)) - shannon_entropy(t)
+
+    def test_equals_the_entropies_with_zero_rows_and_columns(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            t = self.random_table(rng, [0.0])
+            assert abs(classical_mutual_information(t) - self.entropies(t)) <= 1e-13
+
+    def test_cells_at_and_below_the_cutoff(self):
+        # H(A,B) drops a cell at or below PROB_TOL but H(A) and H(B) keep it in
+        # the marginals p and q; I drops the cell's T log2(T / (p q)) whole, so
+        # the two differ by exactly T log2(p q) summed over such cells
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            t = self.random_table(rng, [PROB_TOL, 1e-13, 1e-16, 0.0])
+            small = (t > 0) & (t <= PROB_TOL)
+            cut = (t[small] * np.log2(np.outer(t.sum(axis=1), t.sum(axis=0))[small])).sum()
+            assert abs(classical_mutual_information(t) - (self.entropies(t) + cut)) <= 1e-13
 
 
 class TestConditionalMutualInformation:
