@@ -26,11 +26,11 @@ it is the `vectors` array of the returned Povm.
 
 All restarts are stacked into one (restarts, n, d) array and advance
 together by Riemannian conjugate gradient (Polak-Ribiere+, Absil, Mahony &
-Sepulchre 2008, ch. 8). The Gaussian starts are mapped onto the isometries
-by a Householder thin QR. Each iteration steps every start along its search
-direction, maps the trial point back onto the isometries by the same thin
-QR computed from a Cholesky factor (ch. 4), and evaluates the measured
-mutual information there with its gradient. Where no start's value rises,
+Sepulchre 2008, ch. 8). One thin QR, computed from a Cholesky factor (ch. 4),
+maps every point onto the isometries: twice for the Gaussian starts, once
+for each trial point. Each iteration steps every start along its search
+direction, retracts the trial point, and evaluates the measured mutual
+information there with its gradient. Where no start's value rises,
 the iteration only shrinks the steps. Otherwise the gradient is projected
 onto the tangent space at the trial point, and the previous direction is
 carried there by the same projection, in one call; a direction nearly
@@ -44,9 +44,10 @@ low-rank letters at d >= 8. Each start keeps a trial point only if it
 raises its value, growing its step on success and shrinking it on failure,
 so the reported value is a maximum over evaluated POVMs. A start stops once
 its tangent-gradient norm falls below GRAD_TOL, once its step has shrunk
-below roundoff, or after max_iters iterations. The returned value is a
-lower bound on the accessible information, and the certified optimum where
-it meets the upper bound.
+below roundoff, or after max_iters iterations; it stays in the batch,
+which keeps its size, but accepts no more trial points. The returned value
+is a lower bound on the accessible information, and the certified optimum
+where it meets the upper bound.
 """
 
 from __future__ import annotations
@@ -249,25 +250,21 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(np.float64).reshape(r, 1, -1) @ b.view(np.float64).reshape(r, -1, 1)).reshape(r)
 
 
-def _retract(y: np.ndarray) -> np.ndarray:
-    """Map each n x d matrix of the stack to orthonormal columns by a Householder thin QR, for the Gaussian starts."""
-    q, r = np.linalg.qr(y)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    # fix the phase convention so the map is deterministic; r is invertible, as
-    # a Gaussian start has full rank with probability 1
-    return q * (diag / np.abs(diag))[:, None, :]
-
-
 def _cholesky_retract(y: np.ndarray) -> np.ndarray:
-    """_retract of trial points y = v + s eta, with eta tangent at v, by Cholesky QR.
+    """Map each n x d matrix of the stack to orthonormal columns by Cholesky QR.
 
     y^dagger y = L L^dagger with L lower triangular and a positive real
-    diagonal, so y = Q L^dagger is the thin QR that _retract's phase fix
-    picks, and Q = y (L^-1)^dagger (Absil, Mahony & Sepulchre 2008, ch. 4).
-    Cholesky QR departs from orthonormal columns by about the condition
-    number of y^dagger y times roundoff, and here y^dagger y = I + s^2
-    eta^dagger eta, whose condition number is at most 1 + s^2 |eta|_F^2;
-    the ascent's steps keep that below a few tens.
+    diagonal, so Q = y (L^-1)^dagger is the thin QR y = Q R whose R has a
+    positive real diagonal (Absil, Mahony & Sepulchre 2008, ch. 4). One pass
+    departs from orthonormal columns by about the condition number of
+    y^dagger y times roundoff. A trial point y = v + s eta, with eta tangent
+    at v, has y^dagger y = I + s^2 eta^dagger eta, whose condition number is
+    at most 1 + s^2 |eta|_F^2, which the ascent's steps keep below a few tens.
+    A Gaussian start is worse conditioned, a square one most (up to about
+    1e7 for its y^dagger y at d = 16), so the starts take two passes
+    (CholeskyQR2, Yamamoto et al., ETNA 44, 306, 2015): the second factors
+    a nearly orthonormal matrix, restores orthonormality to roundoff and
+    keeps the same thin QR, as y = Q1 R1 = Q2 (R2 R1).
     """
     low = np.linalg.cholesky(y.conj().swapaxes(1, 2) @ y)
     return y @ np.linalg.inv(low).conj().swapaxes(1, 2)
@@ -292,35 +289,28 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
     Returns the final values (R,), transposed isometries (R, n, d), iteration
     counts (R,) and final tangent-gradient norms (R,). A start stops once its
     tangent-gradient norm falls below GRAD_TOL or its step times the norm of
-    its direction falls below STEP_TOL, and the batch then shrinks to the
-    starts still running.
+    its direction falls below STEP_TOL; it stays in the batch, masked out of
+    acceptance, so it keeps its point, value and gradient norm until the last
+    start stops or max_iters is reached.
     """
-    starts = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + r)
-        starts.append(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
-    v = _retract(np.stack(starts))
+    rngs = [np.random.default_rng(cfg.seed + r) for r in range(cfg.restarts)]
+    starts = np.stack([rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)) for rng in rngs])
+    v = _cholesky_retract(_cholesky_retract(starts))
     val, egrad = evaluate(v)
     g = _tangent(egrad, v)
     eta, gg = g, _inner(g, g)
     ee = gg
     step = np.full(cfg.restarts, STEP_INIT)
-    live = np.arange(cfg.restarts)
-    out_val, out_v = np.empty_like(val), np.empty_like(v)
-    out_iters, out_gg = np.empty_like(live), np.empty_like(gg)
-    for it in range(cfg.max_iters + 1):
-        # a start leaves the batch once its gradient or its step vanishes or its iterations run out
-        done = (gg < GRAD_TOL**2) | (step**2 * ee < STEP_TOL**2) | (it == cfg.max_iters)
-        if done.any():
-            idx = live[done]
-            out_val[idx], out_v[idx], out_gg[idx], out_iters[idx] = val[done], v[done], gg[done], it
-            keep = ~done
-            if not keep.any():
-                break
-            live, v, val, g, eta, gg, ee, step = (x[keep] for x in (live, v, val, g, eta, gg, ee, step))
+    iters = np.zeros(cfg.restarts, dtype=int)
+    for _ in range(cfg.max_iters):
+        # a stopped start keeps its value, gradient and direction while its step only shrinks, so it stays stopped
+        running = (gg >= GRAD_TOL**2) & (step**2 * ee >= STEP_TOL**2)
+        if not running.any():
+            break
+        iters += running
         trial = _cholesky_retract(v + step[:, None, None] * eta)
         trial_val, trial_egrad = evaluate(trial)
-        up = trial_val > val
+        up = (trial_val > val) & running
         # where every start rejects its trial point, only the steps change
         if not up.any():
             step = step * STEP_SHRINK
@@ -328,8 +318,9 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
         # the gradient and the carried direction, projected at the trial point in one call
         trial_g, moved_eta = _tangent(np.stack((trial_egrad, eta)), trial)
         trial_gg = _inner(trial_g, trial_g)
-        # trial_g is tangent, so its inner product with P(g) equals that with g
-        beta = np.maximum(0.0, (trial_gg - _inner(trial_g, g)) / gg)
+        # trial_g is tangent, so its inner product with P(g) equals that with g; the floor on gg
+        # moves only stopped starts, whose gradient may be exactly 0 and whose trial points are discarded
+        beta = np.maximum(0.0, (trial_gg - _inner(trial_g, g)) / np.maximum(gg, GRAD_TOL**2))
         trial_eta = trial_g + beta[:, None, None] * moved_eta
         # fall back to the gradient where the direction is too close to orthogonal to it
         trial_ee = _inner(trial_eta, trial_eta)
@@ -343,7 +334,7 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
             v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
             val, gg, ee = np.where(up, trial_val, val), np.where(up, trial_gg, gg), np.where(up, trial_ee, ee)
         step = step * np.where(up, STEP_GROW, STEP_SHRINK)
-    return out_val, out_v, out_iters, np.sqrt(out_gg)
+    return val, v, iters, np.sqrt(gg)
 
 
 def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> AccessibleInfoResult:

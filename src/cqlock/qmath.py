@@ -182,11 +182,10 @@ def classical_mutual_information(j) -> float:
 
 
 def classical_conditional_entropy(j) -> float:
-    """H(A|B) = H(A,B) - H(B) of a two-variable joint table."""
+    """H(A|B) = H(A) - I(A;B) of a two-variable joint table, A on its rows, with I from classical_mutual_information."""
     t = np.asarray(j, dtype=float)
-    if t.ndim != 2:
-        raise ValueError("expected a 2-variable joint")
-    return shannon_entropy(t) - shannon_entropy(t.sum(axis=0))
+    info = classical_mutual_information(t)  # raises unless t is two-variable
+    return shannon_entropy(t.sum(axis=1)) - info
 
 
 def quantum_mutual_information(rho, dim_a: int, dim_b: int) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cqlock import (
     CQEnsemble,
@@ -148,6 +148,31 @@ class TestQuantumDiscord:
         assert abs(a.i_acc - b.i_acc) <= 1e-9
         assert abs(a.discord - b.discord) <= 1e-9
         assert abs(a.optimizer.upper_bound - b.optimizer.upper_bound) <= 1e-9
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        d=st.integers(2, 3),
+        purity=st.sampled_from(["pure", "mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_report_invariant_under_rotation_and_relabelling(self, n, d, purity, seed):
+        # where every start of every search reaches one value, a Haar unitary on B and a
+        # relabelling of the letters leave the answer in place
+        ens = random_cq_ensemble(n, d, purity, seed=seed)
+        rng = np.random.default_rng(seed)
+        u = random_unitary(d, rng)
+        perm = rng.permutation(n)
+        sides = (
+            ens,
+            CQEnsemble(ens.labels, ens.probs, u @ ens.states @ u.conj().T),
+            CQEnsemble(tuple(ens.labels[i] for i in perm), ens.probs[perm], ens.states[perm]),
+        )
+        reps = [quantum_discord_cq(e) for e in sides]
+        assume(all(np.ptp(r.optimizer.per_restart_values or [0.0]) <= 1e-9 for r in reps))
+        for rep in reps[1:]:
+            assert abs(rep.i_acc - reps[0].i_acc) <= 1e-6
+            assert abs(rep.discord - reps[0].discord) <= 1e-6
 
 
 class TestKeyThenMeasure:

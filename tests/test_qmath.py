@@ -200,6 +200,14 @@ class TestMutualInformationKernel:
             cut = (t[small] * np.log2(np.outer(t.sum(axis=1), t.sum(axis=0))[small])).sum()
             assert abs(classical_mutual_information(t) - (self.entropies(t) + cut)) <= 1e-13
 
+    def test_conditional_entropy_is_h_a_minus_i_with_cells_below_the_cutoff(self):
+        # one route for H(A|B), so that H(A) - I_acc and the measured conditional entropy agree
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            t = self.random_table(rng, [PROB_TOL, 1e-13, 1e-16, 0.0])
+            h_a = shannon_entropy(t.sum(axis=1))
+            assert abs(classical_conditional_entropy(t) - (h_a - classical_mutual_information(t))) <= 1e-15
+
 
 class TestConditionalMutualInformation:
     """I(A;K|B) of an (A, B, K) table, read off classical_mutual_information as I(A;BK) - I(A;B)."""
