@@ -17,11 +17,10 @@ from .qmath import (
 from .states import (
     CQEnsemble,
     LockingInstance,
-    _base64_bytes,
     _complex_from_json,
     _complex_to_base64,
+    _dim_from_json,
     _fields_from_json,
-    _int_from_json,
 )
 
 __all__ = [
@@ -91,7 +90,9 @@ def measure_b(rho_ab, dim_a: int, dim_b: int, povm: Povm):
     blocks = np.einsum("ijkl,bl,bj->bik", mat.reshape(dim_a, dim_b, dim_a, dim_b), v, v.conj())
     p = np.trace(blocks, axis1=1, axis2=2).real
     kept = p > PROB_TOL
-    return p[kept] / p[kept].sum(), validate_density(blocks[kept] / p[kept, None, None])
+    states = blocks[kept] / p[kept, None, None]
+    validate_density(states)
+    return p[kept] / p[kept].sum(), states
 
 
 def _row_table(ens: CQEnsemble, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,18 +153,8 @@ def povm_from_json_dict(doc: dict) -> Povm:
     must be a positive whole number.
     """
     dim, vectors = _fields_from_json(doc, ("dim", "vectors"), "a POVM")
-    dim = _int_from_json(dim, "POVM dim")
-    if dim < 1:
-        raise ValueError("POVM dim must be a positive integer")
-    if isinstance(vectors, str):
-        raw = _base64_bytes(vectors, "vectors")
-        if not raw or len(raw) % (16 * dim):
-            raise ValueError(f"vectors holds {len(raw)} bytes, not a positive multiple of 16 * dim = {16 * dim}")
-        vectors = np.frombuffer(raw, dtype="<c16").reshape(-1, dim)
-    elif isinstance(vectors, list):
-        vectors = _complex_from_json(vectors)
-    else:
-        raise ValueError("vectors must be base64 text or nested lists of [re, im] pairs")
+    dim = _dim_from_json(dim, "POVM dim")
+    vectors = _complex_from_json(vectors, "vectors", (-1, dim), f"a positive multiple of 16 * dim = {16 * dim}")
     povm = Povm(vectors)
     if povm.dim != dim:
         raise ValueError("POVM vectors disagree with dim")

@@ -24,7 +24,6 @@ __all__ = [
     "DimensionError",
     "GuardError",
     "validate_density",
-    "pure_state_vectors",
     "validate_probs",
     "validate_isometry",
     "von_neumann_entropy",
@@ -55,20 +54,33 @@ def validate_probs(p) -> np.ndarray:
     return p
 
 
-def validate_density(mat) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a matrix, or of each matrix of a stack; returns the array."""
+def validate_density(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Check a state, or each state of a stack; returns its eigenvalues (..., r) and unit eigenvectors (..., d, r).
+
+    A stack within PROB_TOL of rank-1 projectors (_rank_one_vectors) is
+    factored from its state vectors with no decomposition, r = 1: its other
+    eigenvalues lie within PROB_TOL of 0, at or below every entropy's cutoff,
+    and the checks below would pass it. Any other input must be finite,
+    Hermitian and of unit trace, in that order, and is decomposed by one
+    eigh, r = d, whose eigenvalues make the positivity check.
+    """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError("density matrix must be square")
+    psi = _rank_one_vectors(mat)
+    if psi is not None:
+        norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+        return norm**2, (psi / norm)[..., None]
     if not np.all(np.isfinite(mat)):
         raise ValueError("density matrix entries are not finite")
     if np.max(np.abs(mat - np.swapaxes(mat.conj(), -2, -1))) > MATRIX_TOL:
         raise ValueError("matrix is not Hermitian")
     if not _unit_trace(mat):
         raise ValueError("trace is not 1")
-    if np.min(np.linalg.eigvalsh(mat)[..., 0]) < -MATRIX_TOL:
+    spectra, vecs = np.linalg.eigh(mat)
+    if np.min(spectra[..., 0]) < -MATRIX_TOL:
         raise ValueError("matrix is not positive semidefinite")
-    return mat
+    return spectra, vecs
 
 
 def _unit_trace(mat: np.ndarray) -> bool:
@@ -76,18 +88,16 @@ def _unit_trace(mat: np.ndarray) -> bool:
     return bool(np.max(np.abs(trace.real - 1.0)) <= MATRIX_TOL and np.max(np.abs(trace.imag)) <= MATRIX_TOL)
 
 
-def pure_state_vectors(stack: np.ndarray) -> np.ndarray | None:
-    """State vectors psi_a, an (n, d) array, of a complex (n, d, d) stack of pure states, or None.
+def _rank_one_vectors(mat: np.ndarray) -> np.ndarray | None:
+    """State vectors psi, of shape (..., d), of a complex (..., d, d) matrix or stack of pure states, or None.
 
-    psi_a is column j of matrix a over sqrt(stack[a, j, j]), j being its
+    psi_a is column j of matrix a over sqrt(mat[a, j, j]), j being its
     largest diagonal entry. The stack is pure when its entries are finite,
     each trace is 1 as validate_density requires, and each matrix lies within
-    PROB_TOL of psi_a psi_a^dagger in Frobenius norm. That bounds every
-    eigenvalue but the largest within PROB_TOL of 0, at or below the cutoff
-    of every entropy, so validate_density accepts the stack, and would reach
-    the same answer with its eigendecomposition. None means some matrix is
-    not such a projector, or not a state; validate_density then decides.
+    PROB_TOL of psi_a psi_a^dagger in Frobenius norm. None means some matrix
+    is not such a projector, or not a state.
     """
+    stack = mat.reshape(-1, *mat.shape[-2:])
     if not (np.all(np.isfinite(stack)) and _unit_trace(stack)):
         return None
     n = len(stack)
@@ -99,7 +109,7 @@ def pure_state_vectors(stack: np.ndarray) -> np.ndarray | None:
     resid = (stack - psi[:, :, None] * psi[:, None, :].conj()).reshape(n, -1).view(np.float64)
     if np.max(np.einsum("ak,ak->a", resid, resid)) > PROB_TOL**2:
         return None
-    return psi
+    return psi.reshape(mat.shape[:-1])
 
 
 def validate_isometry(v) -> np.ndarray:
@@ -130,7 +140,8 @@ def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
         out = np.einsum("ijil->jl", r)
     else:
         raise ValueError("keep must be 'A' or 'B'")
-    return validate_density(out)
+    validate_density(out)
+    return out
 
 
 def _entropy_of_spectrum(vals: np.ndarray):

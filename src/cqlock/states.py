@@ -13,7 +13,6 @@ from .qmath import (
     PROB_TOL,
     DimensionError,
     GuardError,
-    pure_state_vectors,
     validate_density,
     validate_isometry,
     validate_probs,
@@ -46,12 +45,12 @@ class CQEnsemble:
     states is a read-only complex (n, d, d) array. Construction factors the
     letters once for every reader, into read-only arrays: spectra[a] holds the
     eigenvalues of sigma_a, and rows the rows K_k, owner[k] being the letter
-    of row k, with sum_{k of a} K_k^dagger K_k = p_a sigma_a. A stack of pure
-    letters (qmath.pure_state_vectors) is factored with no decomposition:
-    letter a has the one eigenvalue |psi_a|^2 and the one row sqrt(p_a)
-    psi_a^*. Any other stack is validated by validate_density, then
-    decomposed by one eigh, whose eigenvectors of eigenvalue above PROB_TOL
-    give the rows. Ensembles compare by identity.
+    of row k, with sum_{k of a} K_k^dagger K_k = p_a sigma_a. One call of
+    qmath.validate_density checks the stack and gives each letter's
+    eigenvalues and unit eigenvectors: one of each for a stack of pure letters,
+    read from its state vectors with no decomposition, and d of each from one
+    eigh for any other stack. Each eigenvector u of eigenvalue w above PROB_TOL
+    gives the row sqrt(p_a w) u^*. Ensembles compare by identity.
     """
 
     labels: tuple
@@ -71,15 +70,10 @@ class CQEnsemble:
             states = None
         if states is None or states.ndim != 3 or states.shape[1] != states.shape[2]:
             raise ValueError("all states must share one dimension")
-        psi = pure_state_vectors(states)
-        if psi is None:
-            spectra, vecs = np.linalg.eigh(validate_density(states))
-            # a unit-trace state always keeps its largest eigenvector
-            owner, col = np.nonzero(spectra > PROB_TOL)
-            rows = np.sqrt(probs[owner] * spectra[owner, col])[:, None] * vecs[owner, :, col].conj()
-        else:
-            spectra, owner = np.linalg.norm(psi, axis=1)[:, None] ** 2, np.arange(len(psi))
-            rows = np.sqrt(probs)[:, None] * psi.conj()
+        spectra, vecs = validate_density(states)
+        # a unit-trace state always keeps its largest eigenvalue
+        owner, col = np.nonzero(spectra > PROB_TOL)
+        rows = np.sqrt(probs[owner] * spectra[owner, col])[:, None] * vecs[owner, :, col].conj()
         object.__setattr__(self, "labels", tuple(self.labels))
         arrays = {"probs": probs.copy(), "states": states, "spectra": spectra, "rows": rows, "owner": owner}
         for name, arr in arrays.items():
@@ -157,9 +151,10 @@ def cq_to_density(ens: CQEnsemble) -> np.ndarray:
     Test oracle, outside __all__; the benchmark traces it by name.
     """
     n, d = ens.n_letters, ens.dim_b
-    out = np.zeros((n, d, n, d), dtype=complex)
-    out[np.arange(n), :, np.arange(n), :] = ens.probs[:, None, None] * ens.states
-    return validate_density(out.reshape(n * d, n * d))
+    out = np.zeros((n * d, n * d), dtype=complex)
+    out.reshape(n, d, n, d)[np.arange(n), :, np.arange(n), :] = ens.probs[:, None, None] * ens.states
+    validate_density(out)
+    return out
 
 
 def hadamard_tensor(m: int) -> np.ndarray:
@@ -260,19 +255,12 @@ def _fields_from_json(doc, names: tuple, what: str) -> list:
     return [doc[name] for name in names]
 
 
-def _int_from_json(x, name: str) -> int:
+def _dim_from_json(x, name: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"{name} must be an integer")
+    if x < 1:
+        raise ValueError(f"{name} must be a positive integer")
     return x
-
-
-def _complex_from_json(entries) -> np.ndarray:
-    """Complex array from nested lists of [re, im] pairs of numbers, the layout earlier versions wrote."""
-    message = "matrix entries must be [re, im] pairs of numbers, in matrices of one shape"
-    pairs = _numbers_from_json(entries, message)
-    if pairs.ndim == 0 or pairs.shape[-1] != 2:
-        raise ValueError(message)
-    return np.ascontiguousarray(pairs).view(complex)[..., 0]
 
 
 def _complex_to_base64(arr: np.ndarray) -> str:
@@ -280,21 +268,31 @@ def _complex_to_base64(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<c16").tobytes()).decode("ascii")
 
 
-def _base64_bytes(text: str, name: str) -> bytes:
-    """The bytes of the base64 text held in the JSON field name."""
+def _complex_from_json(value, name: str, shape: tuple, size: str) -> np.ndarray:
+    """Complex array of the JSON field name: _complex_to_base64 text, or nested [re, im] lists as older versions wrote.
+
+    Text must hold the bytes of an array of the given shape, whose first
+    entry -1 takes as many rows as the bytes fill, at least one; size names
+    the byte count expected in the error on any other count. Nested lists
+    come back in their own shape, for the caller to check.
+    """
+    if isinstance(value, list):
+        message = "matrix entries must be [re, im] pairs of numbers, in matrices of one shape"
+        pairs = _numbers_from_json(value, message)
+        if pairs.ndim == 0 or pairs.shape[-1] != 2:
+            raise ValueError(message)
+        return np.ascontiguousarray(pairs).view(complex)[..., 0]
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be base64 text or nested lists of [re, im] pairs")
     try:
-        return base64.b64decode(text, validate=True)
+        raw = base64.b64decode(value, validate=True)
     except ValueError:  # binascii.Error on alphabet or padding, ValueError on non-ASCII text
         raise ValueError(f"{name} text must be ASCII base64") from None
-
-
-def _complex_from_base64(text: str, shape: tuple) -> np.ndarray:
-    """Complex stack of the given shape from states text of _complex_to_base64; the byte count must match the shape."""
-    raw = _base64_bytes(text, "states")
-    expected = 16 * math.prod(shape)  # Python integers: a huge dim_b cannot overflow
-    if len(raw) != expected:
-        raise ValueError(f"states holds {len(raw)} bytes, not 16 * {shape[0]} letters * dim_b**2 = {expected}")
-    return np.frombuffer(raw, dtype="<c16").reshape(shape)
+    row = 16 * math.prod(shape[1:])  # Python integers: a huge dim_b cannot overflow
+    rows = len(raw) // row if shape[0] < 0 else shape[0]
+    if not raw or len(raw) != row * rows:
+        raise ValueError(f"{name} holds {len(raw)} bytes, not {size}")
+    return np.frombuffer(raw, dtype="<c16").reshape(rows, *shape[1:])
 
 
 def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
@@ -313,16 +311,11 @@ def ensemble_from_json_dict(doc: dict) -> CQEnsemble:
         raise ValueError("labels must be a list")
     if entries in ([], ""):
         raise ValueError("the ensemble has no letters")
-    dim_b = _int_from_json(dim_b, "dim_b")
-    if dim_b < 1:
-        raise ValueError("dim_b must be a positive integer")
-    if isinstance(entries, str):
-        states = _complex_from_base64(entries, (len(labels), dim_b, dim_b))
-    elif isinstance(entries, list):
-        states = _complex_from_json(entries)
-        if states.shape[1:] != (dim_b, dim_b):
-            raise ValueError("state dimension disagrees with dim_b")
-    else:
-        raise ValueError("states must be base64 text or nested lists of [re, im] pairs")
+    dim_b = _dim_from_json(dim_b, "dim_b")
+    n = len(labels)
+    size = f"16 * {n} letters * dim_b**2 = {16 * n * dim_b**2}"
+    states = _complex_from_json(entries, "states", (n, dim_b, dim_b), size)
+    if states.shape[1:] != (dim_b, dim_b):
+        raise ValueError("state dimension disagrees with dim_b")
     probs = _numbers_from_json(probs, "probs must be a list of numbers")
     return CQEnsemble(labels=tuple(labels), probs=probs, states=states)

@@ -22,10 +22,10 @@ from cqlock import (
     von_neumann_entropy,
 )
 
-from cqlock import accessible, states
+from cqlock import accessible, qmath
 from cqlock.accessible import GRAD_TOL
 from cqlock.measurement import Povm
-from cqlock.qmath import MATRIX_TOL, PROB_TOL, quantum_mutual_information, validate_density
+from cqlock.qmath import MATRIX_TOL, PROB_TOL, quantum_mutual_information
 from cqlock.states import cq_to_density
 
 from conftest import STACK_KINDS, rank_ensemble, ranked_ensemble, random_unitary, two_basis_ensemble
@@ -160,10 +160,20 @@ def letter_stack(case):
 
 
 def eigh_route(ens, monkeypatch):
-    """ens rebuilt with pure-letter detection off, so that construction validates and decomposes its stack."""
+    """ens rebuilt with the rank-1 recognizer off, so that construction validates and decomposes its stack."""
     with monkeypatch.context() as patch:
-        patch.setattr(states, "pure_state_vectors", lambda stack: None)
+        patch.setattr(qmath, "_rank_one_vectors", lambda mat: None)
         return CQEnsemble(ens.labels, ens.probs, ens.states)
+
+
+# the message of each letter_stack case that validation rejects; every other case is a valid stack
+LETTER_STACK_MESSAGES = {
+    "non-hermitian:1e-6": "matrix is not Hermitian",
+    "trace:2e-9": "trace is not 1",
+    "negative:1e-6": "matrix is not positive semidefinite",
+    "nan": "density matrix entries are not finite",
+    "inf": "density matrix entries are not finite",
+}
 
 
 class TestPureLetters:
@@ -184,11 +194,7 @@ class TestPureLetters:
     ])
     def test_validation_matches_validate_density(self, case, pure, monkeypatch):
         stack = letter_stack(case)
-        try:
-            validate_density(stack)
-            message = None
-        except ValueError as exc:
-            message = str(exc)
+        message = LETTER_STACK_MESSAGES.get(case)
         probs = np.array([0.5, 0.3, 0.2])
         calls = count_stack_decompositions(monkeypatch, stack.shape)
         if message is not None:
@@ -199,7 +205,7 @@ class TestPureLetters:
         ens = CQEnsemble((0, 1, 2), probs, stack)
         # the per-letter oracle drops each eigenvalue at or below PROB_TOL, as the pure route drops all but one
         assert abs(holevo_chi(ens) - per_letter_chi(ens)) <= 1e-12
-        assert calls == ([] if pure else ["eigvalsh", "eigh"])
+        assert calls == ([] if pure else ["eigh"])
 
     @pytest.mark.parametrize("family", ["hadamard", "fourier"])
     def test_pure_stack_never_decomposed(self, family, monkeypatch, fast_cfg):
@@ -225,14 +231,14 @@ class TestPureLetters:
         assert calls == letter_calls == []
 
     @pytest.mark.parametrize("run, expected", [
-        (lambda ens, cfg: CQEnsemble(ens.labels, ens.probs, ens.states), ["eigvalsh", "eigh"]),
+        (lambda ens, cfg: CQEnsemble(ens.labels, ens.probs, ens.states), ["eigh"]),
         (accessible_information, []),
         (lambda ens, cfg: holevo_chi(ens), []),
         (lambda ens, cfg: maassen_uffink_bound(ens), []),
         (lambda ens, cfg: induced_table(ens, projective_povm(np.eye(4))), []),
     ], ids=["construction", "search", "holevo_chi", "maassen_uffink_bound", "induced_table"])
     def test_mixed_stack_decomposed_once(self, run, expected, monkeypatch, fast_cfg):
-        # construction validates the stack with one eigvalsh and factors it with one eigh; no reader decomposes it again
+        # construction validates and factors the stack with one eigh; no reader decomposes it again
         ens = random_cq_ensemble(6, 4, "mixed", seed=3)
         calls = count_stack_decompositions(monkeypatch, ens.states.shape)
         run(ens, fast_cfg)
@@ -250,7 +256,7 @@ class TestPureLetters:
         ens = make()
         assert calls == []
         decomposed = eigh_route(ens, monkeypatch)
-        assert calls == ["eigvalsh", "eigh"]
+        assert calls == ["eigh"]
         pure, full = accessible_information(ens), accessible_information(decomposed)
         for name in ("value", "chi", "upper_bound"):
             assert abs(getattr(pure, name) - getattr(full, name)) <= 1e-12, name
@@ -289,6 +295,20 @@ class TestAccessibleInformation:
             assert candidate <= res.value + 1e-12
             assert res.value <= res.upper_bound + 1e-6
 
+    @pytest.mark.parametrize("bloch, optimum", [
+        # trine: three Bloch vectors 120 degrees apart in a plane
+        ([(np.cos(t), 0.0, np.sin(t)) for t in 2 * np.pi * np.arange(3) / 3], np.log2(3 / 2)),
+        # tetrahedron: the four alternate corners of a cube
+        (np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]) / np.sqrt(3), np.log2(4 / 3)),
+    ], ids=["trine", "tetrahedron"])
+    def test_symmetric_qubit_ensembles_reach_their_optima(self, bloch, optimum):
+        # equal priors (Davies, IEEE Trans. Inf. Theory 24, 596, 1978; Sasaki et al., PRA 59, 3325, 1999)
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        states = (np.eye(2) + np.einsum("ai,ijk->ajk", np.asarray(bloch), paulis)) / 2
+        n = len(states)
+        res = accessible_information(CQEnsemble(tuple(range(n)), np.full(n, 1 / n), states))
+        assert optimum - 1e-9 <= res.value <= optimum + 1e-12
+
     def test_reevaluation(self, fast_cfg):
         ens = random_cq_ensemble(3, 2, "pure", seed=11)
         res = accessible_information(ens, fast_cfg)
@@ -313,11 +333,11 @@ class TestAccessibleInformation:
 
     @pytest.mark.parametrize("make, expected", [
         (lambda: build_locking_state(6)[1], []),
-        (lambda: random_cq_ensemble(32, 8, "mixed", seed=40), ["eigvalsh", "eigh"]),
+        (lambda: random_cq_ensemble(32, 8, "mixed", seed=40), ["eigh"]),
     ], ids=["locking-m6", "random-n32-d8"])
     def test_letter_stack_decomposed_once(self, make, expected, monkeypatch, fast_cfg):
-        # chi and the search's letter factors are read from the one eigh that construction runs
-        # after validation, and from none where every letter is pure; counted from before construction
+        # chi and the search's letter factors are read from the one eigh that validates the stack
+        # at construction, and from none where every letter is pure; counted from before construction
         calls = count_stack_decompositions(monkeypatch, make().states.shape)
         ens = make()
         res = accessible_information(ens, fast_cfg)

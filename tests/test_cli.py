@@ -17,7 +17,7 @@ from cqlock.measurement import povm_from_json_dict, projective_povm
 from cqlock.protocol import EmpiricalReport
 from cqlock.states import CQEnsemble, _complex_to_base64, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
-from conftest import list_layout_json_dict, random_unitary
+from conftest import complex_to_json, list_layout_json_dict, random_unitary
 
 FAST = ["--restarts", "2", "--iters", "40"]
 # the letters of random_cq_ensemble(2, 2, "pure", seed=3), which most files below hold, and their base64 text
@@ -152,6 +152,26 @@ class TestDiscordCommand:
         doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         assert doc["states"] == PAYLOAD
         doc[field] = value
+        assert message in rejected(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("layout", ["base64", "lists"])
+    @pytest.mark.parametrize("kind, message", [
+        ("non-hermitian", "not Hermitian"),
+        ("trace", "trace is not 1"),
+        ("negative", "not positive semidefinite"),
+    ])
+    def test_invalid_letter_exit_2(self, tmp_path, capsys, kind, message, layout):
+        # letter 1 of STACK, a pure state P, made non-Hermitian by 1e-6, of trace 1 + 1e-6,
+        # or (1 + 2e-6) P - 1e-6 I, of unit trace and eigenvalues 1 + 1e-6 and -1e-6
+        stack = STACK.copy()
+        if kind == "non-hermitian":
+            stack[1, 0, 1] += 1e-6j
+        elif kind == "trace":
+            stack[1] *= 1 + 1e-6
+        else:
+            stack[1] = (1 + 2e-6) * stack[1] - 1e-6 * np.eye(2)
+        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc["states"] = _complex_to_base64(stack) if layout == "base64" else complex_to_json(stack)
         assert message in rejected(tmp_path, capsys, doc)
 
     def test_layouts_give_identical_reports(self, tmp_path):

@@ -6,13 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cqlock import CQEnsemble, Povm, holevo_chi, measured_mutual_information, random_cq_ensemble, shannon_entropy
-from cqlock.states import (
-    _complex_from_base64,
-    _complex_from_json,
-    _complex_to_base64,
-    ensemble_from_json_dict,
-    ensemble_to_json_dict,
-)
+from cqlock.states import _complex_from_json, _complex_to_base64, ensemble_from_json_dict, ensemble_to_json_dict
 
 from conftest import complex_to_json, list_layout_json_dict, random_unitary
 
@@ -85,7 +79,7 @@ def test_json_layouts_keep_every_bit():
     """Signed zeros, subnormals and +-1e300 survive JSON text in both layouts; bytes, unlike ==, tell -0.0 from 0.0."""
     parts = [-0.0, 0.0, 5e-324, -0.0, 1e300, -1e300, 0.5, -5e-324, -1e300, 2.2e-310, 0.0, -0.0, 1.0, 1e300, -0.0, -0.0]
     stack = np.array(parts).view(complex).reshape(2, 2, 2)
-    from_base64 = _complex_from_base64(json.loads(json.dumps(_complex_to_base64(stack))), stack.shape)
-    from_lists = _complex_from_json(json.loads(json.dumps(complex_to_json(stack))))
+    read = lambda layout: _complex_from_json(json.loads(json.dumps(layout)), "states", stack.shape, "128 bytes")
+    from_base64, from_lists = read(_complex_to_base64(stack)), read(complex_to_json(stack))
     assert from_base64.tobytes() == stack.tobytes()
     assert from_lists.tobytes() == stack.tobytes()

@@ -282,6 +282,20 @@ class TestDensityMatrixValidation:
             validate_density(np.diag([1.5, -0.5]).astype(complex))
 
 
+    @pytest.mark.parametrize("mat, rank", [
+        (PLUS, 1),
+        (np.diag([0.7, 0.3]).astype(complex), 2),
+        (random_cq_ensemble(4, 3, "pure", seed=5).states, 1),
+        (random_cq_ensemble(4, 3, "mixed", seed=5).states, 3),
+    ], ids=["pure-matrix", "mixed-matrix", "pure-stack", "mixed-stack"])
+    def test_returns_eigenvalues_and_unit_eigenvectors(self, mat, rank):
+        # a pure input gets one eigenpair per matrix, any other d; either way they rebuild the input
+        w, u = validate_density(mat)
+        assert w.shape == (*mat.shape[:-2], rank) and u.shape == (*mat.shape[:-1], rank)
+        assert np.allclose(np.linalg.norm(u, axis=-2), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose((u * w[..., None, :]) @ np.swapaxes(u.conj(), -2, -1), mat, rtol=0, atol=1e-15)
+
+
 class TestIsometryValidation:
     def test_accepts_isometry(self):
         v = random_unitary(4, np.random.default_rng(2))[:, :3]
