@@ -35,12 +35,11 @@ the iteration only shrinks the steps. Otherwise the gradient is projected
 onto the tangent space at the trial point, and the previous direction is
 carried there by the same projection, in one call; a direction nearly
 orthogonal to the gradient is replaced by the gradient. The
-objective reads the letters S_a = p_a sigma_a in one of two forms,
-whichever the stack's shape makes cheaper (_evaluator): as eigen-factor
-rows, where a pure letter costs one row and a full-rank one d, or as the
-matrices S_a themselves, where the table and the gradient are each one real
-matrix product with the outer products w_b w_b^dagger. Rows win only for
-low-rank letters at d >= 8. Each start keeps a trial point only if it
+objective reads the letters S_a = p_a sigma_a in one of two forms, chosen
+by purity (_evaluator): a stack of pure letters as its one row per letter,
+any other stack as the matrices S_a themselves, where the table and the
+gradient are each one real matrix product with the outer products
+w_b w_b^dagger. Each start keeps a trial point only if it
 raises its value, growing its step on success and shrinking it on failure,
 so the reported value is a maximum over evaluated POVMs. A start stops once
 its tangent-gradient norm falls below GRAD_TOL, once its step has shrunk
@@ -84,11 +83,6 @@ STEP_TOL = np.finfo(float).eps
 # to nothing, and a start keeps its direction when a step fails, so without
 # this it can stall with its step shrinking to 0
 ASCENT_COS_MIN = 0.1
-# the ascent's objective reads the letters as eigen-factor rows where
-# ROW_COST * rows <= n_letters * d^2, the number of letter-matrix entries, and
-# as the letter matrices otherwise; timed ascents at d = 4, 8 and 16 put the
-# crossover near an average rank of d^2 / 64
-ROW_COST = 64
 
 
 @dataclass(frozen=True)
@@ -165,10 +159,10 @@ def _two_basis_bound(ens: CQEnsemble) -> tuple[float, tuple[np.ndarray, np.ndarr
     so projective_povm of it measures in the basis.
     """
     d, rows = ens.dim_b, ens.rows
-    # every letter keeps at least one row, so 2d rows for 2d letters means every letter is pure
-    if ens.n_letters != 2 * d or len(rows) != 2 * d or np.any(np.abs(ens.probs - 0.5 / d) > PROB_TOL):
+    # one row per letter means every letter is pure
+    if ens.n_letters != 2 * d or rows.shape[1] != 1 or np.any(np.abs(ens.probs - 0.5 / d) > PROB_TOL):
         return None
-    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    unit = rows[:, 0] / np.linalg.norm(rows[:, 0], axis=1, keepdims=True)
     overlap = np.abs(unit @ unit.conj().T)
     np.fill_diagonal(overlap, 0.0)
     # letters of one basis are orthogonal, so the two bases 2-colour the graph of
@@ -195,20 +189,21 @@ def _two_basis_bound(ens: CQEnsemble) -> tuple[float, tuple[np.ndarray, np.ndarr
 
 
 def _rows_evaluator(ens: CQEnsemble):
-    """Measured MI and its gradient G_b = sum_a L_ba p_a sigma_a w_b from the letters' eigen-factor rows ens.rows.
+    """Measured MI and its gradient G_b = sum_a L_ba p_a sigma_a w_b from the rows K_a of a stack of pure letters.
 
-    The returned function takes v (R, n, d), whose row b of v[r] is the
-    measurement vector w_b, and returns values (R,) and gradients with
+    Each letter has the one row K_a = ens.rows[a, 0], with K_a^dagger K_a =
+    p_a sigma_a. The returned function takes v (R, n, d), whose row b of v[r]
+    is the measurement vector w_b, and returns values (R,) and gradients with
     respect to conj(v), (R, n, d).
     """
-    rows_conj = ens.rows.conj()
+    rows_conj = ens.rows[:, 0].conj()
 
     # an entry of the table at or below PROB_TOL has L = 0; there sigma_a w_b
     # vanishes as well, so it drops out of the gradient
     def evaluate(v):
         kv, table = _row_table(ens, v)
         values, log_ratio = _mi_from_table(table)
-        kv *= log_ratio[:, :, ens.owner]
+        kv *= log_ratio
         return values, kv @ rows_conj
 
     return evaluate
@@ -233,13 +228,9 @@ def _matrix_evaluator(letters: np.ndarray):
 
 
 def _evaluator(ens: CQEnsemble):
-    """The ascent's objective for ens, from its letter rows where they are few and from its letter matrices otherwise.
-
-    Per outcome, the rows form spends its products and temporaries on the
-    rows, one for a pure letter and d for a full-rank one, and the matrix
-    form on the n_letters x d^2 letter-matrix entries; see ROW_COST.
-    """
-    if ROW_COST * len(ens.rows) <= ens.n_letters * ens.dim_b**2:
+    """The ascent's objective for ens: from its one row per letter for a stack of pure letters (r = 1), from its
+    letter matrices for any other stack."""
+    if ens.rows.shape[1] == 1:
         return _rows_evaluator(ens)
     return _matrix_evaluator(ens.probs[:, None, None] * ens.states)
 
@@ -353,9 +344,10 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     two_basis = _two_basis_bound(ens)
     bound, letter_bases = (chi, ()) if two_basis is None else (min(chi, two_basis[0]), two_basis[1])
 
-    # sum_a c_a p_a sigma_a = sum_k c_(owner k) K_k^dagger K_k; c = 1 would give the B marginal
+    # sum_a c_a p_a sigma_a = sum_aj c_a K_aj^dagger K_aj; c = 1 would give the B marginal
     weights = np.cos(np.arange(1, ens.n_letters + 1) * (np.sqrt(5) - 1) * np.pi)
-    _, generic_basis = np.linalg.eigh((ens.rows.conj().T * weights[ens.owner]) @ ens.rows)
+    weighted = (ens.rows.conj() * weights[:, None, None]).reshape(-1, d)
+    _, generic_basis = np.linalg.eigh(weighted.T @ ens.rows.reshape(-1, d))
     # each basis as its transposed unitary, whose row b is the measurement vector of outcome b
     candidates = np.stack((np.eye(d, dtype=complex), generic_basis, *letter_bases)).swapaxes(1, 2)
     values = _mi_from_table(_row_table(ens, candidates)[1])[0]
@@ -364,12 +356,14 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
 
     # the restart tuples are those of the ascent stage whose best start is highest
     restart_vals = iters = grad_norms = ()
+    evaluate = None
     for n in (d * d,) if two_basis is None else (d, d * d):
         if best_val >= bound - MATRIX_TOL:
             break
         if d > MAX_DIM_B:
             raise GuardError("instance too large")
-        stage_vals, vs, stage_iters, stage_norms = _stiefel_ascent(_evaluator(ens), cfg, n, d)
+        evaluate = evaluate or _evaluator(ens)
+        stage_vals, vs, stage_iters, stage_norms = _stiefel_ascent(evaluate, cfg, n, d)
         top = int(np.argmax(stage_vals))
         if stage_vals[top] >= max(restart_vals, default=-np.inf):
             restart_vals, iters, grad_norms = stage_vals, stage_iters, stage_norms

@@ -96,11 +96,11 @@ def measure_b(rho_ab, dim_a: int, dim_b: int, povm: Povm):
 
 
 def _row_table(ens: CQEnsemble, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products kv[..., b, k] = K_k . v_b of the letter rows K_k (ens.rows) with measurement vectors v (..., n, d),
-    and the table T[..., b, a] = sum_{k of a} |kv[..., b, k]|^2 = p_a v_b^dagger sigma_a v_b."""
-    kv = v @ ens.rows.T
-    row_to_letter = (ens.owner[:, None] == np.arange(ens.n_letters)[None, :]).astype(float)
-    return kv, (kv.real**2 + kv.imag**2) @ row_to_letter
+    """Products kv[..., b, a r + j] = K_aj . v_b of the letter rows K_aj (ens.rows, (n_letters, r, d)) with
+    measurement vectors v (..., n, d), and the table T[..., b, a] = sum_j |K_aj . v_b|^2 = p_a v_b^dagger sigma_a v_b."""
+    n_letters, r, d = ens.rows.shape
+    kv = v @ ens.rows.reshape(n_letters * r, d).T
+    return kv, (kv.real**2 + kv.imag**2).reshape(*kv.shape[:-1], n_letters, r).sum(axis=-1)
 
 
 def induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:

@@ -44,13 +44,16 @@ class CQEnsemble:
 
     states is a read-only complex (n, d, d) array. Construction factors the
     letters once for every reader, into read-only arrays: spectra[a] holds the
-    eigenvalues of sigma_a, and rows the rows K_k, owner[k] being the letter
-    of row k, with sum_{k of a} K_k^dagger K_k = p_a sigma_a. One call of
-    qmath.validate_density checks the stack and gives each letter's
+    eigenvalues of sigma_a, and rows the (n, r, d) stack of rows K_aj, r being
+    the largest letter rank, with sum_j K_aj^dagger K_aj = p_a sigma_a. One
+    call of qmath.validate_density checks the stack and gives each letter's
     eigenvalues and unit eigenvectors: one of each for a stack of pure letters,
     read from its state vectors with no decomposition, and d of each from one
-    eigh for any other stack. Each eigenvector u of eigenvalue w above PROB_TOL
-    gives the row sqrt(p_a w) u^*. Ensembles compare by identity.
+    eigh for any other stack. Each eigenvector u of eigenvalue w gives the row
+    sqrt(p_a w) u^*, or a zero row where w is at or below PROB_TOL; a stack of
+    pure letters has r = 1 by either route. probs are stored clipped at 0, as
+    validation lets an entry lie up to PROB_TOL below it. Ensembles compare by
+    identity.
     """
 
     labels: tuple
@@ -58,10 +61,9 @@ class CQEnsemble:
     states: np.ndarray
     spectra: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
-    owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        probs = validate_probs(self.probs)
+        probs = np.clip(validate_probs(self.probs), 0.0, None)
         if not (len(self.labels) == len(probs) == len(self.states)):
             raise ValueError("labels, probs and states must have equal length")
         try:
@@ -71,11 +73,13 @@ class CQEnsemble:
         if states is None or states.ndim != 3 or states.shape[1] != states.shape[2]:
             raise ValueError("all states must share one dimension")
         spectra, vecs = validate_density(states)
-        # a unit-trace state always keeps its largest eigenvalue
-        owner, col = np.nonzero(spectra > PROB_TOL)
-        rows = np.sqrt(probs[owner] * spectra[owner, col])[:, None] * vecs[owner, :, col].conj()
+        kept = spectra > PROB_TOL
+        # eigh sorts each spectrum ascending, so every kept eigenvalue lies in the last r columns
+        r = kept.sum(axis=1).max()
+        weights = np.sqrt(probs[:, None] * np.where(kept, spectra, 0.0)[:, -r:])
+        rows = np.ascontiguousarray(weights[:, :, None] * vecs[:, :, -r:].conj().swapaxes(1, 2))
         object.__setattr__(self, "labels", tuple(self.labels))
-        arrays = {"probs": probs.copy(), "states": states, "spectra": spectra, "rows": rows, "owner": owner}
+        arrays = {"probs": probs, "states": states, "spectra": spectra, "rows": rows}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -24,11 +24,11 @@ from cqlock import (
 
 from cqlock import accessible, qmath
 from cqlock.accessible import GRAD_TOL
-from cqlock.measurement import Povm
-from cqlock.qmath import MATRIX_TOL, PROB_TOL, quantum_mutual_information
+from cqlock.measurement import Povm, _row_table
+from cqlock.qmath import MATRIX_TOL, PROB_TOL, _mi_from_table, quantum_mutual_information
 from cqlock.states import cq_to_density
 
-from conftest import STACK_KINDS, rank_ensemble, ranked_ensemble, random_unitary, two_basis_ensemble
+from conftest import STACK_KINDS, rank_ensemble, ranked_ensemble, random_unitary, states_form_table, two_basis_ensemble
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -263,6 +263,40 @@ class TestPureLetters:
         assert pure.certified == full.certified
 
 
+class TestLetterRows:
+    """CQEnsemble.rows is one (n_letters, r, d) stack, r the largest letter rank, with sum_j K_aj^dagger K_aj = p_a sigma_a."""
+
+    @pytest.mark.parametrize("kind, route, rank", [
+        ("pure", "pure", 1),
+        ("pure", "eigh", 1),
+        ("rank-2", "eigh", 2),
+        ("full-rank", "eigh", None),
+        ("mixed-rank", "eigh", None),
+        ("faint-eigenvalue", "eigh", 2),
+    ])
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_rows_stack_the_kept_eigenvectors(self, kind, route, rank, d, monkeypatch):
+        ens = ranked_ensemble(kind, d)
+        if route == "eigh":
+            ens = eigh_route(ens, monkeypatch)
+        r = rank or d
+        assert ens.rows.shape == (ens.n_letters, r, d)
+        # a row is exactly 0 where its eigenvalue is at or below PROB_TOL, and only there; no dropped eigenvalue is kept
+        assert np.array_equal(np.all(ens.rows == 0, axis=2), ens.spectra[:, -r:] <= PROB_TOL)
+        assert np.all(ens.spectra[:, :-r] <= PROB_TOL)
+        letters = np.einsum("ajk,ajl->akl", ens.rows.conj(), ens.rows)
+        assert np.max(np.abs(letters - ens.probs[:, None, None] * ens.states)) <= 1e-12
+        assert not ens.rows.flags.writeable
+
+    def test_letter_probability_just_below_zero(self):
+        # validation accepts -5e-13 as roundoff; the letter counts with probability 0 and gives finite rows
+        ens = CQEnsemble((0, 1, 2), np.array([0.5, 0.5, -5e-13]), (KET0, KET1, np.eye(2) / 2))
+        assert ens.probs[2] == 0.0
+        assert np.all(np.isfinite(ens.rows))
+        assert abs(holevo_chi(ens) - 1) <= 1e-12
+        assert abs(accessible_information(ens).value - 1) <= 1e-12
+
+
 class TestAccessibleInformation:
     def test_orthogonal_attains_ha(self, fast_cfg):
         ens = CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
@@ -423,41 +457,73 @@ def form_picked(ens, monkeypatch):
     return form
 
 
-class TestObjectiveForms:
-    """The ascent's objective from the letters' eigen-factor rows and from the letter matrices p_a sigma_a."""
+def isometry_stack(d):
+    """Three Householder-orthonormalized Gaussian d^2 x d matrices, seeded by d: a batch of d^2-outcome POVMs."""
+    rng = np.random.default_rng(d)
+    return householder_qr(rng.standard_normal((3, d * d, d)) + 1j * rng.standard_normal((3, d * d, d)))
 
-    @pytest.mark.parametrize("d", [2, 4, 8])
+
+def assert_rows_agree_with_matrices(ens):
+    """The rows of any stack give the tables of the letter matrices, which stage 1 and induced_table read through
+    _row_table; a pure stack's rows form of the ascent's objective gives the matrix form's values and gradients."""
+    v = isometry_stack(ens.dim_b)
+    mat_val, mat_grad = accessible._matrix_evaluator(ens.probs[:, None, None] * ens.states)(v)
+    tables = _row_table(ens, v)[1]
+    assert np.max(np.abs(_mi_from_table(tables)[0] - mat_val)) <= 1e-12
+    for x, table in zip(v, tables):
+        assert np.max(np.abs(table.T / table.sum() - states_form_table(ens, Povm(x)))) <= 1e-12
+    if ens.rows.shape[1] == 1:
+        rows_val, rows_grad = accessible._rows_evaluator(ens)(v)
+        assert np.max(np.abs(rows_val - mat_val)) <= 1e-12
+        assert np.max(np.abs(rows_grad - mat_grad)) <= 1e-10
+
+
+class TestObjectiveForms:
+    """The ascent's objective from the rows of a stack of pure letters and from the letter matrices p_a sigma_a."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     @pytest.mark.parametrize("stack", STACK_KINDS)
     def test_forms_agree(self, d, stack):
         ens = ranked_ensemble(stack, d)
         if stack == "faint-eigenvalue":
-            assert np.count_nonzero(ens.owner == 0) == 1
-        rng = np.random.default_rng(d)
-        v = householder_qr(rng.standard_normal((3, d * d, d)) + 1j * rng.standard_normal((3, d * d, d)))
-        rows_val, rows_grad = accessible._rows_evaluator(ens)(v)
-        mat_val, mat_grad = accessible._matrix_evaluator(ens.probs[:, None, None] * ens.states)(v)
-        assert np.max(np.abs(rows_val - mat_val)) <= 1e-12
-        assert np.max(np.abs(rows_grad - mat_grad)) <= 1e-10
-        oracle = [measured_mutual_information(ens, Povm(x)) for x in v]
-        assert np.max(np.abs(mat_val - oracle)) <= 1e-12
+            assert np.count_nonzero(np.any(ens.rows[0] != 0, axis=1)) == 1
+        assert_rows_agree_with_matrices(ens)
+
+    def test_forms_agree_on_bb84pair(self):
+        assert_rows_agree_with_matrices(bb84_pair())
 
     @pytest.mark.parametrize("make", [
-        lambda: random_cq_ensemble(16, 8, "pure", seed=1),
-        lambda: random_cq_ensemble(32, 16, "pure", seed=1),
+        *(lambda n=n, d=d: random_cq_ensemble(n, d, "pure", seed=1) for n, d in [(128, 2), (64, 4), (16, 8), (32, 16)]),
+        lambda: build_locking_state(3)[1],
+        bb84_pair,
+    ], ids=["pure-n128-d2", "pure-n64-d4", "pure-d8", "pure-d16", "locking-m3", "bb84pair"])
+    def test_pure_stacks_use_rows(self, make, monkeypatch):
+        ens = make()
+        assert form_picked(ens, monkeypatch) == form_picked(eigh_route(ens, monkeypatch), monkeypatch) == "rows"
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n, d=d: random_cq_ensemble(n, d, "mixed", seed=1) for n, d in [(128, 2), (64, 4), (32, 8), (12, 4)]),
+        lambda: rank_ensemble([2] * 16, 8, seed=1),
         lambda: rank_ensemble([2] * 16, 16, seed=1),
         lambda: rank_ensemble([4] * 16, 16, seed=1),
-    ], ids=["pure-d8", "pure-d16", "rank2-d16", "rank4-d16"])
-    def test_low_rank_stacks_use_rows(self, make, monkeypatch):
-        assert form_picked(make(), monkeypatch) == "rows"
-
-    @pytest.mark.parametrize("make", [
-        *(lambda n=n, d=d, purity=purity: random_cq_ensemble(n, d, purity, seed=1)
-          for n, d, purity in [(128, 2, "pure"), (128, 2, "mixed"), (64, 4, "pure"), (64, 4, "mixed"), (32, 8, "mixed"), (12, 4, "mixed")]),
-        lambda: rank_ensemble([2] * 16, 8, seed=1),
         lambda: rank_ensemble([16] * 16, 16, seed=1),
-    ], ids=["pure-n128-d2", "mixed-n128-d2", "pure-n64-d4", "mixed-n64-d4", "mixed-n32-d8", "mixed-n12-d4", "rank2-d8", "full-rank-d16"])
+        lambda: ranked_ensemble("faint-eigenvalue", 8),
+    ], ids=["mixed-n128-d2", "mixed-n64-d4", "mixed-n32-d8", "mixed-n12-d4", "rank2-d8", "rank2-d16", "rank4-d16",
+            "full-rank-d16", "faint-eigenvalue-d8"])
     def test_other_stacks_use_matrices(self, make, monkeypatch):
         assert form_picked(make(), monkeypatch) == "matrices"
+
+    def test_evaluator_built_once_per_search(self, monkeypatch):
+        # a two-basis ensemble whose d-outcome stage falls short, so both ascent stages run
+        ens = two_basis_ensemble(np.eye(4, dtype=complex), random_unitary(4, np.random.default_rng(1)))
+        built, outcomes = [], []
+        evaluator, stiefel_ascent = accessible._evaluator, accessible._stiefel_ascent
+        monkeypatch.setattr(accessible, "_evaluator", lambda ens: built.append(ens) or evaluator(ens))
+        monkeypatch.setattr(accessible, "_stiefel_ascent",
+                            lambda evaluate, cfg, n, d: outcomes.append(n) or stiefel_ascent(evaluate, cfg, n, d))
+        accessible_information(ens, OptimizerConfig(restarts=1))
+        assert outcomes == [4, 16]
+        assert built == [ens]
 
 
 def gaussian_starts(seeds, n, d):
@@ -582,13 +648,13 @@ class TestSearchWithoutHints:
         assert res.per_restart_values == tuple(alone)
         assert not res.certified
 
-    @pytest.mark.parametrize("d, seed", [(3, 8), (3, 11), (4, 3)])
-    def test_restart_tuples_come_from_the_stage_that_answered(self, d, seed):
-        # the d-outcome stage answers here, and its best start beats every d^2-outcome start
+    @pytest.mark.parametrize("d, seed, outcomes", [(3, 8, 3), (3, 11, 3), (4, 21, 4), (4, 3, 16)])
+    def test_restart_tuples_come_from_the_stage_that_answered(self, d, seed, outcomes):
+        # the stage with d or d^2 outcomes answers here, and its best start beats every start of the other
         ens = two_basis_ensemble(np.eye(d), random_unitary(d, np.random.default_rng(seed)))
         res = accessible_information(ens)
         assert not res.certified
-        assert res.best_povm.n_outcomes == d
+        assert res.best_povm.n_outcomes == outcomes
         assert max(res.per_restart_values) == res.value
 
     @pytest.mark.parametrize("n, d, purity, value", [

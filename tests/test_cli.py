@@ -77,6 +77,16 @@ class TestDiscordCommand:
         path.write_text(json.dumps(ensemble_to_json_dict(ens)))
         assert run(["discord", "--ensemble", str(path), *FAST]) == 0
 
+    def test_letter_probability_just_below_zero(self, tmp_path):
+        # validation accepts -5e-13 as roundoff; that letter of I/2 counts with probability 0 and the answer stays finite
+        states = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2]).astype(complex)
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"labels": [0, 1, 2], "probs": [0.5, 0.5, -5e-13], "dim_b": 2,
+                                    "states": _complex_to_base64(states)}))
+        out = tmp_path / "r.json"
+        assert run(["discord", "--ensemble", str(path), "--out", str(out)]) == 0
+        assert np.isfinite(json.loads(out.read_text())["results"]["i_acc"])
+
     def test_bad_ensemble_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
