@@ -16,13 +16,13 @@ random-restart gradient ascent over rank-1 POVMs with n = d outcomes.
 Stage 3 runs the same ascent with n = d^2 outcomes, which suffice for the
 optimum (Davies 1978), on every other ensemble and wherever stage 2 ends
 short of the bound. The MAX_DIM_B guard applies only to the ascent. The
-search decomposes no letter: the Holevo quantity, the two-basis test with
-its letter bases, the bound, the generic combination and the rows form of
-the objective read the letter spectra and rows that CQEnsemble computes
-once, at construction. A POVM with n outcomes is a d x n isometry W with
-W W^dagger = I_d, whose column b is the measurement vector of outcome b.
-The search keeps the n x d transpose of W, whose columns are orthonormal;
-it is the `vectors` array of the returned Povm.
+search reads an ensemble only through the probabilities, spectra and rows
+that CQEnsemble computes once, at construction, and decomposes no letter;
+the B marginal of the Holevo quantity and the generic combination are each
+one product of the rows (_row_sum). A POVM with n outcomes is a d x n
+isometry W with W W^dagger = I_d, whose column b is the measurement vector
+of outcome b. The search keeps the n x d transpose of W, whose columns are
+orthonormal; it is the `vectors` array of the returned Povm.
 
 All restarts are stacked into one (restarts, n, d) array and advance
 together by Riemannian conjugate gradient (Polak-Ribiere+, Absil, Mahony &
@@ -34,12 +34,12 @@ information there with its gradient. Where no start's value rises,
 the iteration only shrinks the steps. Otherwise the gradient is projected
 onto the tangent space at the trial point, and the previous direction is
 carried there by the same projection, in one call; a direction nearly
-orthogonal to the gradient is replaced by the gradient. The
-objective reads the letters S_a = p_a sigma_a in one of two forms, chosen
-by purity (_evaluator): a stack of pure letters as its one row per letter,
-any other stack as the matrices S_a themselves, where the table and the
-gradient are each one real matrix product with the outer products
-w_b w_b^dagger. Each start keeps a trial point only if it
+orthogonal to the gradient is replaced by the gradient. The objective
+reads the letters S_a = p_a sigma_a in one of two forms, chosen by purity
+(_evaluator): a stack of pure letters as its one row per letter, any other
+stack as the matrices S_a = K_a^dagger K_a formed from its rows, where the
+table and the gradient are each one real matrix product with the outer
+products w_b w_b^dagger. Each start keeps a trial point only if it
 raises its value, growing its step on success and shrinking it on failure,
 so the reported value is a maximum over evaluated POVMs. A start stops once
 its tangent-gradient norm falls below GRAD_TOL, once its step has shrunk
@@ -55,7 +55,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import MATRIX_TOL, PROB_TOL, GuardError, _entropy_of_spectrum, _mi_from_table, von_neumann_entropy
+from .qmath import (
+    MATRIX_TOL,
+    PROB_TOL,
+    GuardError,
+    _entropy_of_spectrum,
+    _mi_from_table,
+    _validate_integer,
+    von_neumann_entropy,
+)
 from .states import CQEnsemble
 from .measurement import Povm, _row_table
 
@@ -92,6 +100,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            _validate_integer(getattr(self, name), name)
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_iters < 1:
@@ -123,8 +133,14 @@ class AccessibleInfoResult:
 
 
 def holevo_chi(ens: CQEnsemble) -> float:
-    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits, with the letters' entropies read from ens.spectra."""
-    return float(von_neumann_entropy(ens.average_state()) - ens.probs @ _entropy_of_spectrum(ens.spectra))
+    """S(sum p_a sigma_a) - sum p_a S(sigma_a), in bits, from the B marginal _row_sum(ens, 1) and ens.spectra."""
+    return float(von_neumann_entropy(_row_sum(ens, np.ones(ens.n_letters))) - ens.probs @ _entropy_of_spectrum(ens.spectra))
+
+
+def _row_sum(ens: CQEnsemble, weights: np.ndarray) -> np.ndarray:
+    """sum_a c_a p_a sigma_a = sum_aj c_a K_aj^dagger K_aj for weights c (n_letters,), one product of the letter rows."""
+    d = ens.dim_b
+    return (ens.rows.conj() * weights[:, None, None]).reshape(-1, d).T @ ens.rows.reshape(-1, d)
 
 
 def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
@@ -229,10 +245,10 @@ def _matrix_evaluator(letters: np.ndarray):
 
 def _evaluator(ens: CQEnsemble):
     """The ascent's objective for ens: from its one row per letter for a stack of pure letters (r = 1), from its
-    letter matrices for any other stack."""
+    letter matrices S_a = K_a^dagger K_a, formed from its (r, d) blocks of rows K_a, for any other stack."""
     if ens.rows.shape[1] == 1:
         return _rows_evaluator(ens)
-    return _matrix_evaluator(ens.probs[:, None, None] * ens.states)
+    return _matrix_evaluator(ens.rows.conj().swapaxes(1, 2) @ ens.rows)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,7 +298,8 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
     tangent-gradient norm falls below GRAD_TOL or its step times the norm of
     its direction falls below STEP_TOL; it stays in the batch, masked out of
     acceptance, so it keeps its point, value and gradient norm until the last
-    start stops or max_iters is reached.
+    start stops or max_iters is reached; one np.where per array merges the
+    accepted trial points.
     """
     rngs = [np.random.default_rng(cfg.seed + r) for r in range(cfg.restarts)]
     starts = np.stack([rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)) for rng in rngs])
@@ -318,12 +335,9 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
         steep = _inner(trial_eta, trial_g) <= ASCENT_COS_MIN * np.sqrt(trial_gg * trial_ee)
         trial_eta = np.where(steep[:, None, None], trial_g, trial_eta)
         trial_ee = np.where(steep, trial_gg, trial_ee)
-        if up.all():
-            v, g, eta, val, gg, ee = trial, trial_g, trial_eta, trial_val, trial_gg, trial_ee
-        else:
-            up3 = up[:, None, None]
-            v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
-            val, gg, ee = np.where(up, trial_val, val), np.where(up, trial_gg, gg), np.where(up, trial_ee, ee)
+        up3 = up[:, None, None]
+        v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
+        val, gg, ee = np.where(up, trial_val, val), np.where(up, trial_gg, gg), np.where(up, trial_ee, ee)
         step = step * np.where(up, STEP_GROW, STEP_SHRINK)
     return val, v, iters, np.sqrt(gg)
 
@@ -344,10 +358,8 @@ def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConf
     two_basis = _two_basis_bound(ens)
     bound, letter_bases = (chi, ()) if two_basis is None else (min(chi, two_basis[0]), two_basis[1])
 
-    # sum_a c_a p_a sigma_a = sum_aj c_a K_aj^dagger K_aj; c = 1 would give the B marginal
     weights = np.cos(np.arange(1, ens.n_letters + 1) * (np.sqrt(5) - 1) * np.pi)
-    weighted = (ens.rows.conj() * weights[:, None, None]).reshape(-1, d)
-    _, generic_basis = np.linalg.eigh(weighted.T @ ens.rows.reshape(-1, d))
+    _, generic_basis = np.linalg.eigh(_row_sum(ens, weights))
     # each basis as its transposed unitary, whose row b is the measurement vector of outcome b
     candidates = np.stack((np.eye(d, dtype=complex), generic_basis, *letter_bases)).swapaxes(1, 2)
     values = _mi_from_table(_row_table(ens, candidates)[1])[0]

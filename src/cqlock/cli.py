@@ -129,8 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cqlock", description="Correlation measures and quantum locking for CQ states")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError("seed must be a non-negative integer")
+        return value
+
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
+        # every command checks its seed here, also lock-analyze, which draws no random numbers and only echoes it
+        p.add_argument("--seed", type=seed, default=0)
         p.add_argument("--out", metavar="FILE", default=None, help="write the JSON run report here")
         p.add_argument("--json", action="store_true", help="print the JSON run report to stdout")
 

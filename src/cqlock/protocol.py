@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import _mi_from_table, classical_mutual_information
+from .qmath import _mi_from_table, _validate_integer, classical_mutual_information
 from .states import LockingInstance
 from .measurement import Povm, after_key_table, induced_table
 
@@ -64,8 +64,10 @@ def simulate_locking_run(inst: LockingInstance, povm: Povm | None, n_samples: in
     its standard error and its Miller-Madow bias-corrected value, and after
     the key the number of decoding errors.
     """
+    _validate_integer(n_samples, "number of samples")
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"number of samples must lie in [1, {MAX_SAMPLES}]")
+    _validate_integer(seed, "seed")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     joint = after_key_table(inst) if povm is None else induced_table(inst.ensemble, povm)
@@ -78,12 +80,12 @@ def simulate_locking_run(inst: LockingInstance, povm: Povm | None, n_samples: in
     empirical_mi, stderr = _plugin_mi_and_stderr(counts, n_samples)
     analytic_mi = classical_mutual_information(joint)
     return EmpiricalReport(
-        n_samples=n_samples,
+        n_samples=int(n_samples),  # a numpy integer, accepted above, would not serialize
         empirical_mi=empirical_mi,
         miller_madow_mi=_miller_madow_mi(counts, n_samples, empirical_mi),
         analytic_mi=float(analytic_mi),
         std_error_estimate=stderr,
-        seed=seed,
+        seed=int(seed),
         decoding_errors=decoding_errors,
     )
 

@@ -2,9 +2,9 @@
 
 All information quantities are in bits (log base 2). Density matrices are
 plain complex numpy arrays; classical joint distributions are nonnegative
-numpy tables summing to one. Every validator of a state, isometry or
-probability table lives here, and every module reads its tolerances from
-MATRIX_TOL and PROB_TOL.
+numpy tables summing to one. Every validator of a state, isometry,
+probability table or integer argument lives here, and every module reads
+its tolerances from MATRIX_TOL and PROB_TOL.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ def validate_probs(p) -> np.ndarray:
     if abs(p.sum() - 1.0) > PROB_TOL:
         raise ValueError("probabilities do not sum to 1")
     return p
+
+
+def _validate_integer(x, name: str) -> None:
+    """Raise ValueError unless x is an int or a numpy integer; a bool or a float, a whole one too, is neither."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
 
 
 def validate_density(mat) -> tuple[np.ndarray, np.ndarray]:

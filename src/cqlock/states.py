@@ -13,6 +13,7 @@ from .qmath import (
     PROB_TOL,
     DimensionError,
     GuardError,
+    _validate_integer,
     validate_density,
     validate_isometry,
     validate_probs,
@@ -52,8 +53,9 @@ class CQEnsemble:
     eigh for any other stack. Each eigenvector u of eigenvalue w gives the row
     sqrt(p_a w) u^*, or a zero row where w is at or below PROB_TOL; a stack of
     pure letters has r = 1 by either route. probs are stored clipped at 0, as
-    validation lets an entry lie up to PROB_TOL below it. Ensembles compare by
-    identity.
+    validation lets an entry lie up to PROB_TOL below it. Every quantity reads
+    probs, spectra and rows; states is read again only by the cq_to_density
+    oracle and ensemble_to_json_dict. Ensembles compare by identity.
     """
 
     labels: tuple
@@ -90,15 +92,7 @@ class CQEnsemble:
 
     @property
     def dim_b(self) -> int:
-        return self.states.shape[1]
-
-    def average_state(self) -> np.ndarray:
-        """The B marginal sum_a p_a sigma_a, formed on the first call and kept read-only for every later reader."""
-        if "_average" not in self.__dict__:
-            rho = (self.probs[:, None, None] * self.states).sum(axis=0)
-            rho.setflags(write=False)
-            object.__setattr__(self, "_average", rho)
-        return self._average
+        return self.rows.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +254,7 @@ def _fields_from_json(doc, names: tuple, what: str) -> list:
 
 
 def _dim_from_json(x, name: str) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"{name} must be an integer")
+    _validate_integer(x, name)
     if x < 1:
         raise ValueError(f"{name} must be a positive integer")
     return x

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from cqlock import (
     maassen_uffink_bound,
     measured_mutual_information,
     projective_povm,
+    quantum_discord_cq,
     random_cq_ensemble,
     shannon_entropy,
     simulate_locking_run,
@@ -464,18 +467,19 @@ def isometry_stack(d):
 
 
 def assert_rows_agree_with_matrices(ens):
-    """The rows of any stack give the tables of the letter matrices, which stage 1 and induced_table read through
-    _row_table; a pure stack's rows form of the ascent's objective gives the matrix form's values and gradients."""
+    """The rows of any stack give the tables of the letter matrices p_a sigma_a, which stage 1 and induced_table read
+    through _row_table, and the objective the search builds from the rows (_evaluator: the rows form of a pure stack,
+    the matrix form of any other, its matrices formed from the rows) gives the values and gradients of the matrix
+    form of p_a sigma_a."""
     v = isometry_stack(ens.dim_b)
     mat_val, mat_grad = accessible._matrix_evaluator(ens.probs[:, None, None] * ens.states)(v)
     tables = _row_table(ens, v)[1]
     assert np.max(np.abs(_mi_from_table(tables)[0] - mat_val)) <= 1e-12
     for x, table in zip(v, tables):
         assert np.max(np.abs(table.T / table.sum() - states_form_table(ens, Povm(x)))) <= 1e-12
-    if ens.rows.shape[1] == 1:
-        rows_val, rows_grad = accessible._rows_evaluator(ens)(v)
-        assert np.max(np.abs(rows_val - mat_val)) <= 1e-12
-        assert np.max(np.abs(rows_grad - mat_grad)) <= 1e-10
+    search_val, search_grad = accessible._evaluator(ens)(v)
+    assert np.max(np.abs(search_val - mat_val)) <= 1e-12
+    assert np.max(np.abs(search_grad - mat_grad)) <= 1e-10
 
 
 class TestObjectiveForms:
@@ -783,3 +787,39 @@ class TestOptimizerConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             OptimizerConfig(seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 2.5), ("max_iters", 3.5), ("seed", 1.5), ("restarts", True), ("max_iters", False),
+        ("restarts", 1e6), ("seed", 2.0), ("max_iters", "10"), ("seed", None),
+    ])
+    def test_rejects_non_integers(self, field, value):
+        # a float would otherwise fail inside numpy with a TypeError, and a bool would run as a count
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        numpy_cfg = OptimizerConfig(np.int64(2), np.int32(30), np.uint8(3))
+        assert accessible_information(bb84_pair(), numpy_cfg) == accessible_information(bb84_pair(), OptimizerConfig(2, 30, 3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_cq_ensemble(6, 3, "pure", seed=1),
+    lambda: two_basis_ensemble(np.eye(3, dtype=complex), random_unitary(3, np.random.default_rng(8))),
+    lambda: random_cq_ensemble(6, 3, "mixed", seed=1),
+    lambda: rank_ensemble([2] * 6, 4, seed=1),
+    lambda: CQEnsemble((0, 1, 2), np.array([0.5, 0.5, 0.0]), (KET0, PLUS, np.eye(2) / 2)),
+], ids=["pure", "two-basis", "full-rank", "rank-2", "zero-probability"])
+def test_search_reads_no_states(make, fast_cfg):
+    # chi, the bound, the induced table, the search and the discord read only probs, spectra and rows
+    ens = make()
+    # a copy sharing probs, spectra and rows, whose states are gone, so that any reader of them fails
+    bare = copy.copy(ens)
+    object.__setattr__(bare, "states", None)
+    povm = projective_povm(random_unitary(ens.dim_b, np.random.default_rng(0)))
+    assert holevo_chi(bare) == holevo_chi(ens)
+    assert maassen_uffink_bound(bare) == maassen_uffink_bound(ens)
+    assert np.array_equal(induced_table(bare, povm), induced_table(ens, povm))
+    res = accessible_information(bare, fast_cfg)
+    assert res.per_restart_values, "the ascent must run"
+    assert res == accessible_information(ens, fast_cfg)
+    assert quantum_discord_cq(bare, fast_cfg) == quantum_discord_cq(ens, fast_cfg)

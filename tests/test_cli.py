@@ -357,7 +357,9 @@ def test_locking_m_out_of_range_exit_3(argv, m, capsys):
     # stage 1 certifies this one before any random number is drawn
     ["discord", "--builtin", "locking:m=2"],
     ["simulate", "--m", "1", "--strategy", "after-key", "--n", "100"],
-], ids=["discord-search", "discord-certified", "simulate"])
+    # draws no random numbers, but its seed is checked as every command's is
+    ["lock-analyze", "--m", "2"],
+], ids=["discord-search", "discord-certified", "simulate", "lock-analyze"])
 def test_negative_seed_exit_2(argv, capsys):
     assert run([*argv, "--seed", "-1"]) == 2
     err = capsys.readouterr().err

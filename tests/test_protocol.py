@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import time
 
 import numpy as np
@@ -89,6 +91,25 @@ class TestSimulateLockingRun:
         inst, _ = build_locking_state(1)
         with pytest.raises(ValueError, match="number of samples"):
             simulate_locking_run(inst, None, n, seed=0)
+
+    @pytest.mark.parametrize("n", [1000.5, 1.5, 1e6, 1000.0, True, "1000", None])
+    def test_sample_count_must_be_an_integer(self, n):
+        # numpy would draw floor(n) rounds of a fractional count, which the report then divides by n
+        inst, _ = build_locking_state(1)
+        with pytest.raises(ValueError, match="number of samples must be an integer"):
+            simulate_locking_run(inst, None, n, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        inst, _ = build_locking_state(1)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_locking_run(inst, None, 10, seed)
+
+    def test_numpy_integers_accepted(self):
+        inst, _ = build_locking_state(2)
+        rep = simulate_locking_run(inst, None, np.int64(1000), np.uint32(4))
+        assert rep == simulate_locking_run(inst, None, 1000, 4)
+        assert json.loads(json.dumps(dataclasses.asdict(rep)))["n_samples"] == 1000
 
     def test_cost_independent_of_sample_count(self):
         # the count table is drawn whole, so 10**12 rounds cost what 10 do;

@@ -68,14 +68,6 @@ class TestCQEnsemble:
         with pytest.raises(ValueError, match="not Hermitian"):
             CQEnsemble((0, 1), np.array([0.5, 0.5]), (KET0, np.array([[0.5, 0.5], [0.0, 0.5]])))
 
-    def test_average_state_formed_once_and_read_only(self):
-        ens = random_cq_ensemble(5, 3, "mixed", seed=2)
-        rho = ens.average_state()
-        assert rho is ens.average_state()
-        assert np.array_equal(rho, (ens.probs[:, None, None] * ens.states).sum(axis=0))
-        with pytest.raises(ValueError):
-            rho[0, 0] = 0.0
-
     def test_compares_and_hashes_by_identity(self):
         inst_a, ens_a = build_locking_state(1)
         inst_b, ens_b = build_locking_state(1)
