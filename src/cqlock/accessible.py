@@ -41,7 +41,10 @@ stack as the matrices S_a = K_a^dagger K_a formed from its rows, where the
 table and the gradient are each one real matrix product with the outer
 products w_b w_b^dagger. Each start keeps a trial point only if it
 raises its value, growing its step on success and shrinking it on failure,
-so the reported value is a maximum over evaluated POVMs. A start stops once
+so the reported value is a maximum over evaluated POVMs. The current and
+the trial points, with their gradients, directions, values and squared
+norms, live in one workspace allocated once per ascent and written in
+place; one masked copy merges the accepted trial points. A start stops once
 its tangent-gradient norm falls below GRAD_TOL, once its step has shrunk
 below roundoff, or after max_iters iterations; it stays in the batch,
 which keeps its size, but accepts no more trial points. The returned value
@@ -251,14 +254,11 @@ def _evaluator(ens: CQEnsemble):
     return _matrix_evaluator(ens.rows.conj().swapaxes(1, 2) @ ens.rows)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re tr(a_r^dagger b_r) of each stacked pair of (R, n, d) arrays, as one batched product of the float64 views."""
-    r = len(a)
-    return (a.view(np.float64).reshape(r, 1, -1) @ b.view(np.float64).reshape(r, -1, 1)).reshape(r)
+def _cholesky_retract(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map each n x d matrix of the stack to orthonormal columns by Cholesky QR, into out if given.
 
-
-def _cholesky_retract(y: np.ndarray) -> np.ndarray:
-    """Map each n x d matrix of the stack to orthonormal columns by Cholesky QR.
+    out must not overlap y; it holds the conjugate of y until the result
+    overwrites it, so a retraction into out allocates no array of y's size.
 
     y^dagger y = L L^dagger with L lower triangular and a positive real
     diagonal, so Q = y (L^-1)^dagger is the thin QR y = Q R whose R has a
@@ -273,22 +273,26 @@ def _cholesky_retract(y: np.ndarray) -> np.ndarray:
     a nearly orthonormal matrix, restores orthonormality to roundoff and
     keeps the same thin QR, as y = Q1 R1 = Q2 (R2 R1).
     """
-    low = np.linalg.cholesky(y.conj().swapaxes(1, 2) @ y)
-    return y @ np.linalg.inv(low).conj().swapaxes(1, 2)
+    conj = np.conjugate(y, out=out)
+    low = np.linalg.cholesky(conj.swapaxes(1, 2) @ y)
+    return np.matmul(y, np.linalg.inv(low).conj().swapaxes(1, 2), out=conj)
 
 
-def _tangent(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Projection of g onto the tangent space at v of the n x d matrices with orthonormal columns.
+def _tangent(g: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Projection of g onto the tangent space at v of the n x d matrices with orthonormal columns, into out if given.
 
     g is one (R, n, d) stack, or several stacked as (k, R, n, d), each
-    projected at v; stacked, the result equals k separate calls bitwise.
+    projected at v; stacked, the result equals k separate calls bitwise. out,
+    of g's shape, must not overlap g; its first stack holds the conjugate of v
+    until the result overwrites it.
     """
-    vg = v.conj().swapaxes(1, 2) @ g
-    return g - v @ (0.5 * (vg + vg.conj().swapaxes(-1, -2)))
+    out = np.empty_like(g) if out is None else out
+    vg = np.conjugate(v, out=out.reshape(-1, *v.shape)[0]).swapaxes(1, 2) @ g
+    return np.subtract(g, np.matmul(v, 0.5 * (vg + vg.conj().swapaxes(-1, -2)), out=out), out=out)
 
 
 def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
-    """Polak-Ribiere+ conjugate-gradient ascent of all restarts, advanced together.
+    """Polak-Ribiere+ conjugate-gradient ascent of all restarts, advanced together in one reused workspace.
 
     evaluate maps a (R, n, d) stack of transposed isometries to their values
     and Euclidean gradients, as the functions of _evaluator do.
@@ -298,48 +302,61 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
     tangent-gradient norm falls below GRAD_TOL or its step times the norm of
     its direction falls below STEP_TOL; it stays in the batch, masked out of
     acceptance, so it keeps its point, value and gradient norm until the last
-    start stops or max_iters is reached; one np.where per array merges the
-    accepted trial points.
+    start stops or max_iters is reached. The current and the trial point, each
+    with its tangent gradient and search direction, and their values and
+    squared norms are preallocated and written in place; one np.copyto of each
+    merges the accepted trial points.
     """
-    rngs = [np.random.default_rng(cfg.seed + r) for r in range(cfg.restarts)]
+    r = cfg.restarts
+    rngs = [np.random.default_rng(cfg.seed + k) for k in range(r)]
     starts = np.stack([rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)) for rng in rngs])
-    v = _cholesky_retract(_cholesky_retract(starts))
-    val, egrad = evaluate(v)
-    g = _tangent(egrad, v)
-    eta, gg = g, _inner(g, g)
-    ee = gg
-    step = np.full(cfg.restarts, STEP_INIT)
-    iters = np.zeros(cfg.restarts, dtype=int)
+    cur, trial = points = np.empty((2, 3, r, n, d), dtype=complex)
+    (val, gg, ee), (trial_val, trial_gg, trial_ee) = scalars = np.empty((2, 3, r))
+    v, g, eta = cur
+    trial_v, trial_g, trial_eta = trial
+    # first the step v + s eta, then the trial point's Euclidean gradient beside the carried direction
+    pair = np.empty((2, r, n, d), dtype=complex)
+    # Re tr(a^dagger b) of two (n, d) arrays is the dot product of their float64 views: each array of the
+    # workspace as one (1, 2nd) row per start, and as columns the gradients g, g' and the trial pair g', eta'
+    rows = points.view(np.float64).reshape(2, 3, r, 1, -1)
+    grad_cols, trial_cols = rows[:, 1].swapaxes(-1, -2), rows[1, 1:].swapaxes(-1, -2)
+    _cholesky_retract(_cholesky_retract(starts), out=v)
+    val[:], egrad = evaluate(v)
+    _tangent(egrad, v, out=g)
+    eta[:] = g
+    gg[:] = ee[:] = (rows[0, 1] @ grad_cols[0])[:, 0, 0]
+    step = np.full(r, STEP_INIT)
+    iters = np.zeros(r, dtype=int)
     for _ in range(cfg.max_iters):
         # a stopped start keeps its value, gradient and direction while its step only shrinks, so it stays stopped
         running = (gg >= GRAD_TOL**2) & (step**2 * ee >= STEP_TOL**2)
         if not running.any():
             break
         iters += running
-        trial = _cholesky_retract(v + step[:, None, None] * eta)
-        trial_val, trial_egrad = evaluate(trial)
+        np.add(v, np.multiply(step[:, None, None], eta, out=pair[0]), out=pair[0])
+        trial_val[:], trial_egrad = evaluate(_cholesky_retract(pair[0], out=trial_v))
         up = (trial_val > val) & running
         # where every start rejects its trial point, only the steps change
         if not up.any():
-            step = step * STEP_SHRINK
+            step *= STEP_SHRINK
             continue
         # the gradient and the carried direction, projected at the trial point in one call
-        trial_g, moved_eta = _tangent(np.stack((trial_egrad, eta)), trial)
-        trial_gg = _inner(trial_g, trial_g)
-        # trial_g is tangent, so its inner product with P(g) equals that with g; the floor on gg
-        # moves only stopped starts, whose gradient may be exactly 0 and whose trial points are discarded
-        beta = np.maximum(0.0, (trial_gg - _inner(trial_g, g)) / np.maximum(gg, GRAD_TOL**2))
-        trial_eta = trial_g + beta[:, None, None] * moved_eta
+        pair[0], pair[1] = trial_egrad, eta
+        _tangent(pair, trial_v, out=trial[1:])
+        # <g', g> and <g', g'> in one product; g' is tangent, so its inner product with P(g) equals that with g.
+        # The floor on gg moves only stopped starts, whose gradient may be exactly 0 and whose trial points are discarded
+        trial_g_g, trial_gg[:] = (rows[1, 1] @ grad_cols)[..., 0, 0]
+        beta = np.maximum(0.0, (trial_gg - trial_g_g) / np.maximum(gg, GRAD_TOL**2))
+        np.add(trial_g, np.multiply(beta[:, None, None], trial_eta, out=trial_eta), out=trial_eta)
         # fall back to the gradient where the direction is too close to orthogonal to it
-        trial_ee = _inner(trial_eta, trial_eta)
-        steep = _inner(trial_eta, trial_g) <= ASCENT_COS_MIN * np.sqrt(trial_gg * trial_ee)
-        trial_eta = np.where(steep[:, None, None], trial_g, trial_eta)
-        trial_ee = np.where(steep, trial_gg, trial_ee)
-        up3 = up[:, None, None]
-        v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
-        val, gg, ee = np.where(up, trial_val, val), np.where(up, trial_gg, gg), np.where(up, trial_ee, ee)
-        step = step * np.where(up, STEP_GROW, STEP_SHRINK)
-    return val, v, iters, np.sqrt(gg)
+        trial_eta_g, trial_ee[:] = (rows[1, 2] @ trial_cols)[..., 0, 0]
+        steep = trial_eta_g <= ASCENT_COS_MIN * np.sqrt(trial_gg * trial_ee)
+        np.copyto(trial_eta, trial_g, where=steep[:, None, None])
+        np.copyto(trial_ee, trial_gg, where=steep)
+        np.copyto(cur, trial, where=up[:, None, None])
+        np.copyto(scalars[0], scalars[1], where=up)
+        step *= np.where(up, STEP_GROW, STEP_SHRINK)
+    return val.copy(), v.copy(), iters, np.sqrt(gg)
 
 
 def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> AccessibleInfoResult:

@@ -100,7 +100,8 @@ def _row_table(ens: CQEnsemble, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     measurement vectors v (..., n, d), and the table T[..., b, a] = sum_j |K_aj . v_b|^2 = p_a v_b^dagger sigma_a v_b."""
     n_letters, r, d = ens.rows.shape
     kv = v @ ens.rows.reshape(n_letters * r, d).T
-    return kv, (kv.real**2 + kv.imag**2).reshape(*kv.shape[:-1], n_letters, r).sum(axis=-1)
+    table = kv.real**2 + kv.imag**2
+    return kv, table if r == 1 else table.reshape(*kv.shape[:-1], n_letters, r).sum(axis=-1)
 
 
 def induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:

@@ -179,8 +179,8 @@ def _mi_from_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # stays 1 and its log 0; it still counts in the marginals
     ratio = np.divide(
         table,
-        table.sum(axis=2, keepdims=True) * table.sum(axis=1, keepdims=True),
-        out=np.ones_like(table),
+        np.add.reduce(table, axis=2, keepdims=True) * np.add.reduce(table, axis=1, keepdims=True),
+        out=np.ones(table.shape),
         where=table > PROB_TOL,
     )
     # in place here and in the ascent's evaluators: each fresh temporary of the

@@ -109,6 +109,7 @@ class LockingInstance:
     ensemble: CQEnsemble = field(init=False, repr=False)
 
     def __post_init__(self):
+        _validate_integer(self.m, "m")
         us = tuple(np.asarray(u, dtype=complex) for u in self.basis_unitaries)
         if len(us) != 2**KEY_BITS:
             raise ValueError(f"a locking instance has one basis per key value, {2**KEY_BITS} in all")
@@ -188,6 +189,7 @@ def build_locking_state(m: int, family: str = "hadamard"):
     family selects the second basis: "hadamard" for H^(x)m, "fourier" for the
     d-dimensional Fourier matrix. The ensemble returned is inst.ensemble.
     """
+    _validate_integer(m, "m")
     if not 1 <= m <= MAX_MESSAGE_BITS:
         raise GuardError(f"locking states support m=1..{MAX_MESSAGE_BITS}")
     d = 2**m
@@ -208,8 +210,12 @@ def random_cq_ensemble(n_letters: int, dim_b: int, purity: str = "pure", seed: i
     complex Gaussian vectors, mixed letters normalized Wishart products. Each
     letter's real parts are drawn before its imaginary parts, letter by letter.
     """
+    for x, name in ((n_letters, "n_letters"), (dim_b, "dim_b"), (seed, "seed")):
+        _validate_integer(x, name)
     if n_letters < 1 or dim_b < 2:
         raise ValueError("need at least one letter and dimension 2")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if purity not in ("pure", "mixed"):
         raise ValueError(f"unknown purity: {purity!r}")
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -690,6 +691,11 @@ class TestSearchWithoutHints:
         assert abs(a - b) < 1e-6
 
 
+def re_inner(a, b):
+    """Re tr(a_r^dagger b_r) of each stacked pair of (R, n, d) arrays."""
+    return np.einsum("rij,rij->r", a.conj(), b).real
+
+
 class TestConvergence:
     """Each start stops on its tangent-gradient norm and reports how far it got."""
 
@@ -746,7 +752,7 @@ class TestConvergence:
 
         def evaluate(v):
             grad = np.stack([np.zeros_like(a), a])
-            return accessible._inner(grad, v), grad
+            return re_inner(grad, v), grad
 
         cfg = OptimizerConfig(restarts=2, max_iters=50)
         vals, vs, iters, grad_norms = accessible._stiefel_ascent(evaluate, cfg, 4, 2)
@@ -761,6 +767,115 @@ class TestConvergence:
         _, _, iters, grad_norms = d_squared_ascent(ens, fast_cfg)
         assert tuple(iters) == (0, 0, 0)
         assert all(g < 1e-12 for g in grad_norms)
+
+
+def reference_ascent(evaluate, cfg, n, d):
+    """Oracle of accessible._stiefel_ascent: the same Polak-Ribiere+ ascent written with fresh arrays at every step,
+    its accepted trial points merged by np.where, and its own copies of the retraction, projection and inner product."""
+
+    def retract(y):
+        low = np.linalg.cholesky(y.conj().swapaxes(1, 2) @ y)
+        return y @ np.linalg.inv(low).conj().swapaxes(1, 2)
+
+    def tangent(g, v):
+        vg = v.conj().swapaxes(1, 2) @ g
+        return g - v @ (0.5 * (vg + vg.conj().swapaxes(-1, -2)))
+
+    def inner(a, b):
+        # Re tr(a^dagger b) per start, as the dot product of the float64 views
+        r = len(a)
+        return (a.view(np.float64).reshape(r, 1, -1) @ b.view(np.float64).reshape(r, -1, 1)).reshape(r)
+
+    v = retract(retract(gaussian_starts(range(cfg.seed, cfg.seed + cfg.restarts), n, d)))
+    val, egrad = evaluate(v)
+    g = tangent(egrad, v)
+    eta, gg = g, inner(g, g)
+    ee = gg
+    step = np.full(cfg.restarts, accessible.STEP_INIT)
+    iters = np.zeros(cfg.restarts, dtype=int)
+    for _ in range(cfg.max_iters):
+        running = (gg >= GRAD_TOL**2) & (step**2 * ee >= accessible.STEP_TOL**2)
+        if not running.any():
+            break
+        iters += running
+        trial = retract(v + step[:, None, None] * eta)
+        trial_val, trial_egrad = evaluate(trial)
+        up = (trial_val > val) & running
+        if not up.any():
+            step = step * accessible.STEP_SHRINK
+            continue
+        trial_g, moved_eta = tangent(np.stack((trial_egrad, eta)), trial)
+        trial_gg = inner(trial_g, trial_g)
+        beta = np.maximum(0.0, (trial_gg - inner(trial_g, g)) / np.maximum(gg, GRAD_TOL**2))
+        trial_eta = trial_g + beta[:, None, None] * moved_eta
+        trial_ee = inner(trial_eta, trial_eta)
+        steep = inner(trial_eta, trial_g) <= accessible.ASCENT_COS_MIN * np.sqrt(trial_gg * trial_ee)
+        trial_eta = np.where(steep[:, None, None], trial_g, trial_eta)
+        trial_ee = np.where(steep, trial_gg, trial_ee)
+        up3 = up[:, None, None]
+        v, g, eta = np.where(up3, trial, v), np.where(up3, trial_g, g), np.where(up3, trial_eta, eta)
+        val, gg, ee = np.where(up, trial_val, val), np.where(up, trial_gg, gg), np.where(up, trial_ee, ee)
+        step = step * np.where(up, accessible.STEP_GROW, accessible.STEP_SHRINK)
+    return val, v, iters, np.sqrt(gg)
+
+
+def zero_gradient_evaluator(n, d, restarts):
+    """Re tr(A^dagger v) for every start but the first, whose objective is constant with an exactly zero gradient."""
+    a = np.arange(n * d, dtype=float).reshape(n, d) + 1j
+    grad = np.stack([np.zeros_like(a)] + [a] * (restarts - 1))
+    return lambda v: (re_inner(grad, v), grad)
+
+
+class TestWorkspace:
+    """The ascent updates one preallocated workspace in place and returns what the fresh-array loop returns."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(2, 4),
+        letters=st.integers(1, 6),
+        objective=st.sampled_from(["pure", "mixed", "zero-gradient"]),
+        square=st.booleans(),
+        restarts=st.integers(1, 4),
+        max_iters=st.integers(1, 80),
+        seed=st.integers(0, 2**32),
+        often=st.booleans(),
+    )
+    def test_matches_the_fresh_array_loop_bitwise(self, d, letters, objective, square, restarts, max_iters, seed, often):
+        n = d if square else d * d
+        if objective == "zero-gradient":
+            evaluate = zero_gradient_evaluator(n, d, restarts)
+        else:
+            evaluate = accessible._evaluator(random_cq_ensemble(letters, d, objective, seed=seed))
+        cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed)
+        # often: directions fall back to the gradient and steps stop the starts far more often than at the defaults,
+        # so that the squared direction norm that the step stop reads is checked too
+        cos_min, step_tol = (0.9, 1e-3) if often else (accessible.ASCENT_COS_MIN, accessible.STEP_TOL)
+        with mock.patch.object(accessible, "ASCENT_COS_MIN", cos_min), mock.patch.object(accessible, "STEP_TOL", step_tol):
+            got = accessible._stiefel_ascent(evaluate, cfg, n, d)
+            want = reference_ascent(evaluate, cfg, n, d)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_cq_ensemble(12, 4, "pure", seed=1),
+        lambda: random_cq_ensemble(12, 4, "mixed", seed=1),
+    ], ids=["rows", "matrices"])
+    def test_trial_points_share_one_buffer(self, make):
+        evaluate = accessible._evaluator(make())
+        points = []
+
+        def recording(v):
+            points.append(v)
+            return evaluate(v)
+
+        vals, vs, iters, grad_norms = accessible._stiefel_ascent(recording, OptimizerConfig(restarts=3, max_iters=40), 16, 4)
+        # the first call evaluates the starts; every trial point after it is retracted into one buffer
+        assert len(points) > 2
+        assert len({p.ctypes.data for p in points[1:]}) == 1
+        # what the ascent returns is its own, not a view of the workspace
+        for out in (vals, vs, iters, grad_norms):
+            assert not any(np.shares_memory(out, p) for p in points)
 
 
 class TestOptimizePovm:

@@ -159,6 +159,18 @@ class TestBuildLockingState:
         with pytest.raises(GuardError, match=r"locking states support m=1\.\.6"):
             build_locking_state(m)
 
+    @pytest.mark.parametrize("m", [3.0, 2.5, True, "3", None])
+    def test_non_integer_m_rejected(self, m):
+        # a float failed inside numpy with a TypeError, and True built m = 1
+        with pytest.raises(ValueError, match="m must be an integer"):
+            build_locking_state(m)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            LockingInstance(m=m, basis_unitaries=(np.eye(2), hadamard_tensor(1)))
+
+    def test_numpy_integer_m_accepted(self):
+        inst, ens = build_locking_state(np.int64(2), "fourier")
+        assert np.array_equal(ens.states, build_locking_state(2, "fourier")[1].states)
+
 
 class TestMubCheck:
     def test_identity_vs_hadamard(self):
@@ -231,6 +243,25 @@ class TestRandomCqEnsemble:
     def test_unknown_purity_rejected(self):
         with pytest.raises(ValueError, match="unknown purity: 'partial'"):
             random_cq_ensemble(2, 2, "partial")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_letters", 2.5), ("n_letters", 3.0), ("n_letters", True), ("dim_b", 2.0), ("dim_b", False),
+        ("dim_b", "2"), ("seed", 1.5), ("seed", True), ("seed", None),
+    ])
+    def test_non_integers_rejected(self, field, value):
+        # a float failed inside numpy with a TypeError, and seed=True ran as seed 1
+        args = {"n_letters": 3, "dim_b": 2, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            random_cq_ensemble(args["n_letters"], args["dim_b"], "pure", seed=args["seed"])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            random_cq_ensemble(3, 2, seed=-1)
+
+    @pytest.mark.parametrize("purity", ["pure", "mixed"])
+    def test_numpy_integers_accepted(self, purity):
+        ens = random_cq_ensemble(np.int64(3), np.int32(2), purity, seed=np.uint8(5))
+        assert np.array_equal(ens.states, random_cq_ensemble(3, 2, purity, seed=5).states)
 
     def test_deterministic(self):
         a = random_cq_ensemble(4, 2, "pure", seed=7)
