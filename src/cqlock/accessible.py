@@ -44,7 +44,8 @@ raises its value, growing its step on success and shrinking it on failure,
 so the reported value is a maximum over evaluated POVMs. The current and
 the trial points, with their gradients, directions, values and squared
 norms, live in one workspace allocated once per ascent and written in
-place; one masked copy merges the accepted trial points. A start stops once
+place, the objective's arrays once per outcome count; one masked copy
+merges the accepted trial points. A start stops once
 its tangent-gradient norm falls below GRAD_TOL, once its step has shrunk
 below roundoff, or after max_iters iterations; it stays in the batch,
 which keeps its size, but accepts no more trial points. The returned value
@@ -207,23 +208,37 @@ def _two_basis_bound(ens: CQEnsemble) -> tuple[float, tuple[np.ndarray, np.ndarr
     return float(np.log2(d) + np.log2(overlap.max())), bases
 
 
+def _table_buffers(shape: tuple) -> tuple:
+    """A table of the given shape and the float, float and bool arrays _mi_from_table can write in its place."""
+    return np.empty(shape), (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+
+
 def _rows_evaluator(ens: CQEnsemble):
     """Measured MI and its gradient G_b = sum_a L_ba p_a sigma_a w_b from the rows K_a of a stack of pure letters.
 
     Each letter has the one row K_a = ens.rows[a, 0], with K_a^dagger K_a =
     p_a sigma_a. The returned function takes v (R, n, d), whose row b of v[r]
     is the measurement vector w_b, and returns values (R,) and gradients with
-    respect to conj(v), (R, n, d).
+    respect to conj(v), (R, n, d), written into out if given. Every other
+    array it fills is allocated at the first call with v of a shape and
+    reused by the later ones: a fresh temporary of the ascent's size can cost
+    page faults at each of its hundreds of calls.
     """
     rows_conj = ens.rows[:, 0].conj()
+    buffers = {}
 
     # an entry of the table at or below PROB_TOL has L = 0; there sigma_a w_b
     # vanishes as well, so it drops out of the gradient
-    def evaluate(v):
-        kv, table = _row_table(ens, v)
-        values, log_ratio = _mi_from_table(table)
+    def evaluate(v, out=None):
+        if v.shape not in buffers:
+            shape = (*v.shape[:-1], ens.n_letters)
+            buffers[v.shape] = np.empty(shape, dtype=complex), *_table_buffers(shape)
+        kv, table, mi_buffers = buffers[v.shape]
+        # the denominator's buffer takes |Im kv|^2 until _mi_from_table overwrites it
+        _row_table(ens, v, out=(kv, table, mi_buffers[1]))
+        values, log_ratio = _mi_from_table(table, mi_buffers)
         kv *= log_ratio
-        return values, kv @ rows_conj
+        return values, np.matmul(kv, rows_conj, out=out)
 
     return evaluate
 
@@ -233,15 +248,23 @@ def _matrix_evaluator(letters: np.ndarray):
     n_letters, d, _ = letters.shape
     # Re sum_ij x_ij conj(y_ij) of two complex arrays is the dot product of their float views
     flat = np.ascontiguousarray(letters).reshape(n_letters, d * d).view(np.float64)
+    buffers = {}
 
-    def evaluate(v):
+    def evaluate(v, out=None):
         r, n, _ = v.shape
+        if v.shape not in buffers:
+            buffers[v.shape] = (np.empty((r, n, d, d), dtype=complex), np.empty((r, n, 1, d), dtype=complex),
+                                *_table_buffers((r, n, n_letters)))
+        outer, v_conj, table, mi_buffers = buffers[v.shape]
         # T_ab = w_b^dagger S_a w_b = Re sum_ij P_ij conj(S_a,ij) with P = w_b w_b^dagger, as S_a is Hermitian
-        outer = (v[..., :, None] * v[..., None, :].conj()).reshape(r * n, d * d).view(np.float64)
-        values, log_ratio = _mi_from_table((outer @ flat.T).reshape(r, n, n_letters))
+        np.multiply(v[..., :, None], np.conjugate(v[..., None, :], out=v_conj), out=outer)
+        outer = outer.reshape(r * n, d * d).view(np.float64)
+        table = np.matmul(outer, flat.T, out=table.reshape(r * n, n_letters)).reshape(r, n, n_letters)
+        values, log_ratio = _mi_from_table(table, mi_buffers)
         # sum_a L_ba S_a overwrites the outer products, which are spent
         weighted = np.matmul(log_ratio.reshape(r * n, n_letters), flat, out=outer).view(complex).reshape(r * n, d, d)
-        return values, (weighted @ v.reshape(r * n, d, 1)).reshape(r, n, d)
+        grad = np.matmul(weighted, v.reshape(r * n, d, 1), out=None if out is None else out.reshape(r * n, d, 1))
+        return values, grad.reshape(r, n, d)
 
     return evaluate
 
@@ -295,7 +318,8 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
     """Polak-Ribiere+ conjugate-gradient ascent of all restarts, advanced together in one reused workspace.
 
     evaluate maps a (R, n, d) stack of transposed isometries to their values
-    and Euclidean gradients, as the functions of _evaluator do.
+    and Euclidean gradients, the gradients written into its out argument, as
+    the functions of _evaluator do.
 
     Returns the final values (R,), transposed isometries (R, n, d), iteration
     counts (R,) and final tangent-gradient norms (R,). A start stops once its
@@ -321,8 +345,8 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
     rows = points.view(np.float64).reshape(2, 3, r, 1, -1)
     grad_cols, trial_cols = rows[:, 1].swapaxes(-1, -2), rows[1, 1:].swapaxes(-1, -2)
     _cholesky_retract(_cholesky_retract(starts), out=v)
-    val[:], egrad = evaluate(v)
-    _tangent(egrad, v, out=g)
+    val[:] = evaluate(v, out=pair[0])[0]
+    _tangent(pair[0], v, out=g)
     eta[:] = g
     gg[:] = ee[:] = (rows[0, 1] @ grad_cols[0])[:, 0, 0]
     step = np.full(r, STEP_INIT)
@@ -334,14 +358,15 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
             break
         iters += running
         np.add(v, np.multiply(step[:, None, None], eta, out=pair[0]), out=pair[0])
-        trial_val[:], trial_egrad = evaluate(_cholesky_retract(pair[0], out=trial_v))
+        # the step is spent once retracted, so its slot takes the trial point's Euclidean gradient
+        trial_val[:] = evaluate(_cholesky_retract(pair[0], out=trial_v), out=pair[0])[0]
         up = (trial_val > val) & running
         # where every start rejects its trial point, only the steps change
         if not up.any():
             step *= STEP_SHRINK
             continue
         # the gradient and the carried direction, projected at the trial point in one call
-        pair[0], pair[1] = trial_egrad, eta
+        pair[1] = eta
         _tangent(pair, trial_v, out=trial[1:])
         # <g', g> and <g', g'> in one product; g' is tangent, so its inner product with P(g) equals that with g.
         # The floor on gg moves only stopped starts, whose gradient may be exactly 0 and whose trial points are discarded

@@ -17,7 +17,7 @@ from .accessible import MAX_DIM_B, OptimizerConfig
 from .discord import locking_delta, quantum_discord_cq
 from .protocol import simulate_locking_run
 
-SCHEMA_VERSION = "1.10"
+SCHEMA_VERSION = "1.11"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -83,9 +83,8 @@ def resolve_ensemble(args):
             raise ValueError(f"bad builtin spec: {name!r}")
         if not 2 <= n <= MAX_DIM_B:
             raise GuardError(f"orthogonal builtin supports n=2..{MAX_DIM_B}")
-        # letter a has the state |a><a|
-        states = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
-        return CQEnsemble(tuple(range(n)), np.full(n, 1.0 / n), states)
+        # letter a has the state vector |a>
+        return CQEnsemble(tuple(range(n)), np.full(n, 1.0 / n), vectors=np.eye(n))
     raise ValueError(f"unknown builtin: {name!r}")
 
 

@@ -95,12 +95,16 @@ def measure_b(rho_ab, dim_a: int, dim_b: int, povm: Povm):
     return p[kept] / p[kept].sum(), states
 
 
-def _row_table(ens: CQEnsemble, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_table(ens: CQEnsemble, v: np.ndarray, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Products kv[..., b, a r + j] = K_aj . v_b of the letter rows K_aj (ens.rows, (n_letters, r, d)) with
-    measurement vectors v (..., n, d), and the table T[..., b, a] = sum_j |K_aj . v_b|^2 = p_a v_b^dagger sigma_a v_b."""
+    measurement vectors v (..., n, d), and the table T[..., b, a] = sum_j |K_aj . v_b|^2 = p_a v_b^dagger sigma_a v_b.
+
+    out, if given, is a triple of arrays of kv's shape, complex, float and float, that receive kv, the squared
+    moduli and |Im kv|^2 in place of fresh arrays; the squared moduli are the table where r = 1."""
     n_letters, r, d = ens.rows.shape
-    kv = v @ ens.rows.reshape(n_letters * r, d).T
-    table = kv.real**2 + kv.imag**2
+    kv, table, imag_squared = (None, None, None) if out is None else out
+    kv = np.matmul(v, ens.rows.reshape(n_letters * r, d).T, out=kv)
+    table = np.add(np.square(kv.real, out=table), np.square(kv.imag, out=imag_squared), out=table)
     return kv, table if r == 1 else table.reshape(*kv.shape[:-1], n_letters, r).sum(axis=-1)
 
 

@@ -64,19 +64,24 @@ def validate_density(mat) -> tuple[np.ndarray, np.ndarray]:
     """Check a state, or each state of a stack; returns its eigenvalues (..., r) and unit eigenvectors (..., d, r).
 
     A stack within PROB_TOL of rank-1 projectors (_rank_one_vectors) is
-    factored from its state vectors with no decomposition, r = 1: its other
-    eigenvalues lie within PROB_TOL of 0, at or below every entropy's cutoff,
-    and the checks below would pass it. Any other input must be finite,
-    Hermitian and of unit trace, in that order, and is decomposed by one
-    eigh, r = d, whose eigenvalues make the positivity check.
+    factored from its state vectors by _vector_factors, with no
+    decomposition, r = 1: its other eigenvalues lie within PROB_TOL of 0, at
+    or below every entropy's cutoff, and the checks below would pass it. Any
+    other input must be finite, Hermitian and of unit trace, in that order,
+    and is decomposed by one eigh, r = d, whose eigenvalues make the
+    positivity check.
     """
+    return _factor_states(mat)[1:]
+
+
+def _factor_states(mat) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """validate_density's factors of mat, led by its state vectors where _rank_one_vectors finds them, else None."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError("density matrix must be square")
     psi = _rank_one_vectors(mat)
     if psi is not None:
-        norm = np.linalg.norm(psi, axis=-1, keepdims=True)
-        return norm**2, (psi / norm)[..., None]
+        return psi, *_vector_factors(psi)
     if not np.all(np.isfinite(mat)):
         raise ValueError("density matrix entries are not finite")
     if np.max(np.abs(mat - np.swapaxes(mat.conj(), -2, -1))) > MATRIX_TOL:
@@ -86,7 +91,13 @@ def validate_density(mat) -> tuple[np.ndarray, np.ndarray]:
     spectra, vecs = np.linalg.eigh(mat)
     if np.min(spectra[..., 0]) < -MATRIX_TOL:
         raise ValueError("matrix is not positive semidefinite")
-    return spectra, vecs
+    return None, spectra, vecs
+
+
+def _vector_factors(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue |psi|^2 (..., 1) and unit eigenvector psi / |psi| (..., d, 1) of each psi psi^dagger."""
+    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+    return norm**2, (psi / norm)[..., None]
 
 
 def _unit_trace(mat: np.ndarray) -> bool:
@@ -167,22 +178,22 @@ def shannon_entropy(p) -> float:
     return float(_entropy_of_spectrum(np.asarray(p, dtype=float).ravel()))
 
 
-def _mi_from_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mi_from_table(table: np.ndarray, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """I(X;Y) of each joint table T[r, x, y] of a stack, each summing to 1, and L = log2(T / (p q)).
 
     p and q are the two marginals of each table. Returns values (R,) and L
     (R, X, Y). L is dI/dT up to a constant, which the search ascends, and
     the per-cell information, whose variance gives the plug-in estimate's
-    standard error.
+    standard error. out, if given, is a triple of arrays of the table's shape,
+    float, float and bool, that receive L, the denominators p q and the mask
+    of kept cells in place of fresh arrays.
     """
+    ratio, denominator, kept = (np.empty(table.shape), None, None) if out is None else out
     # a cell at or below PROB_TOL adds nothing, as in every entropy: its ratio
     # stays 1 and its log 0; it still counts in the marginals
-    ratio = np.divide(
-        table,
-        np.add.reduce(table, axis=2, keepdims=True) * np.add.reduce(table, axis=1, keepdims=True),
-        out=np.ones(table.shape),
-        where=table > PROB_TOL,
-    )
+    ratio.fill(1.0)
+    p, q = np.add.reduce(table, axis=2, keepdims=True), np.add.reduce(table, axis=1, keepdims=True)
+    np.divide(table, np.multiply(p, q, out=denominator), out=ratio, where=np.greater(table, PROB_TOL, out=kept))
     # in place here and in the ascent's evaluators: each fresh temporary of the
     # ascent's size can cost page faults, at every one of its hundreds of evaluations
     log_ratio = np.log2(ratio, out=ratio)

@@ -14,6 +14,8 @@ from .qmath import (
     DimensionError,
     GuardError,
     _validate_integer,
+    _factor_states,
+    _vector_factors,
     validate_density,
     validate_isometry,
     validate_probs,
@@ -34,57 +36,78 @@ __all__ = [
 # key length of the locking protocol: one bit selects the basis U_k
 KEY_BITS = 1
 # the largest message size m of a built locking state, of dimension 2^m
-MAX_MESSAGE_BITS = 6
+MAX_MESSAGE_BITS = 10
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CQEnsemble:
-    """Labeled distribution {p_a} with one Bob-side state per letter, stacked so that states[a] is sigma_a.
+    """Labeled distribution {p_a} with one Bob-side state sigma_a per letter, given as states or as vectors.
 
-    states is a read-only complex (n, d, d) array. Construction factors the
-    letters once for every reader, into read-only arrays: spectra[a] holds the
-    eigenvalues of sigma_a, and rows the (n, r, d) stack of rows K_aj, r being
-    the largest letter rank, with sum_j K_aj^dagger K_aj = p_a sigma_a. One
-    call of qmath.validate_density checks the stack and gives each letter's
-    eigenvalues and unit eigenvectors: one of each for a stack of pure letters,
-    read from its state vectors with no decomposition, and d of each from one
-    eigh for any other stack. Each eigenvector u of eigenvalue w gives the row
-    sqrt(p_a w) u^*, or a zero row where w is at or below PROB_TOL; a stack of
-    pure letters has r = 1 by either route. probs are stored clipped at 0, as
-    validation lets an entry lie up to PROB_TOL below it. Every quantity reads
-    probs, spectra and rows; states is read again only by the cq_to_density
-    oracle and ensemble_to_json_dict. Ensembles compare by identity.
+    states is an (n, d, d) stack with states[a] = sigma_a, vectors an (n, d) stack of finite state vectors psi_a
+    of unit norm within MATRIX_TOL, sigma_a = psi_a psi_a^dagger. A pure ensemble is held as its read-only
+    vectors, also when given as states within PROB_TOL of rank-1 projectors, whose vectors validation recovers
+    (qmath._rank_one_vectors); states is then formed from the vectors on each read. Any other stack is held as
+    given, with vectors None. Construction factors the letters once, into read-only arrays: spectra[a] holds the
+    eigenvalues of sigma_a, and rows the (n, r, d) stack of rows K_aj, r being the largest letter rank, with
+    sum_j K_aj^dagger K_aj = p_a sigma_a. Pure letters give one eigenvalue |psi_a|^2 and eigenvector each with
+    no decomposition, by validate_density's rank-one code; any other stack is checked and decomposed there by
+    one eigh. Each eigenvector u of eigenvalue w gives the row sqrt(p_a w) u^*, or a zero row where w is at or
+    below PROB_TOL. probs are stored clipped at 0, as validation lets an entry lie up to PROB_TOL below it.
+    Every quantity reads probs, spectra and rows; states is read only by the cq_to_density oracle and, for a
+    stack that is not pure, by ensemble_to_json_dict. Ensembles compare by identity.
     """
 
     labels: tuple
     probs: np.ndarray
-    states: np.ndarray
-    spectra: np.ndarray = field(init=False, repr=False)
-    rows: np.ndarray = field(init=False, repr=False)
+    vectors: np.ndarray | None = field(repr=False)
+    spectra: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        probs = np.clip(validate_probs(self.probs), 0.0, None)
-        if not (len(self.labels) == len(probs) == len(self.states)):
-            raise ValueError("labels, probs and states must have equal length")
+    def __init__(self, labels, probs, states=None, *, vectors=None):
+        probs = np.clip(validate_probs(probs), 0.0, None)
+        if (states is None) == (vectors is None):
+            raise ValueError("give the letters as one of states and vectors")
+        name, letters = ("states", states) if vectors is None else ("vectors", vectors)
+        if not (len(labels) == len(probs) == len(letters)):
+            raise ValueError(f"labels, probs and {name} must have equal length")
         try:
-            states = np.array(self.states, dtype=complex)
-        except ValueError:  # states of unequal shape do not stack
-            states = None
-        if states is None or states.ndim != 3 or states.shape[1] != states.shape[2]:
-            raise ValueError("all states must share one dimension")
-        spectra, vecs = validate_density(states)
+            letters = np.array(letters, dtype=complex)
+        except ValueError:  # letters of unequal shape do not stack
+            letters = None
+        if vectors is None:
+            if letters is None or letters.ndim != 3 or letters.shape[1] != letters.shape[2]:
+                raise ValueError("all states must share one dimension")
+            vectors, spectra, vecs = _factor_states(letters)
+        elif letters is None or letters.ndim != 2:
+            raise ValueError("vectors must be an (n_letters, d) array")
+        elif not np.all(np.isfinite(letters)):
+            raise ValueError("vectors are not finite")
+        else:
+            vectors, (spectra, vecs) = letters, _vector_factors(letters)
+            if np.max(np.abs(spectra - 1.0)) > MATRIX_TOL:
+                raise ValueError("vectors must have unit norm")
         kept = spectra > PROB_TOL
         # eigh sorts each spectrum ascending, so every kept eigenvalue lies in the last r columns
         r = kept.sum(axis=1).max()
         weights = np.sqrt(probs[:, None] * np.where(kept, spectra, 0.0)[:, -r:])
         rows = np.ascontiguousarray(weights[:, :, None] * vecs[:, :, -r:].conj().swapaxes(1, 2))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        arrays = {"probs": probs, "states": states, "spectra": spectra, "rows": rows}
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
+        object.__setattr__(self, "labels", tuple(labels))
+        held = {"vectors": vectors, "_states": letters if vectors is None else None}
+        for name, arr in {"probs": probs, "spectra": spectra, "rows": rows, **held}.items():
+            if arr is not None:
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def states(self) -> np.ndarray:
+        """The read-only (n, d, d) stack with states[a] = sigma_a, for pure letters formed from vectors on each read."""
+        if self.vectors is None:
+            return self._states
+        states = self.vectors[:, :, None] * self.vectors[:, None, :].conj()
+        states.setflags(write=False)
+        return states
 
     @property
     def n_letters(self) -> int:
@@ -125,9 +148,7 @@ class LockingInstance:
         object.__setattr__(self, "basis_unitaries", us)
         # row l is column a of U_k for letter l = a * 2 + k
         cols = np.stack(us)[self.keys, :, self.messages]
-        states = cols[:, :, None] * cols[:, None, :].conj()
-        probs = np.full(2 * d, 1.0 / (2 * d))
-        object.__setattr__(self, "ensemble", CQEnsemble(labels=tuple(range(2 * d)), probs=probs, states=states))
+        object.__setattr__(self, "ensemble", CQEnsemble(tuple(range(2 * d)), np.full(2 * d, 1.0 / (2 * d)), vectors=cols))
 
     @property
     def dim_b(self) -> int:
@@ -226,13 +247,11 @@ def random_cq_ensemble(n_letters: int, dim_b: int, purity: str = "pure", seed: i
         # |v|^2 summed as np.linalg.norm sums it, re.re + im.im, so each letter keeps the bits of a per-letter norm
         re, im = v.real[:, None, :], v.imag[:, None, :]
         v /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
-        states = v[:, :, None] * v[:, None, :].conj()
-    else:
-        draws = rng.standard_normal((n_letters, 2, dim_b, dim_b))
-        g = draws[:, 0] + 1j * draws[:, 1]
-        w = g @ g.conj().swapaxes(1, 2)
-        states = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
-    return CQEnsemble(labels=tuple(range(n_letters)), probs=probs, states=states)
+        return CQEnsemble(tuple(range(n_letters)), probs, vectors=v)
+    draws = rng.standard_normal((n_letters, 2, dim_b, dim_b))
+    g = draws[:, 0] + 1j * draws[:, 1]
+    w = g @ g.conj().swapaxes(1, 2)
+    return CQEnsemble(tuple(range(n_letters)), probs, w / np.trace(w, axis1=1, axis2=2).real[:, None, None])
 
 
 def _numbers_from_json(x, message: str) -> np.ndarray:
@@ -299,26 +318,29 @@ def _complex_from_json(value, name: str, shape: tuple, size: str) -> np.ndarray:
 
 
 def ensemble_to_json_dict(ens: CQEnsemble) -> dict:
-    return {
-        "labels": list(ens.labels),
-        "probs": [float(p) for p in ens.probs],
-        "dim_b": ens.dim_b,
-        "states": _complex_to_base64(ens.states),
-    }
+    """{labels, probs, dim_b} and the _complex_to_base64 text of vectors for pure letters, of states for any other."""
+    name, letters = ("states", ens.states) if ens.vectors is None else ("vectors", ens.vectors)
+    doc = {"labels": list(ens.labels), "probs": [float(p) for p in ens.probs], "dim_b": ens.dim_b}
+    return {**doc, name: _complex_to_base64(letters)}
 
 
 def ensemble_from_json_dict(doc: dict) -> CQEnsemble:
-    """Ensemble of a JSON object; states may be base64 text, as written, or nested [re, im] lists."""
-    labels, probs, dim_b, entries = _fields_from_json(doc, ("labels", "probs", "dim_b", "states"), "an ensemble")
+    """Ensemble of a JSON object with states (n, dim_b, dim_b) or vectors (n, dim_b), each base64 text or [re, im] lists."""
+    labels, probs, dim_b = _fields_from_json(doc, ("labels", "probs", "dim_b"), "an ensemble")
+    if "states" in doc and "vectors" in doc:
+        raise ValueError("an ensemble holds one of the fields 'states' and 'vectors', not both")
+    name = "vectors" if "vectors" in doc else "states"
+    (entries,) = _fields_from_json(doc, (name,), "an ensemble")
     if not isinstance(labels, list):
         raise ValueError("labels must be a list")
     if entries in ([], ""):
         raise ValueError("the ensemble has no letters")
     dim_b = _dim_from_json(dim_b, "dim_b")
     n = len(labels)
-    size = f"16 * {n} letters * dim_b**2 = {16 * n * dim_b**2}"
-    states = _complex_from_json(entries, "states", (n, dim_b, dim_b), size)
-    if states.shape[1:] != (dim_b, dim_b):
-        raise ValueError("state dimension disagrees with dim_b")
+    shape = (n, dim_b, dim_b) if name == "states" else (n, dim_b)
+    size = f"16 * {n} letters * dim_b{'**2' if name == 'states' else ''} = {16 * math.prod(shape)}"
+    letters = _complex_from_json(entries, name, shape, size)
+    if letters.shape[1:] != shape[1:]:
+        raise ValueError(f"the dimension of {name} disagrees with dim_b")
     probs = _numbers_from_json(probs, "probs must be a list of numbers")
-    return CQEnsemble(labels=tuple(labels), probs=probs, states=states)
+    return CQEnsemble(tuple(labels), probs, **{name: letters})

@@ -4,7 +4,7 @@ import pytest
 from cqlock import CQEnsemble, OptimizerConfig, classical_mutual_information, shannon_entropy, von_neumann_entropy
 from cqlock.measurement import measure_b
 from cqlock.qmath import quantum_conditional_entropy, quantum_mutual_information
-from cqlock.states import cq_to_density, ensemble_to_json_dict
+from cqlock.states import _complex_to_base64, cq_to_density, ensemble_to_json_dict
 
 
 def random_unitary(d, rng):
@@ -61,9 +61,15 @@ def complex_to_json(arr):
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
+def states_json_dict(ens):
+    """ensemble_to_json_dict(ens) with the letters as base64 states and no vectors, as older versions wrote every file."""
+    doc = {k: v for k, v in ensemble_to_json_dict(ens).items() if k != "vectors"}
+    return {**doc, "states": _complex_to_base64(ens.states)}
+
+
 def list_layout_json_dict(ens):
-    """ensemble_to_json_dict(ens) with states as nested [re, im] lists, the layout older files use."""
-    return {**ensemble_to_json_dict(ens), "states": complex_to_json(ens.states)}
+    """states_json_dict(ens) with states as nested [re, im] lists, the layout older files use."""
+    return {**states_json_dict(ens), "states": complex_to_json(ens.states)}
 
 
 def bell_state():

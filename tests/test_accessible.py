@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -750,9 +751,9 @@ class TestConvergence:
         # runs on, and its zero gradient must raise no warning (every warning fails a test)
         a = np.arange(8.0).reshape(4, 2) + 1j
 
-        def evaluate(v):
+        def evaluate(v, out=None):
             grad = np.stack([np.zeros_like(a), a])
-            return re_inner(grad, v), grad
+            return re_inner(grad, v), into(out, grad)
 
         cfg = OptimizerConfig(restarts=2, max_iters=50)
         vals, vs, iters, grad_norms = accessible._stiefel_ascent(evaluate, cfg, 4, 2)
@@ -819,11 +820,46 @@ def reference_ascent(evaluate, cfg, n, d):
     return val, v, iters, np.sqrt(gg)
 
 
+def into(out, grad):
+    """grad written into out, as the ascent's evaluators write their gradient when given out, or grad itself."""
+    if out is None:
+        return grad
+    out[...] = grad
+    return out
+
+
+def reference_evaluator(ens):
+    """Oracle of accessible._evaluator: its two forms written with a fresh array for every product, table and ratio."""
+    n_letters, r, d = ens.rows.shape
+    letters = ens.rows.conj().swapaxes(1, 2) @ ens.rows
+    flat = np.ascontiguousarray(letters).reshape(n_letters, d * d).view(np.float64)
+
+    def mutual_information(table):
+        ratio = np.divide(table, table.sum(axis=2, keepdims=True) * table.sum(axis=1, keepdims=True),
+                          out=np.ones(table.shape), where=table > PROB_TOL)
+        log_ratio = np.log2(ratio)
+        return (table.reshape(len(table), 1, -1) @ log_ratio.reshape(len(table), -1, 1)).reshape(-1), log_ratio
+
+    def rows_form(v):
+        kv = v @ ens.rows.reshape(n_letters, d).T
+        values, log_ratio = mutual_information(kv.real**2 + kv.imag**2)
+        return values, (kv * log_ratio) @ ens.rows[:, 0].conj()
+
+    def matrix_form(v):
+        r, n, _ = v.shape
+        outer = (v[..., :, None] * v[..., None, :].conj()).reshape(r * n, d * d).view(np.float64)
+        values, log_ratio = mutual_information((outer @ flat.T).reshape(r, n, n_letters))
+        weighted = (log_ratio.reshape(r * n, n_letters) @ flat).view(complex).reshape(r * n, d, d)
+        return values, (weighted @ v.reshape(r * n, d, 1)).reshape(r, n, d)
+
+    return rows_form if r == 1 else matrix_form
+
+
 def zero_gradient_evaluator(n, d, restarts):
     """Re tr(A^dagger v) for every start but the first, whose objective is constant with an exactly zero gradient."""
     a = np.arange(n * d, dtype=float).reshape(n, d) + 1j
     grad = np.stack([np.zeros_like(a)] + [a] * (restarts - 1))
-    return lambda v: (re_inner(grad, v), grad)
+    return lambda v, out=None: (re_inner(grad, v), into(out, grad))
 
 
 class TestWorkspace:
@@ -860,14 +896,53 @@ class TestWorkspace:
     @pytest.mark.parametrize("make", [
         lambda: random_cq_ensemble(12, 4, "pure", seed=1),
         lambda: random_cq_ensemble(12, 4, "mixed", seed=1),
+        lambda: random_cq_ensemble(5, 3, "pure", seed=4),
+        lambda: rank_ensemble([2] * 6, 4, seed=2),
+        lambda: build_locking_state(2)[1],
+    ], ids=["rows", "matrices", "rows-d3", "rank-2", "two-basis"])
+    def test_reused_evaluator_matches_fresh_arrays_bitwise(self, make):
+        # one evaluator serves the d- and d^2-outcome ascents in turn, each shape with its own reused buffers
+        ens, cfg = make(), OptimizerConfig(restarts=3, max_iters=120, seed=5)
+        d = ens.dim_b
+        evaluate = accessible._evaluator(ens)
+        for n in (d, d * d, d, d * d):
+            got = accessible._stiefel_ascent(evaluate, cfg, n, d)
+            want = reference_ascent(reference_evaluator(ens), cfg, n, d)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("nl, d, purity, n, largest", [
+        (32, 16, "pure", 256, 10 * 256 * 32 * 16),  # the (10, 256, 32) complex products kv
+        (16, 8, "mixed", 64, 10 * 64 * 8 * 8 * 16),  # the (10, 64, 8, 8) complex outer products
+    ], ids=["rows", "matrices"])
+    def test_evaluator_reuses_its_arrays_after_the_first_call(self, nl, d, purity, n, largest):
+        # numpy's ufuncs still buffer up to 8192 elements of an operand, which these shapes far exceed
+        evaluate = accessible._evaluator(random_cq_ensemble(nl, d, purity, seed=1))
+        v = accessible._cholesky_retract(gaussian_starts(range(10), n, d))
+        first_values, first_grad = evaluate(v)
+        out = np.empty_like(v)
+        tracemalloc.start()
+        try:
+            values, grad = evaluate(v, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(grad, out)
+        assert values.tobytes() == first_values.tobytes() and grad.tobytes() == first_grad.tobytes()
+        # a fresh evaluation allocates its largest array and several of the table's size; a repeat call neither
+        assert peak < largest / 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_cq_ensemble(12, 4, "pure", seed=1),
+        lambda: random_cq_ensemble(12, 4, "mixed", seed=1),
     ], ids=["rows", "matrices"])
     def test_trial_points_share_one_buffer(self, make):
         evaluate = accessible._evaluator(make())
         points = []
 
-        def recording(v):
+        def recording(v, out=None):
             points.append(v)
-            return evaluate(v)
+            return evaluate(v, out)
 
         vals, vs, iters, grad_norms = accessible._stiefel_ascent(recording, OptimizerConfig(restarts=3, max_iters=40), 16, 4)
         # the first call evaluates the starts; every trial point after it is retracted into one buffer
@@ -927,9 +1002,11 @@ class TestOptimizerConfig:
 def test_search_reads_no_states(make, fast_cfg):
     # chi, the bound, the induced table, the search and the discord read only probs, spectra and rows
     ens = make()
-    # a copy sharing probs, spectra and rows, whose states are gone, so that any reader of them fails
+    # a copy sharing probs, spectra and rows, whose states and vectors are gone, so that any reader of them fails
     bare = copy.copy(ens)
-    object.__setattr__(bare, "states", None)
+    object.__setattr__(bare, "_states", None)
+    object.__setattr__(bare, "vectors", None)
+    assert bare.states is None
     povm = projective_povm(random_unitary(ens.dim_b, np.random.default_rng(0)))
     assert holevo_chi(bare) == holevo_chi(ens)
     assert maassen_uffink_bound(bare) == maassen_uffink_bound(ens)

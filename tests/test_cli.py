@@ -17,7 +17,7 @@ from cqlock.measurement import povm_from_json_dict, projective_povm
 from cqlock.protocol import EmpiricalReport
 from cqlock.states import CQEnsemble, _complex_to_base64, build_locking_state, ensemble_to_json_dict, random_cq_ensemble
 
-from conftest import complex_to_json, list_layout_json_dict, random_unitary
+from conftest import complex_to_json, list_layout_json_dict, random_unitary, states_json_dict
 
 FAST = ["--restarts", "2", "--iters", "40"]
 # the letters of random_cq_ensemble(2, 2, "pure", seed=3), which most files below hold, and their base64 text
@@ -52,7 +52,7 @@ class TestDiscordCommand:
         code = run(["discord", "--builtin", "locking:m=1", *FAST, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.10"
+        assert doc["schema_version"] == "1.11"
         assert abs(doc["results"]["discord"] - 0.5) < 1e-3
         assert "quantum discord" in capsys.readouterr().out
 
@@ -131,13 +131,13 @@ class TestDiscordCommand:
         ],
     )
     def test_non_numeric_field_exit_2(self, tmp_path, capsys, field, value, message):
-        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc = states_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         doc[field] = value
         assert message in rejected(tmp_path, capsys, doc)
 
     @pytest.mark.parametrize("field", ["labels", "probs", "dim_b", "states"])
     def test_missing_field_exit_2(self, tmp_path, capsys, field):
-        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc = states_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         del doc[field]
         assert f"missing field '{field}'" in rejected(tmp_path, capsys, doc)
 
@@ -159,7 +159,7 @@ class TestDiscordCommand:
         ],
     )
     def test_bad_base64_states_exit_2(self, tmp_path, capsys, field, value, message):
-        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc = states_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         assert doc["states"] == PAYLOAD
         doc[field] = value
         assert message in rejected(tmp_path, capsys, doc)
@@ -180,9 +180,62 @@ class TestDiscordCommand:
             stack[1] *= 1 + 1e-6
         else:
             stack[1] = (1 + 2e-6) * stack[1] - 1e-6 * np.eye(2)
-        doc = ensemble_to_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
+        doc = states_json_dict(random_cq_ensemble(2, 2, "pure", seed=3))
         doc["states"] = _complex_to_base64(stack) if layout == "base64" else complex_to_json(stack)
         assert message in rejected(tmp_path, capsys, doc)
+
+    # the vectors of random_cq_ensemble(2, 2, "pure", seed=3), with vector 1 damaged, in both layouts
+    @pytest.mark.parametrize("layout", ["base64", "lists"])
+    @pytest.mark.parametrize("damage, message", [
+        ("nan", "vectors are not finite"),
+        ("inf", "vectors are not finite"),
+        ("norm", "vectors must have unit norm"),
+        ("extra letter", "labels, probs and vectors must have equal length"),
+        ("dimension", "the dimension of vectors disagrees with dim_b"),
+        ("dim_b", "the dimension of vectors disagrees with dim_b"),
+        ("with states", "one of the fields 'states' and 'vectors', not both"),
+        ("empty", "no letters"),
+    ])
+    def test_bad_vectors_exit_2(self, tmp_path, capsys, damage, message, layout):
+        ens = random_cq_ensemble(2, 2, "pure", seed=3)
+        doc, vectors = ensemble_to_json_dict(ens), ens.vectors.copy()
+        if damage in ("nan", "inf"):
+            vectors[1, 0] = float(damage)
+        elif damage == "norm":
+            vectors[1] *= 1 + 1e-6
+        elif damage == "extra letter":
+            vectors = np.concatenate([vectors, vectors[:1]])
+        elif damage == "dimension":
+            vectors = np.concatenate([vectors, vectors[:, :1]], axis=1)
+        elif damage == "dim_b":
+            doc["dim_b"] = 1
+        elif damage == "with states":
+            doc["states"] = states_json_dict(ens)["states"]
+        if layout == "base64" and damage in ("extra letter", "dimension", "dim_b"):
+            # base64 text has no shape of its own: the byte count disagrees with len(labels) * dim_b
+            message = f"vectors holds {vectors.nbytes} bytes, not 16 * 2 letters * dim_b = {32 * doc['dim_b']}"
+        doc["vectors"] = _complex_to_base64(vectors) if layout == "base64" else complex_to_json(vectors)
+        if damage == "empty":
+            doc["vectors"] = "" if layout == "base64" else []
+        assert message in rejected(tmp_path, capsys, doc)
+
+    def test_states_and_vectors_files_give_identical_reports(self, tmp_path):
+        # one pure ensemble from its states: a Haar-rotated m=3 locking ensemble, certified in stage 1, and
+        # random letters that the ascent answers; the states file and the written vectors file give the same rows
+        _, locking = build_locking_state(3)
+        u = random_unitary(8, np.random.default_rng(3))
+        for name, stack, probs in (("rotated", u @ locking.states @ u.conj().T, locking.probs),
+                                   ("random", STACK, np.array([0.3, 0.7]))):
+            ens = CQEnsemble(tuple(range(len(stack))), probs, stack)
+            reports = []
+            for layout, doc in (("states", {**states_json_dict(ens), "states": _complex_to_base64(stack)}),
+                                ("vectors", ensemble_to_json_dict(ens))):
+                assert layout in doc
+                path, out = tmp_path / f"{name}-{layout}.json", tmp_path / f"r-{name}-{layout}.json"
+                path.write_text(json.dumps(doc))
+                assert run(["discord", "--ensemble", str(path), *FAST, "--out", str(out)]) == 0
+                reports.append(out.read_text().replace(json.dumps(str(path)), '"ENSEMBLE"'))
+            assert reports[0] == reports[1]
 
     def test_layouts_give_identical_reports(self, tmp_path):
         ens = random_cq_ensemble(5, 3, "mixed", seed=8)
@@ -244,19 +297,19 @@ class TestDiscordCommand:
 
     def test_locking_builtin_up_to_the_dimension_cap(self, tmp_path, capsys):
         # m=6 is d=64, beyond the ascent's dimension cap 16, but the candidate basis
-        # certifies it; m=7 is beyond the cap lock-analyze and simulate share
+        # certifies it; m=11 is beyond the cap lock-analyze and simulate share
         out = tmp_path / "r.json"
         assert run(["discord", "--builtin", "locking:m=6", "--restarts", "1", "--iters", "5", "--out", str(out)]) == 0
         res = json.loads(out.read_text())["results"]
         assert abs(res["mutual_info_q"] - 6.0) < 1e-9
         assert res["optimizer"]["certified"] is True
-        assert run(["discord", "--builtin", "locking:m=7", *FAST]) == 3
-        assert "m=1..6" in capsys.readouterr().err
+        assert run(["discord", "--builtin", "locking:m=11", *FAST]) == 3
+        assert "m=1..10" in capsys.readouterr().err
 
     def test_builtin_help_states_the_cap(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["discord", "--help"])
-        assert "locking:m=N (N=1..6)" in capsys.readouterr().out
+        assert "locking:m=N (N=1..10)" in capsys.readouterr().out
 
     def test_report_names_the_certifying_bound(self, tmp_path):
         # on a rotated m=3 locking ensemble the Maassen-Uffink bound 1.5, not chi = 3, certifies the value
@@ -340,7 +393,7 @@ def test_orthogonal_builtin_mutual_information_is_log2_n(n, tmp_path):
     assert abs(json.loads(out.read_text())["results"]["mutual_info_q"] - np.log2(n)) <= 1e-9
 
 
-@pytest.mark.parametrize("m", [0, 7, 9])
+@pytest.mark.parametrize("m", [0, 11, 12])
 @pytest.mark.parametrize("argv", [
     ["lock-analyze", "--m", "{m}"],
     ["simulate", "--m", "{m}", "--strategy", "after-key"],
@@ -349,7 +402,7 @@ def test_orthogonal_builtin_mutual_information_is_log2_n(n, tmp_path):
 def test_locking_m_out_of_range_exit_3(argv, m, capsys):
     # build_locking_state is the one check of m for every command
     assert run([a.format(m=m) for a in argv]) == 3
-    assert "locking states support m=1..6" in capsys.readouterr().err
+    assert "locking states support m=1..10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,7 +439,7 @@ SIMULATE_REPORT = """{
     "seed": 3,
     "std_error_estimate": 0.25
   },
-  "schema_version": "1.10",
+  "schema_version": "1.11",
   "seed": 3
 }
 """
@@ -423,7 +476,7 @@ SEARCH_REPORT = """{
     "upper_bound": 0.75,
     "value": 0.5
   },
-  "schema_version": "1.10",
+  "schema_version": "1.11",
   "seed": 0
 }
 """
@@ -458,9 +511,9 @@ class TestLockAnalyzeCommand:
         assert abs(res["discord"] - 0.5) < 1e-9
 
     def test_m_out_of_range_exit_3(self, capsys):
-        for m in ("0", "7", "9"):
+        for m in ("0", "11", "12"):
             assert run(["lock-analyze", "--m", m]) == 3
-            assert "locking states support m=1..6" in capsys.readouterr().err
+            assert "locking states support m=1..10" in capsys.readouterr().err
 
     def test_fourier_family(self, tmp_path):
         out = tmp_path / "r.json"
@@ -474,7 +527,7 @@ class TestLockAnalyzeCommand:
         assert run(["lock-analyze", "--m", str(m), "--family", family, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         res = doc["results"]
-        assert doc["schema_version"] == "1.10"
+        assert doc["schema_version"] == "1.11"
         assert "optimizer" not in res
         assert abs(res["delta"] - m / 2) <= 1e-9
         assert abs(res["discord"] - m / 2) <= 1e-9
@@ -499,7 +552,7 @@ class TestSimulateCommand:
         out = tmp_path / "r.json"
         assert run(["simulate", "--m", "1", "--strategy", "before-key", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.10"
+        assert doc["schema_version"] == "1.11"
         assert abs(doc["results"]["empirical_mi"] - 0.5) <= 0.02
         assert abs(doc["results"]["miller_madow_mi"] - 0.5) <= 0.02
         assert "Miller-Madow" in capsys.readouterr().out
@@ -525,9 +578,9 @@ class TestSimulateCommand:
         assert run(["simulate", "--m", "1", "--strategy", "sideways"]) == 2
         assert "invalid choice: 'sideways'" in capsys.readouterr().err
 
-    def test_m7_exit_3(self, capsys):
-        assert run(["simulate", "--m", "7", "--strategy", "after-key"]) == 3
-        assert "locking states support m=1..6" in capsys.readouterr().err
+    def test_m11_exit_3(self, capsys):
+        assert run(["simulate", "--m", "11", "--strategy", "after-key"]) == 3
+        assert "locking states support m=1..10" in capsys.readouterr().err
 
     def test_huge_n(self, tmp_path):
         out = tmp_path / "r.json"
@@ -559,8 +612,14 @@ class TestSimulateCommand:
 
 
 FUZZ_ENSEMBLE = random_cq_ensemble(2, 2, "mixed", seed=3)
-# one base per layout of states: base64 text, as written, and the nested [re, im] lists of older files
-FUZZ_BASES = {"base64": ensemble_to_json_dict(FUZZ_ENSEMBLE), "lists": list_layout_json_dict(FUZZ_ENSEMBLE)}
+FUZZ_PURE = random_cq_ensemble(2, 2, "pure", seed=3)
+# one base per layout of states and of vectors: base64 text, as written, and nested [re, im] lists
+FUZZ_BASES = {
+    "base64": ensemble_to_json_dict(FUZZ_ENSEMBLE),
+    "lists": list_layout_json_dict(FUZZ_ENSEMBLE),
+    "vectors-base64": ensemble_to_json_dict(FUZZ_PURE),
+    "vectors-lists": {**ensemble_to_json_dict(FUZZ_PURE), "vectors": complex_to_json(FUZZ_PURE.vectors)},
+}
 
 
 def _node_paths(node, prefix=()):

@@ -278,7 +278,7 @@ class TestTwoBasisDetection:
         assert abs(bound - 1.5) <= 1e-12
         for _ in range(5):
             perm = rng.permutation(8)
-            permuted = CQEnsemble(ens.labels, ens.probs[perm], ens.states[perm])
+            permuted = CQEnsemble(ens.labels, ens.probs[perm], vectors=ens.vectors[perm])
             assert maassen_uffink_bound(permuted) == bound
         # measuring in the first basis attains the bound, which certifies the search
         res = accessible_information(ens, OptimizerConfig(restarts=2))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cqlock import CQEnsemble, Povm, holevo_chi, measured_mutual_information, random_cq_ensemble, shannon_entropy
 from cqlock.states import _complex_from_json, _complex_to_base64, ensemble_from_json_dict, ensemble_to_json_dict
 
-from conftest import complex_to_json, list_layout_json_dict, random_unitary
+from conftest import complex_to_json, list_layout_json_dict, random_unitary, states_json_dict
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 ENSEMBLES = dict(
@@ -66,13 +66,15 @@ def test_local_unitary_invariance(n, d, purity, seed, rng_seed):
 @given(**ENSEMBLES)
 def test_json_round_trip_is_exact(n, d, purity, seed):
     ens = random_cq_ensemble(n, d, purity, seed=seed)
-    # the writer's base64 layout, and the list layout of older files
-    for doc in (ensemble_to_json_dict(ens), list_layout_json_dict(ens)):
+    # the writer's layout, vectors for pure letters, gives back the ensemble; the base64 and list layouts of
+    # states that older files hold give back what the same stack of states gives
+    from_stack = CQEnsemble(ens.labels, ens.probs, ens.states)
+    for doc, want in ((ensemble_to_json_dict(ens), ens), (states_json_dict(ens), from_stack),
+                      (list_layout_json_dict(ens), from_stack)):
         back = ensemble_from_json_dict(json.loads(json.dumps(doc)))
-        assert back.labels == ens.labels
-        assert np.array_equal(back.probs, ens.probs)
-        assert np.array_equal(back.states, ens.states)
-        assert back.states.tobytes() == ens.states.tobytes()
+        assert back.labels == want.labels
+        for name in ("probs", "spectra", "rows", "states"):
+            assert getattr(back, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_json_layouts_keep_every_bit():

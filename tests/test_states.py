@@ -13,15 +13,23 @@ from cqlock import (
     mub_check,
     random_cq_ensemble,
 )
+from cqlock import qmath
 from cqlock.qmath import partial_trace, quantum_mutual_information
 from cqlock.states import cq_to_density, ensemble_from_json_dict, ensemble_to_json_dict
 
-from conftest import list_layout_json_dict
+from conftest import list_layout_json_dict, random_unitary, rank_ensemble
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+
+
+def rotated_locking_ensemble(m):
+    """The m-bit locking ensemble with every letter rotated by one Haar-random unitary on B, given as states."""
+    _, ens = build_locking_state(m)
+    u = random_unitary(2**m, np.random.default_rng(m))
+    return CQEnsemble(ens.labels, ens.probs, u @ ens.states @ u.conj().T)
 
 
 class TestCqToDensity:
@@ -76,6 +84,58 @@ class TestCQEnsemble:
         assert inst_a == inst_a
         assert inst_a != inst_b
         assert len({hash(ens_a), hash(ens_b), hash(inst_a), hash(inst_b)}) == 4
+
+
+class TestVectors:
+    """Pure letters are held as their (n, d) state vectors, however given; states is formed from them on each read."""
+
+    def test_builders_hand_in_their_vectors(self):
+        inst, ens = build_locking_state(3, "fourier")
+        # letter a * 2 + k is column a of U_k, and its dense state is formed by the expression the builders used
+        cols = np.stack(inst.basis_unitaries)[inst.keys, :, inst.messages]
+        assert ens.vectors.tobytes() == cols.tobytes()
+        assert ens.states.tobytes() == (cols[:, :, None] * cols[:, None, :].conj()).tobytes()
+        assert random_cq_ensemble(4, 3, "pure", seed=1).vectors.shape == (4, 3)
+        assert random_cq_ensemble(4, 3, "mixed", seed=1).vectors is None
+
+    def test_pure_states_are_held_as_their_recovered_vectors(self):
+        stack = random_cq_ensemble(5, 3, "pure", seed=2).states
+        ens = CQEnsemble(tuple(range(5)), np.full(5, 0.2), stack)
+        assert ens.vectors.tobytes() == qmath._rank_one_vectors(stack).tobytes()
+        # its states come back from the vectors, within roundoff of those given
+        assert np.max(np.abs(ens.states - stack)) <= 1e-15
+        # and give the rows that the same vectors give when handed in
+        assert ens.rows.tobytes() == CQEnsemble(tuple(range(5)), np.full(5, 0.2), vectors=ens.vectors).rows.tobytes()
+
+    def test_vectors_and_states_are_read_only(self):
+        ens = random_cq_ensemble(3, 2, "pure", seed=0)
+        for arr in (ens.vectors, ens.states):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    def test_zero_probability_letter_keeps_its_vector(self):
+        # its row is 0, but its vector still gives its state
+        ens = CQEnsemble((0, 1), np.array([1.0, 0.0]), vectors=np.array([[1, 0], [0, 1]]))
+        assert np.all(ens.rows[1] == 0)
+        assert np.array_equal(ens.states[1], KET1)
+
+    @pytest.mark.parametrize("states, vectors, message", [
+        (None, None, "give the letters as one of states and vectors"),
+        ((KET0, KET1), np.eye(2), "give the letters as one of states and vectors"),
+        (None, np.eye(2)[:, :, None], r"vectors must be an \(n_letters, d\) array"),
+        (None, (np.eye(2)[0], np.ones(3) / 3**0.5), r"vectors must be an \(n_letters, d\) array"),
+        (None, np.array([[1, 0], [np.nan, 0]]), "vectors are not finite"),
+        (None, np.array([[1, 0], [np.inf, 0]]), "vectors are not finite"),
+        (None, np.array([[1, 0], [1 + 2e-9, 0]]), "vectors must have unit norm"),
+        (None, np.eye(3), "labels, probs and vectors must have equal length"),
+    ])
+    def test_bad_letters_rejected(self, states, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            CQEnsemble((0, 1), np.array([0.5, 0.5]), states, vectors=vectors)
+
+    def test_unit_norm_within_matrix_tol(self):
+        ens = CQEnsemble((0, 1), np.array([0.5, 0.5]), vectors=np.array([[1, 0], [0, 1 + 4e-10]]))
+        assert ens.spectra[1, 0] == (1 + 4e-10) ** 2
 
 
 class TestBuildLockingState:
@@ -152,11 +212,11 @@ class TestBuildLockingState:
         with pytest.raises(ValueError):
             build_locking_state(0)
         with pytest.raises(ValueError):
-            build_locking_state(7)
+            build_locking_state(11)
 
-    @pytest.mark.parametrize("m", [0, 7, 9])
+    @pytest.mark.parametrize("m", [0, 11, 12])
     def test_m_out_of_range_is_a_guard_error(self, m):
-        with pytest.raises(GuardError, match=r"locking states support m=1\.\.6"):
+        with pytest.raises(GuardError, match=r"locking states support m=1\.\.10"):
             build_locking_state(m)
 
     @pytest.mark.parametrize("m", [3.0, 2.5, True, "3", None])
@@ -298,23 +358,34 @@ class TestSerialization:
     def test_schema_fields(self):
         _, ens = build_locking_state(1)
         doc = ensemble_to_json_dict(ens)
-        assert set(doc) == {"labels", "probs", "dim_b", "states"}
+        # pure letters are written as their state vectors, any other stack as its states
+        assert set(doc) == {"labels", "probs", "dim_b", "vectors"}
+        assert set(ensemble_to_json_dict(random_cq_ensemble(2, 2, "mixed", seed=0))) == {"labels", "probs", "dim_b", "states"}
         assert doc["dim_b"] == 2
         # in the list layout, complex entries serialize as [re, im]
         assert list_layout_json_dict(ens)["states"][1][0][1] == pytest.approx([0.5, 0.0])
 
     def test_json_text_is_exact(self):
-        ens = CQEnsemble((0, 1), np.array([0.25, 0.75]), (np.diag([1.0, 0.0]), np.array([[0.5, -0.5j], [0.5j, 0.5]])))
-        assert json.dumps(list_layout_json_dict(ens)) == (
+        # a mixed stack is held as given, so its list layout shows the letters as written here
+        mixed = CQEnsemble((0, 1), np.array([0.25, 0.75]), (np.eye(2) / 2, np.array([[0.5, -0.5j], [0.5j, 0.5]])))
+        assert json.dumps(list_layout_json_dict(mixed)) == (
             '{"labels": [0, 1], "probs": [0.25, 0.75], "dim_b": 2, "states": '
-            '[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], '
+            '[[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], '
             '[[[0.5, 0.0], [-0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]]]}'
         )
-        # the writer's layout: the little-endian complex128 bytes of the stack in C order
+        ens = CQEnsemble((0, 1), np.array([0.25, 0.75]), (np.diag([1.0, 0.0]), np.array([[0.5, -0.5j], [0.5j, 0.5]])))
+        # the writer's layout for pure letters: the little-endian complex128 bytes of the (n, d) state vectors
+        # in C order, here (1, 0) and (1, i) / sqrt(2), each column j of the letter over sqrt(sigma_jj)
         assert json.dumps(ensemble_to_json_dict(ens)) == (
+            '{"labels": [0, 1], "probs": [0.25, 0.75], "dim_b": 2, "vectors": '
+            '"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAADMO39mnqDmPwAAAAAAAAAAAAAAAAAAAADMO39mnqDmPw=="}'
+        )
+        # and for any other stack those of the (n, d, d) stack
+        mixed = CQEnsemble((0, 1), np.array([0.25, 0.75]), (np.diag([1.0, 0.0]), np.eye(2) / 2))
+        assert json.dumps(ensemble_to_json_dict(mixed)) == (
             '{"labels": [0, 1], "probs": [0.25, 0.75], "dim_b": 2, "states": '
             '"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAOA/'
-            'AAAAAAAAAAAAAAAAAAAAgAAAAAAAAOC/AAAAAAAAAAAAAAAAAADgPwAAAAAAAOA/AAAAAAAAAAA="}'
+            'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAOA/AAAAAAAAAAA="}'
         )
         # the per-entry encoder as the reference
         ens = random_cq_ensemble(5, 4, "mixed", seed=2)
@@ -335,6 +406,19 @@ class TestSerialization:
         ens = CQEnsemble((0,), np.array([1.0]), (np.array([[0.5, -0.5j], [0.5j, 0.5]]),))
         back = ensemble_from_json_dict(json.loads(json.dumps(ensemble_to_json_dict(ens))))
         assert json.dumps(ensemble_to_json_dict(back)) == json.dumps(ensemble_to_json_dict(ens))
+
+    @pytest.mark.parametrize("make", [
+        lambda: CQEnsemble((0, 1, 2), np.array([0.5, 0.5, 0.0]), random_cq_ensemble(3, 4, "pure", seed=1).states),
+        lambda: rotated_locking_ensemble(3),
+        lambda: rank_ensemble([2] * 5, 4, seed=3),
+        lambda: rank_ensemble([4] * 5, 4, seed=3),
+    ], ids=["pure-zero-probability", "rotated-m3", "rank-2", "full-rank"])
+    def test_written_file_gives_back_the_factors_bitwise(self, make):
+        ens = make()
+        back = ensemble_from_json_dict(json.loads(json.dumps(ensemble_to_json_dict(ens))))
+        assert ("vectors" in ensemble_to_json_dict(ens)) == (ens.vectors is not None)
+        for name in ("probs", "spectra", "rows"):
+            assert getattr(back, name).tobytes() == getattr(ens, name).tobytes(), name
 
     def test_dim_mismatch_rejected(self):
         ens = random_cq_ensemble(2, 2, "pure", seed=0)
