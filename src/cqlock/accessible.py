@@ -3,19 +3,19 @@
 The search answers in stages and stops at the first whose best value lies
 within MATRIX_TOL of a proven upper bound: the Holevo quantity, or for a
 two-basis ensemble the smaller Maassen-Uffink bound (maassen_uffink_bound).
-Stage 1 scores candidate projective bases at any dimension, in one pass
-(one stacked induced table, one mutual-information call), and keeps the
-first of the highest: the computational basis; the eigenbasis of the
-generic combination sum_a c_a p_a sigma_a with fixed weights c_a =
-cos(a (sqrt 5 - 1) pi), which commuting letters share, so that measuring in
-it attains chi (Ollivier & Zurek 2001) even where the B marginal, the c_a = 1
-case, is degenerate; and for a two-basis ensemble its own two letter
-bases, either of which attains the bound when the two are mutually
-unbiased, in any frame. Stage 2 runs only for a two-basis ensemble: seeded
-random-restart gradient ascent over rank-1 POVMs with n = d outcomes.
-Stage 3 runs the same ascent with n = d^2 outcomes, which suffice for the
-optimum (Davies 1978), on every other ensemble and wherever stage 2 ends
-short of the bound. The MAX_DIM_B guard applies only to the ascent. The
+Stage 1 scores projective bases at any dimension, one at a time, cheapest
+first, and stops at the first that certifies; where none does, it keeps the
+first of the highest. They are the computational basis; a two-basis
+ensemble's own two letter bases, either of which attains the bound when the
+two are mutually unbiased, in any frame; and, its eigh computed only where
+no basis before it certifies, the eigenbasis of the generic combination
+sum_a c_a p_a sigma_a with c_a = cos(a (sqrt 5 - 1) pi), which commuting
+letters share, so that measuring in it attains chi (Ollivier & Zurek 2001)
+even where the B marginal, the c_a = 1 case, is degenerate. Stage 2, for a
+two-basis ensemble only, is seeded random-restart gradient ascent over
+rank-1 POVMs with n = d outcomes; stage 3 the same ascent with n = d^2
+outcomes, which suffice (Davies 1978), on every other ensemble and wherever
+stage 2 ends short. The MAX_DIM_B guard applies only to the ascent. The
 search reads an ensemble only through the probabilities, spectra and rows
 that CQEnsemble computes once, at construction, and decomposes no letter;
 the B marginal of the Holevo quantity and the generic combination are each
@@ -45,12 +45,11 @@ so the reported value is a maximum over evaluated POVMs. The current and
 the trial points, with their gradients, directions, values and squared
 norms, live in one workspace allocated once per ascent and written in
 place, the objective's arrays once per outcome count; one masked copy
-merges the accepted trial points. A start stops once
-its tangent-gradient norm falls below GRAD_TOL, once its step has shrunk
-below roundoff, or after max_iters iterations; it stays in the batch,
-which keeps its size, but accepts no more trial points. The returned value
-is a lower bound on the accessible information, and the certified optimum
-where it meets the upper bound.
+merges the accepted trial points. A start stops once its tangent-gradient
+norm falls below GRAD_TOL, once its step has shrunk below roundoff, or
+after max_iters iterations; it stays in the batch, which keeps its size,
+but accepts no more trial points. The returned value is a lower bound on
+the accessible information, and the optimum where it meets the bound.
 """
 
 from __future__ import annotations
@@ -173,11 +172,8 @@ def maassen_uffink_bound(ens: CQEnsemble) -> float | None:
 
 
 def _two_basis_bound(ens: CQEnsemble) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
-    """maassen_uffink_bound of ens and its two letter bases as d x d unitaries, from its letter rows.
-
-    Each column of a unitary is the state vector of one letter of that basis,
-    so projective_povm of it measures in the basis.
-    """
+    """maassen_uffink_bound of ens and its two letter bases, from its letter rows; each basis is the transposed
+    d x d unitary whose row b is the state vector of one letter, the measurement vector of outcome b."""
     d, rows = ens.dim_b, ens.rows
     # one row per letter means every letter is pure
     if ens.n_letters != 2 * d or rows.shape[1] != 1 or np.any(np.abs(ens.probs - 0.5 / d) > PROB_TOL):
@@ -190,21 +186,17 @@ def _two_basis_bound(ens: CQEnsemble) -> tuple[float, tuple[np.ndarray, np.ndarr
     # orthogonal unit vectors in C^d, so any 2-colouring splits 2d letters into
     # two bases, and every nonzero overlap joins the two
     linked = overlap > MATRIX_TOL
+    # breadth-first, one level at a time from the first uncoloured letter: a colour is the parity of the distance
     side = np.zeros(2 * d, dtype=int)
-    for root in range(2 * d):
-        if side[root]:
-            continue
-        side[root] = 1
-        queue = [root]
-        for a in queue:
-            nbrs = np.flatnonzero(linked[a])
-            if np.any(side[nbrs] == side[a]):
-                return None
-            fresh = nbrs[side[nbrs] == 0]
-            side[fresh] = -side[a]
-            queue.extend(fresh)
+    while not side.all():
+        level, colour = np.arange(2 * d) == np.flatnonzero(side == 0)[0], 1
+        while level.any():
+            side[level] = colour
+            level, colour = linked[level].any(axis=0) & (side == 0), -colour
+    if np.any(linked & (side[:, None] == side)):
+        return None
     # row a is the conjugated state vector of letter a, up to its phase
-    bases = tuple(unit[side == colour].conj().T for colour in (1, -1))
+    bases = tuple(unit[side == colour].conj() for colour in (1, -1))
     return float(np.log2(d) + np.log2(overlap.max())), bases
 
 
@@ -384,29 +376,37 @@ def _stiefel_ascent(evaluate, cfg: OptimizerConfig, n: int, d: int):
     return val.copy(), v.copy(), iters, np.sqrt(gg)
 
 
+def _candidate_bases(ens: CQEnsemble, letter_bases: tuple):
+    """Stage 1's bases as transposed unitaries, cheapest first; the generic combination's eigh runs on demand."""
+    yield np.eye(ens.dim_b, dtype=complex)
+    yield from letter_bases
+    yield np.linalg.eigh(_row_sum(ens, np.cos(np.arange(1, ens.n_letters + 1) * (np.sqrt(5) - 1) * np.pi)))[1].T
+
+
 def accessible_information(ens: CQEnsemble, cfg: OptimizerConfig = OptimizerConfig()) -> AccessibleInfoResult:
     """Best measured mutual information over the stages, stopping at the first that meets the proven bound.
 
     The bound is chi, or for a two-basis ensemble the smaller of chi and
-    maassen_uffink_bound. Stage 1 scores, in one pass, the computational
-    basis, the eigenbasis of the generic combination sum_a c_a p_a sigma_a
-    and the two letter bases of a two-basis ensemble, and keeps the first of
-    the highest. Stage 2, for a two-basis ensemble only, runs the ascent with
-    d outcomes; stage 3 runs it with d^2 outcomes. Raises GuardError where an
-    ascent would run at d > MAX_DIM_B.
+    maassen_uffink_bound. Stage 1 scores the computational basis, the letter
+    bases of a two-basis ensemble and the generic combination's eigenbasis,
+    in that order, and stops at the first that certifies, or keeps the first
+    of the highest. Stage 2, for a two-basis ensemble only, runs the ascent
+    with d outcomes; stage 3 runs it with d^2 outcomes. Raises GuardError
+    where an ascent would run at d > MAX_DIM_B.
     """
     d = ens.dim_b
     chi = holevo_chi(ens)
     two_basis = _two_basis_bound(ens)
     bound, letter_bases = (chi, ()) if two_basis is None else (min(chi, two_basis[0]), two_basis[1])
 
-    weights = np.cos(np.arange(1, ens.n_letters + 1) * (np.sqrt(5) - 1) * np.pi)
-    _, generic_basis = np.linalg.eigh(_row_sum(ens, weights))
-    # each basis as its transposed unitary, whose row b is the measurement vector of outcome b
-    candidates = np.stack((np.eye(d, dtype=complex), generic_basis, *letter_bases)).swapaxes(1, 2)
-    values = _mi_from_table(_row_table(ens, candidates)[1])[0]
-    top = int(np.argmax(values))
-    best_val, best_povm = values[top], Povm(candidates[top])
+    best_val = -np.inf
+    for v in _candidate_bases(ens, letter_bases):
+        value = _mi_from_table(_row_table(ens, v)[1][None])[0][0]
+        if value > best_val:
+            best_val, best_v = value, v
+        if best_val >= bound - MATRIX_TOL:
+            break
+    best_povm = Povm(best_v)
 
     # the restart tuples are those of the ascent stage whose best start is highest
     restart_vals = iters = grad_norms = ()

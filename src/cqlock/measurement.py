@@ -119,15 +119,15 @@ def induced_table(ens: CQEnsemble, povm: Povm) -> np.ndarray:
 def after_key_table(inst: LockingInstance) -> np.ndarray:
     """Joint table of the letter (a, k) and Bob's record (b, k) when he measures in the key's basis U_k.
 
-    A letter of key k takes its row of the table that measuring U_k induces on
-    the instance's ensemble, placed in the outcome columns b * 2 + k; every
-    other entry is 0.
+    Letter a * 2 + k takes, in the outcome columns b * 2 + k, its row of the
+    table that measuring U_k induces on the ensemble, read from the rows of
+    U_k^T with no Povm, as the instance has validated U_k; every other entry is 0.
     """
     ens = inst.ensemble
     table = np.zeros((ens.n_letters, ens.n_letters))
     for k, u in enumerate(inst.basis_unitaries):
-        mine = inst.keys == k
-        table[mine, k::2] = induced_table(ens, projective_povm(u))[mine]
+        induced = _row_table(ens, u.T)[1].T
+        table[k::2, k::2] = induced[k::2] / induced.sum()
     return table
 
 

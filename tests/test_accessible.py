@@ -1,4 +1,6 @@
 import copy
+import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -29,6 +31,7 @@ from cqlock import (
 
 from cqlock import accessible, qmath
 from cqlock.accessible import GRAD_TOL
+from cqlock.cli import main
 from cqlock.measurement import Povm, _row_table
 from cqlock.qmath import MATRIX_TOL, PROB_TOL, _mi_from_table, quantum_mutual_information
 from cqlock.states import cq_to_density
@@ -435,6 +438,97 @@ class TestCommutingLetters:
             assert res.certified
             assert abs(res.value - res.chi) <= 1e-9
             assert res.per_restart_values == ()
+
+
+def accessible_eighs(monkeypatch):
+    """Patch np.linalg.eigh to record the shape of each call made from cqlock.accessible; returns the list."""
+    calls, original = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == accessible.__name__:
+            calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def stage_one_tables(monkeypatch):
+    """Patch the search's _row_table to record each stage-1 basis it scores, a (d, d) array; returns the list."""
+    scored, original = [], accessible._row_table
+
+    def recorded(ens, v, *args, **kwargs):
+        if v.ndim == 2:
+            scored.append(v)
+        return original(ens, v, *args, **kwargs)
+
+    monkeypatch.setattr(accessible, "_row_table", recorded)
+    return scored
+
+
+def no_ascent(evaluate, cfg, n, d):
+    """An ascent stage whose one start ends at -inf, so that the search answers with its stage-1 basis."""
+    return np.full(1, -np.inf), np.zeros((1, n, d), dtype=complex), np.zeros(1, dtype=int), np.zeros(1)
+
+
+def rotated_orthogonal(d):
+    u = random_unitary(d, np.random.default_rng(d))
+    return CQEnsemble(tuple(range(d)), np.full(d, 1.0 / d), u.T[:, :, None] * u.T[:, None, :].conj())
+
+
+class TestStageOneStopsAtItsCertificate:
+    """Stage 1 scores the computational basis, the letter bases and the generic combination's eigenbasis one at a
+    time and stops at the first that certifies; only then is the generic combination decomposed."""
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_rotated_locking_decomposes_nothing(self, m, family, monkeypatch):
+        ens = rotated(build_locking_state(m, family)[1], random_unitary(2**m, np.random.default_rng(100 + m)))
+        calls, scored = accessible_eighs(monkeypatch), stage_one_tables(monkeypatch)
+        res = accessible_information(ens)
+        assert res.certified and abs(res.value - m / 2) <= 1e-9
+        assert calls == []
+        # the computational basis falls short and the first letter basis certifies
+        assert len(scored) == 2
+        assert np.array_equal(res.best_povm.vectors, scored[1])
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_lock_analyze_decomposes_nothing(self, m, monkeypatch, capsys):
+        calls, scored = accessible_eighs(monkeypatch), stage_one_tables(monkeypatch)
+        assert main(["lock-analyze", "--m", str(m), "--json"]) == 0
+        assert calls == []
+        # the computational basis certifies at once
+        assert len(scored) == 1
+        assert abs(json.loads(capsys.readouterr().out)["results"]["delta"] - m / 2) <= 1e-12
+
+    @pytest.mark.parametrize("make", [lambda: rotated_orthogonal(32), lambda: commuting_ensemble(64, "uniform", 64)],
+                             ids=["orthogonal-d32", "cyclic-d64"])
+    def test_commuting_letters_need_the_generic_basis(self, make, monkeypatch):
+        ens = make()
+        calls, scored = accessible_eighs(monkeypatch), stage_one_tables(monkeypatch)
+        res = accessible_information(ens)
+        assert res.certified and abs(res.value - res.chi) <= 1e-9
+        d = ens.dim_b
+        assert calls == [(d, d)]
+        assert len(scored) == 2
+
+    @pytest.mark.parametrize("make, n_bases", [
+        (lambda: random_cq_ensemble(12, 4, "mixed", seed=1), 2),
+        (lambda: random_cq_ensemble(6, 4, "pure", seed=3), 2),
+        (lambda: two_basis_ensemble(np.eye(4, dtype=complex), random_unitary(4, np.random.default_rng(1))), 4),
+    ], ids=["mixed-12-4", "pure-6-4", "two-basis-d4"])
+    def test_uncertified_input_scores_every_basis_and_keeps_the_highest(self, make, n_bases, monkeypatch):
+        ens = make()
+        calls, scored = accessible_eighs(monkeypatch), stage_one_tables(monkeypatch)
+        monkeypatch.setattr(accessible, "_stiefel_ascent", no_ascent)
+        res = accessible_information(ens)
+        assert not res.certified
+        assert calls == [(ens.dim_b, ens.dim_b)]
+        assert len(scored) == n_bases
+        values = [_mi_from_table(_row_table(ens, v)[1][None])[0][0] for v in scored]
+        top = int(np.argmax(values))
+        assert res.value == values[top]
+        assert np.array_equal(res.best_povm.vectors, scored[top])
 
 
 def rotated(ens, u):

@@ -15,9 +15,10 @@ from cqlock import (
     quantum_discord_cq,
     random_cq_ensemble,
 )
+from cqlock import accessible
 from cqlock.accessible import MAX_DIM_B
-from cqlock.qmath import quantum_mutual_information
-from cqlock.states import cq_to_density
+from cqlock.qmath import MATRIX_TOL, PROB_TOL, quantum_mutual_information
+from cqlock.states import cq_to_density, fourier_matrix
 
 from conftest import assert_matches_bipartite_oracle, key_extended_ensemble, random_unitary, two_basis_ensemble
 
@@ -223,6 +224,61 @@ class TestMaassenUffinkBound:
                 assert measured_mutual_information(ens, Povm(v)) <= bound + 1e-12
 
 
+def non_uniform_probabilities():
+    inst, _ = build_locking_state(2)
+    probs = np.full(8, 1 / 8) + np.array([1e-3, -1e-3, 0, 0, 0, 0, 0, 0])
+    return two_basis_ensemble(*inst.basis_unitaries, probs)
+
+
+def one_mixed_letter():
+    _, ens = build_locking_state(2)
+    states = ens.states.copy()
+    states[0] = 0.9 * states[0] + 0.1 * states[2]
+    return CQEnsemble(ens.labels, ens.probs, states)
+
+
+def gaussian_rows():
+    rng = np.random.default_rng(4)
+    return rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+
+
+def random_pure_letters():
+    g = gaussian_rows()
+    # eight random pure letters in C^4, no two orthogonal
+    return pure_ensemble(g / np.linalg.norm(g, axis=1, keepdims=True))
+
+
+def odd_cycle_block():
+    # |00>, |01>, |0+>, |0->: two bases of the first block; |10>, |11>, |1+> and a
+    # random |1 psi> in the second cannot split, since |10>, |1+>, |1 psi> overlap pairwise
+    g = gaussian_rows()
+    psi = g[0, :2] / np.linalg.norm(g[0, :2])
+    blocks = np.array([[1, 0], [0, 1], [2**-0.5, 2**-0.5], [2**-0.5, -(2**-0.5)]], dtype=complex)
+    vecs = np.zeros((8, 4), dtype=complex)
+    vecs[:4, :2] = blocks
+    vecs[4:7, 2:] = blocks[:3]
+    vecs[7, 2:] = psi
+    return pure_ensemble(vecs)
+
+
+def qubit_bases(n_bases):
+    # one basis, or the three qubit Pauli bases
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    y = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
+    return pure_ensemble(np.concatenate([np.eye(2), h.T, y.T][:n_bases]).astype(complex))
+
+
+# every input of TestTwoBasisDetection whose letters are not two bases
+NOT_TWO_BASES = {
+    "non-uniform-probabilities": non_uniform_probabilities,
+    "one-mixed-letter": one_mixed_letter,
+    "random-pure-letters": random_pure_letters,
+    "odd-cycle-block": odd_cycle_block,
+    "one-basis": lambda: qubit_bases(1),
+    "three-bases": lambda: qubit_bases(3),
+}
+
+
 class TestTwoBasisDetection:
     """maassen_uffink_bound answers only for 2d uniform pure letters that split into two orthonormal bases."""
 
@@ -233,39 +289,18 @@ class TestTwoBasisDetection:
         assert abs(maassen_uffink_bound(two_basis_ensemble(u0, u1)) - 1.5) <= 1e-12
 
     def test_non_uniform_probabilities(self):
-        inst, _ = build_locking_state(2)
-        probs = np.full(8, 1 / 8) + np.array([1e-3, -1e-3, 0, 0, 0, 0, 0, 0])
-        assert maassen_uffink_bound(two_basis_ensemble(*inst.basis_unitaries, probs)) is None
+        assert maassen_uffink_bound(non_uniform_probabilities()) is None
 
     def test_one_mixed_letter(self):
-        _, ens = build_locking_state(2)
-        states = ens.states.copy()
-        states[0] = 0.9 * states[0] + 0.1 * states[2]
-        assert maassen_uffink_bound(CQEnsemble(ens.labels, ens.probs, states)) is None
+        assert maassen_uffink_bound(one_mixed_letter()) is None
 
     def test_pure_letters_that_are_not_two_bases(self):
-        rng = np.random.default_rng(4)
-        g = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        # eight random pure letters in C^4, no two orthogonal
-        vecs = g / np.linalg.norm(g, axis=1, keepdims=True)
-        assert maassen_uffink_bound(pure_ensemble(vecs)) is None
-        # |00>, |01>, |0+>, |0->: two bases of the first block; |10>, |11>, |1+> and a
-        # random |1 psi> in the second cannot split, since |10>, |1+>, |1 psi> overlap pairwise
-        psi = g[0, :2] / np.linalg.norm(g[0, :2])
-        blocks = np.array([[1, 0], [0, 1], [2**-0.5, 2**-0.5], [2**-0.5, -(2**-0.5)]], dtype=complex)
-        vecs = np.zeros((8, 4), dtype=complex)
-        vecs[:4, :2] = blocks
-        vecs[4:7, 2:] = blocks[:3]
-        vecs[7, 2:] = psi
-        assert maassen_uffink_bound(pure_ensemble(vecs)) is None
+        assert maassen_uffink_bound(random_pure_letters()) is None
+        assert maassen_uffink_bound(odd_cycle_block()) is None
 
     @pytest.mark.parametrize("n_bases", [1, 3])
     def test_letter_count_other_than_2d(self, n_bases):
-        # one basis, or the three qubit Pauli bases
-        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        y = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
-        vecs = np.concatenate([np.eye(2), h.T, y.T][:n_bases]).astype(complex)
-        assert maassen_uffink_bound(pure_ensemble(vecs)) is None
+        assert maassen_uffink_bound(qubit_bases(n_bases)) is None
 
     def test_letter_permutation(self):
         rng = np.random.default_rng(9)
@@ -293,6 +328,108 @@ class TestTwoBasisDetection:
         assert c > 0.5
         assert abs(maassen_uffink_bound(ens) - (2 + np.log2(c))) <= 1e-12
         assert accessible_information(ens).value <= maassen_uffink_bound(ens) + 1e-9
+
+
+def per_letter_split(ens):
+    """The two-basis split by the per-letter breadth-first colouring that the level-synchronous one replaced.
+
+    Test oracle: the Maassen-Uffink bound and the two letter bases as
+    transposed unitaries, colour 1 first, or None where the letters are not
+    two bases. Each component's first letter takes colour 1, and the queue
+    takes one np.flatnonzero pass per letter.
+    """
+    d, rows = ens.dim_b, ens.rows
+    if ens.n_letters != 2 * d or rows.shape[1] != 1 or np.any(np.abs(ens.probs - 0.5 / d) > PROB_TOL):
+        return None
+    unit = rows[:, 0] / np.linalg.norm(rows[:, 0], axis=1, keepdims=True)
+    overlap = np.abs(unit @ unit.conj().T)
+    np.fill_diagonal(overlap, 0.0)
+    linked = overlap > MATRIX_TOL
+    side = np.zeros(2 * d, dtype=int)
+    for root in range(2 * d):
+        if side[root]:
+            continue
+        side[root] = 1
+        queue = [root]
+        for a in queue:
+            nbrs = np.flatnonzero(linked[a])
+            if np.any(side[nbrs] == side[a]):
+                return None
+            fresh = nbrs[side[nbrs] == 0]
+            side[fresh] = -side[a]
+            queue.extend(fresh)
+    return float(np.log2(d) + np.log2(overlap.max())), tuple(unit[side == colour].conj() for colour in (1, -1))
+
+
+def assert_same_split(ens):
+    """_two_basis_bound and per_letter_split give the same bound and partition, up to swapping the colours, or both None."""
+    found, oracle = accessible._two_basis_bound(ens), per_letter_split(ens)
+    if oracle is None:
+        assert found is None
+        return
+    assert found[0] == oracle[0]
+    assert any(all(map(np.array_equal, found[1], bases)) for bases in (oracle[1], oracle[1][::-1]))
+
+
+@st.composite
+def basis_pairs(draw):
+    """2d letters of two bases of C^d in a random order: U_0 Haar and U_1 = U_0 B, where B is a Fourier matrix
+    (mutually unbiased), Haar (not unbiased), or block diagonal with Fourier, Haar and 1 x 1 identity blocks,
+    like U (I (x) H), whose overlap graph falls apart into one component per block."""
+    kind = draw(st.sampled_from(["unbiased", "haar", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    if kind == "blocks":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        d = sum(sizes)
+        b, start = np.zeros((d, d), dtype=complex), 0
+        for k in sizes:
+            if k == 1:
+                block = np.eye(1)
+            else:
+                block = fourier_matrix(k) if draw(st.booleans()) else random_unitary(k, rng)
+            b[start:start + k, start:start + k] = block
+            start += k
+    else:
+        d = draw(st.integers(2, 12))
+        b = fourier_matrix(d) if kind == "unbiased" else random_unitary(d, rng)
+    u0 = random_unitary(d, rng)
+    vecs = np.concatenate([u0.T, (u0 @ b).T])[rng.permutation(2 * d)]
+    return CQEnsemble(tuple(range(2 * d)), np.full(2 * d, 0.5 / d), vectors=vecs)
+
+
+class TestLevelSynchronousSplit:
+    """The split by one boolean reduction per breadth-first level equals the per-letter colouring it replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ens=basis_pairs())
+    def test_matches_per_letter_split(self, ens):
+        assert accessible._two_basis_bound(ens) is not None
+        assert_same_split(ens)
+
+    @pytest.mark.parametrize("make", NOT_TWO_BASES.values(), ids=NOT_TWO_BASES.keys())
+    def test_not_two_bases(self, make):
+        ens = make()
+        assert accessible._two_basis_bound(ens) is None
+        assert_same_split(ens)
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_locking_ensembles(self, m, family):
+        assert_same_split(build_locking_state(m, family)[1])
+
+    def test_each_component_coloured_from_its_first_letter(self):
+        # U_1 = U (I (x) H) at d = 4 gives two components of four letters; in this order the first letter of
+        # the first lies in U_0 and that of the second in U_1, so each colour takes half of each basis
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        u = random_unitary(4, np.random.default_rng(9))
+        vecs = np.concatenate([u.T, (u @ np.kron(np.eye(2), h)).T])[[0, 4, 5, 1, 6, 2, 7, 3]]
+        ens = CQEnsemble(tuple(range(8)), np.full(8, 1 / 8), vectors=vecs)
+        assert_same_split(ens)
+        bound, bases = accessible._two_basis_bound(ens)
+        assert abs(bound - 1.5) <= 1e-12
+        for basis, letters in zip(bases, ([0, 3, 4, 6], [1, 2, 5, 7])):
+            assert np.max(np.abs(basis - vecs[letters])) <= 1e-15
+            assert np.max(np.abs(basis @ basis.conj().T - np.eye(4))) <= 1e-12
 
 
 class TestIdentityChain:

@@ -329,6 +329,23 @@ class TestInducedTableOracle:
 
 class TestAfterKeyTable:
     @pytest.mark.parametrize("family", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_bitwise_the_per_key_induced_tables_with_no_povm(self, m, family, monkeypatch):
+        # simulate's counts move when its table moves by roundoff, so the table must not move at all
+        inst, ens = build_locking_state(m, family)
+        built = []
+        post_init = Povm.__post_init__
+        monkeypatch.setattr(Povm, "__post_init__", lambda povm: built.append(povm) or post_init(povm))
+        table = after_key_table(inst)
+        assert built == []
+        oracle = np.zeros((ens.n_letters, ens.n_letters))
+        for k, u in enumerate(inst.basis_unitaries):
+            mine = inst.keys == k
+            oracle[mine, k::2] = induced_table(ens, projective_povm(u))[mine]
+        assert len(built) == 2
+        assert np.array_equal(table, oracle)
+
+    @pytest.mark.parametrize("family", ["hadamard", "fourier"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_keyed_block_structure(self, m, family):
         inst, _ = build_locking_state(m, family)
